@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage/domain error, 3 validity-range error
 (standardized threshold below 1/sqrt(2)), 4 data error.  ``validate``
-honors the ``SKEWTAIL_THREADS`` environment variable (absent means
-single-threaded); results never depend on the thread count.
+honors the ``SKEWTAIL_THREADS`` environment variable (absent means one
+thread; clamped to the CPU count); results never depend on the thread count.
 """
 
 from __future__ import annotations

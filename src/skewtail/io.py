@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .paired import ScoreSheet, SkewObservations, TestReport, signed_area
-
-_SQRT3 = math.sqrt(3.0)
+from .paired import _SQRT3, ScoreSheet, SkewObservations, TestReport, signed_area
 
 
 def central_league_1997_path() -> Path:
@@ -105,6 +102,9 @@ def read_skew_matrix(path) -> SkewObservations:
     y = np.array(rows)
     if y.shape[0] != y.shape[1]:
         raise DataError(f"{path}: matrix is {y.shape[0]}x{y.shape[1]}, expected square")
+    if not np.all(np.isfinite(y)):
+        i, j = np.unravel_index(int(np.argmin(np.isfinite(y))), y.shape)
+        raise DataError(f"{path}: row {i + 1}, column {j + 1}: {float(y[i, j])} is not finite")
     resid = float(np.max(np.abs(y + y.T)))
     if resid > 1e-9:
         raise DataError(f"{path}: matrix is not skew-symmetric (max |y_ij + y_ji| = {resid:.3e})")

@@ -14,6 +14,7 @@ sample count) regardless of batching, thread count, or scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -45,10 +46,7 @@ class SkewMatrix:
 
     def to_full(self) -> np.ndarray:
         """Materialize the full matrix; a_ji = -a_ij and a_ii = 0 by construction."""
-        a = np.zeros((self.p, self.p))
-        iu = np.triu_indices(self.p, 1)
-        a[iu] = self.upper
-        return a - a.T
+        return uppers_to_full(self.upper, self.p)[0]
 
     @classmethod
     def from_full(cls, a, tol: float = 1e-9) -> "SkewMatrix":
@@ -56,6 +54,8 @@ class SkewMatrix:
         m = np.asarray(a, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("matrix entries must be finite")
         resid = float(np.max(np.abs(m + m.T)))
         if resid > tol:
             raise DomainError(f"matrix is not skew-symmetric (max |a_ij + a_ji| = {resid:.3e})")
@@ -154,6 +154,26 @@ def _block_uppers(key: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
     return out
 
 
+def _map_blocks(fn, count: int, width: int, threads: int | None) -> np.ndarray:
+    """A (count, width) array whose rows [s, e) are ``fn(s, e)``, one block
+    of ``_BLOCK`` rows at a time, on at most min(threads, CPU count,
+    number of blocks) threads."""
+    out = np.empty((count, width))
+    starts = range(0, count, _BLOCK)
+
+    def fill(s: int) -> None:
+        out[s:s + _BLOCK] = fn(s, min(s + _BLOCK, count))
+
+    workers = min(threads or 1, os.cpu_count() or 1, len(starts))
+    if workers <= 1:
+        for s in starts:
+            fill(s)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
+    return out
+
+
 def sample_uppers(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
     """Upper triangles of ``count`` samples as a (count, p(p-1)/2) array.
 
@@ -166,18 +186,7 @@ def sample_uppers(p: int, count: int, seed: int, threads: int | None = None) -> 
         raise DomainError(f"count must be >= 1, got {count}")
     key = SampleStream(seed).key
     n = p * (p - 1) // 2
-    starts = list(range(0, count, _BLOCK))
-    if threads is None or threads <= 1 or len(starts) == 1:
-        return np.concatenate([_block_uppers(key, s, min(s + _BLOCK, count), n) for s in starts])
-    out = np.empty((count, n))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(_block_uppers, key, s, min(s + _BLOCK, count), n): s for s in starts
-        }
-        for fut, s in futures.items():
-            block = fut.result()
-            out[s:s + block.shape[0]] = block
-    return out
+    return _map_blocks(lambda s, e: _block_uppers(key, s, e, n), count, n, threads)
 
 
 def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
@@ -218,37 +227,59 @@ def _paired_spectra(eigs: np.ndarray, p: int) -> np.ndarray:
     return np.sqrt(np.maximum(paired, 0.0))[:, ::-1][:, :t]
 
 
+def spectra_of_matrices(a: np.ndarray) -> np.ndarray:
+    """Batched singular spectra of a (B, p, p) stack of skew-symmetric
+    matrices, shape (B, p // 2), descending along axis 1."""
+    gram = np.matmul(np.transpose(a, (0, 2, 1)), a)
+    return _paired_spectra(np.linalg.eigvalsh(gram), a.shape[-1])
+
+
 def spectra_from_uppers(uppers: np.ndarray, p: int) -> np.ndarray:
     """Batched singular spectra, shape (B, t), descending along axis 1."""
-    a = uppers_to_full(uppers, p)
-    m = np.matmul(np.transpose(a, (0, 2, 1)), a)
-    return _paired_spectra(np.linalg.eigvalsh(m), p)
+    return spectra_of_matrices(uppers_to_full(uppers, p))
 
 
 def sample_spectra(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
     """Singular spectra of ``count`` seeded samples, shape (count, t)."""
     uppers = sample_uppers(p, count, seed, threads=threads)
-    if threads is None or threads <= 1:
-        return spectra_from_uppers(uppers, p)
-    out = np.empty((count, p // 2))
-    starts = list(range(0, count, _BLOCK))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(spectra_from_uppers, uppers[s:min(s + _BLOCK, count)], p): s
-            for s in starts
-        }
-        for fut, s in futures.items():
-            block = fut.result()
-            out[s:s + block.shape[0]] = block
-    return out
+    return _map_blocks(lambda s, e: spectra_from_uppers(uppers[s:e], p), count, p // 2, threads)
+
+
+class SkewEigen:
+    """One eigen-solve of A'A for a skew-symmetric A: its paired spectrum
+    and the eigenvectors, in ascending eigenvalue order.  Raises
+    :class:`PairingError` if the eigenvalues do not pair up."""
+
+    def __init__(self, a: SkewMatrix):
+        self.full = a.to_full()
+        eigs, self.vecs = np.linalg.eigh(self.full.T @ self.full)
+        self.spectrum = SingularSpectrum(p=a.p, sigma=_paired_spectra(eigs[None, :], a.p)[0])
+
+    def top_plane(self) -> TopPlane:
+        """The oriented leading 2-plane; see :func:`top_plane`."""
+        sigma = self.spectrum.sigma
+        sigma1 = float(sigma[0])
+        sigma2 = float(sigma[1]) if sigma.size > 1 else 0.0
+        if sigma1 <= 0.0 or (sigma1 - sigma2) <= _PAIR_RTOL * sigma1:
+            raise MultiplicityError(
+                f"top singular value is not a simple pair (sigma1={sigma1!r}, sigma2={sigma2!r})"
+            )
+        v = self.vecs[:, -1]
+        u = self.full @ v / sigma1
+        u /= float(np.linalg.norm(u))
+        # fix the in-plane rotation: align u with the coordinate of largest
+        # joint amplitude and make that component positive
+        amp2 = u * u + v * v
+        istar = int(np.argmax(amp2))
+        r = math.sqrt(float(amp2[istar]))
+        c, s = u[istar] / r, v[istar] / r
+        u, v = c * u + s * v, -s * u + c * v
+        return TopPlane(sigma1=sigma1, u=u, v=v)
 
 
 def singular_values(a: SkewMatrix) -> SingularSpectrum:
     """Paired singular values of one matrix, descending."""
-    full = a.to_full()
-    eigs = np.linalg.eigvalsh(full.T @ full)
-    sigma = _paired_spectra(eigs[None, :], a.p)[0]
-    return SingularSpectrum(p=a.p, sigma=sigma)
+    return SkewEigen(a).spectrum
 
 
 def top_plane(a: SkewMatrix) -> TopPlane:
@@ -258,25 +289,7 @@ def top_plane(a: SkewMatrix) -> TopPlane:
     sigma2 by relative 1e-8, otherwise the plane is not well defined and
     a :class:`MultiplicityError` is raised.
     """
-    full = a.to_full()
-    eigs, vecs = np.linalg.eigh(full.T @ full)
-    sigma1 = math.sqrt(max(float(eigs[-1]), 0.0))
-    sigma2 = math.sqrt(max(float(eigs[-3]), 0.0)) if a.p >= 4 else 0.0
-    if sigma1 <= 0.0 or (sigma1 - sigma2) <= _PAIR_RTOL * sigma1:
-        raise MultiplicityError(
-            f"top singular value is not a simple pair (sigma1={sigma1!r}, sigma2={sigma2!r})"
-        )
-    v = vecs[:, -1]
-    u = full @ v / sigma1
-    u /= float(np.linalg.norm(u))
-    # fix the in-plane rotation: align u with the coordinate of largest
-    # joint amplitude and make that component positive
-    amp2 = u * u + v * v
-    istar = int(np.argmax(amp2))
-    r = math.sqrt(float(amp2[istar]))
-    c, s = u[istar] / r, v[istar] / r
-    u, v = c * u + s * v, -s * u + c * v
-    return TopPlane(sigma1=sigma1, u=u, v=v)
+    return SkewEigen(a).top_plane()
 
 
 def empirical_upper(samples, x: float) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -84,6 +83,9 @@ class SkewObservations:
         y = np.asarray(self.y, dtype=float)
         if y.shape != (self.m, self.m):
             raise DataError(f"observations must be {self.m}x{self.m}, got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            i, j = np.unravel_index(int(np.argmin(np.isfinite(y))), y.shape)
+            raise DataError(f"observation y[{i + 1},{j + 1}] = {float(y[i, j])} is not finite")
         resid = float(np.max(np.abs(y + y.T)))
         if resid > 1e-12:
             raise DataError(f"observations are not skew-symmetric (max residual {resid:.3e})")
@@ -216,11 +218,20 @@ def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
     return ScheffeFit(m=obs.m, alpha_hat=alpha, gamma_hat=gamma)
 
 
+def _residual_eigen(fit: ScheffeFit) -> mc.SkewEigen:
+    """The one eigen-solve of gamma_hat' gamma_hat that a report's spectrum,
+    spectral statistics and embedding are all read from."""
+    return mc.SkewEigen(SkewMatrix.from_full(fit.gamma_hat, tol=1e-8))
+
+
+def _in_sigma_units(spectrum: SingularSpectrum, sigma2: float) -> SingularSpectrum:
+    _check_sigma2(sigma2)
+    return SingularSpectrum(p=spectrum.p, sigma=spectrum.sigma / math.sqrt(sigma2))
+
+
 def interaction_spectrum(fit: ScheffeFit, sigma2: float = 1.0) -> SingularSpectrum:
     """Paired singular values of gamma_hat / sqrt(sigma2), descending."""
-    _check_sigma2(sigma2)
-    skew = SkewMatrix.from_full(fit.gamma_hat / math.sqrt(sigma2), tol=1e-8)
-    return mc.singular_values(skew)
+    return _in_sigma_units(_residual_eigen(fit).spectrum, sigma2)
 
 
 def _check_sigma2(sigma2: float) -> None:
@@ -250,9 +261,12 @@ def largest_sv_test(fit: ScheffeFit, sigma2: float = 1.0) -> tuple[float, float]
     """
     if fit.m < 3:
         raise DomainError(f"need m >= 3, got {fit.m}")
-    _check_sigma2(sigma2)
-    stat = float(interaction_spectrum(fit, sigma2).sigma[0])
-    return stat, 1.0 - largest_sv_cdf(fit.m - 1, stat)
+    return _largest_sv(fit.m, interaction_spectrum(fit, sigma2))
+
+
+def _largest_sv(m: int, spectrum: SingularSpectrum) -> tuple[float, float]:
+    stat = float(spectrum.sigma[0])
+    return stat, 1.0 - largest_sv_cdf(m - 1, stat)
 
 
 def lrt_standardized_test(fit: ScheffeFit) -> tuple[float, float | None]:
@@ -266,7 +280,13 @@ def lrt_standardized_test(fit: ScheffeFit) -> tuple[float, float | None]:
         raise DomainError(
             f"standardized test needs m >= 5 (order m-1 >= 4), got m={fit.m}"
         )
-    sigma = interaction_spectrum(fit).sigma
+    return _standardized(fit.m, _residual_eigen(fit).spectrum)
+
+
+def _standardized(m: int, spectrum: SingularSpectrum) -> tuple[float, float | None]:
+    """The statistic for any m >= 3; its p-value is None for m < 5, where
+    no exact law is available, and below the critical point."""
+    sigma = spectrum.sigma
     energy = float(np.sum(sigma**2))
     if energy <= 0.0:
         raise DomainError(
@@ -274,9 +294,9 @@ def lrt_standardized_test(fit: ScheffeFit) -> tuple[float, float | None]:
             "is a 0/0 form (the data are perfectly subtractive)"
         )
     stat = float(sigma[0] / math.sqrt(energy))
-    if stat < CRITICAL_POINT - 1e-12:
+    if m < 5 or stat < CRITICAL_POINT - 1e-12:
         return stat, None
-    return stat, standardized_sv_upper(fit.m - 1, min(stat, 1.0))
+    return stat, standardized_sv_upper(m - 1, min(stat, 1.0))
 
 
 def max_deadlock(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
@@ -284,21 +304,25 @@ def max_deadlock(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
 
     Evaluates (gamma_ij + gamma_jk + gamma_ki)/sqrt(3) for every triple
     in both cyclic orientations and returns the 1-based triple (as
-    labeled on the score sheet) whose cycle sum is most positive.
+    labeled on the score sheet) whose cycle sum is most positive.  Ties
+    go to the first triple a < b < c in lexicographic order.
     """
     if fit.m < 3:
         raise DomainError(f"need m >= 3 for a triple, got {fit.m}")
     g = fit.gamma_hat
     best_triple = None
     best_value = -math.inf
-    for a, b, c in combinations(range(fit.m), 3):
-        cycle = (g[a, b] + g[b, c] + g[c, a]) / _SQRT3
-        triple, value = ((a, b, c), cycle) if cycle >= 0.0 else ((c, b, a), -cycle)
-        if value > best_value:
-            best_value = value
-            best_triple = triple
+    pairs_b, pairs_c = np.triu_indices(fit.m, 1)  # lexicographic order
+    for a in range(fit.m - 2):
+        b, c = pairs_b[pairs_b > a], pairs_c[pairs_b > a]
+        cycle = ((g[a, b] + g[b, c]) + g[c, a]) / _SQRT3
+        value = np.where(cycle >= 0.0, cycle, -cycle)
+        k = int(np.argmax(value))
+        if value[k] > best_value:
+            best_value = float(value[k])
+            best_triple = (a, b[k], c[k]) if cycle[k] >= 0.0 else (c[k], b[k], a)
     i, j, k = best_triple
-    return (i + 1, j + 1, k + 1), best_value
+    return (int(i) + 1, int(j) + 1, int(k) + 1), best_value
 
 
 def residual_embedding(fit: ScheffeFit) -> np.ndarray:
@@ -309,7 +333,11 @@ def residual_embedding(fit: ScheffeFit) -> np.ndarray:
     approximates the deadlock contrast of that triple with matching
     sign; the match is exact when gamma_hat has rank 2.
     """
-    plane = mc.top_plane(SkewMatrix.from_full(fit.gamma_hat, tol=1e-8))
+    return _embedding(_residual_eigen(fit))
+
+
+def _embedding(eigen: mc.SkewEigen) -> np.ndarray:
+    plane = eigen.top_plane()
     root = math.sqrt(plane.sigma1)
     return np.column_stack((root * plane.u, root * plane.v))
 
@@ -338,20 +366,10 @@ def build_report(
         raise DomainError(f"expected {obs.m} names, got {len(names)}")
     fit = scheffe_fit(obs)
     chi2_stat, chi2_df, chi2_p = chi_square_test(fit, sigma2)
-    sv_stat, sv_p = largest_sv_test(fit, sigma2)
-    if obs.m >= 5:
-        std_stat, std_p = lrt_standardized_test(fit)
-    else:
-        # the statistic is well defined for any m >= 3; its exact law is not
-        sigma = interaction_spectrum(fit).sigma
-        energy = float(np.sum(sigma**2))
-        if energy <= 0.0:
-            raise DomainError(
-                "interaction residual is exactly zero: the standardized "
-                "statistic is a 0/0 form (the data are perfectly subtractive)"
-            )
-        std_stat = float(sigma[0] / math.sqrt(energy))
-        std_p = None
+    eigen = _residual_eigen(fit)
+    spectrum = _in_sigma_units(eigen.spectrum, sigma2)
+    sv_stat, sv_p = _largest_sv(fit.m, spectrum)
+    std_stat, std_p = _standardized(fit.m, eigen.spectrum)
     triple, value = max_deadlock(fit)
     return TestReport(
         names=names,
@@ -362,10 +380,10 @@ def build_report(
         sv_p=sv_p,
         std_stat=std_stat,
         std_p=std_p,
-        spectrum=interaction_spectrum(fit, sigma2),
+        spectrum=spectrum,
         deadlock_triple=triple,
         deadlock_value=value,
-        embedding=residual_embedding(fit),
+        embedding=_embedding(eigen),
     )
 
 
@@ -385,5 +403,4 @@ def simulate_null_largest_sv(
     y = mc.uppers_to_full(uppers, m)
     alpha = y.sum(axis=2) / m
     gamma = y - (alpha[:, :, None] - alpha[:, None, :])
-    mats = np.matmul(np.transpose(gamma, (0, 2, 1)), gamma)
-    return mc._paired_spectra(np.linalg.eigvalsh(mats), m)[:, 0]
+    return mc.spectra_of_matrices(gamma)[:, 0]

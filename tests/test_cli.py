@@ -214,6 +214,14 @@ class TestAnalyze:
         assert code == 4
         assert "skew" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_raw_matrix_exits_4_with_location(self, capsys, tmp_path, bad):
+        raw = tmp_path / "bad.txt"
+        raw.write_text(f"0 1 2\n-1 0 {bad}\n-2 0 0\n")
+        code, _, err = run_cli(capsys, "analyze", str(raw), "--raw")
+        assert code == 4
+        assert "row 2, column 3" in err and "finite" in err
+
     def test_missing_file_exits_4(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "/nonexistent.csv", "--n-games", "27")
         assert code == 4

@@ -2,10 +2,12 @@
 moments, pairing, the top invariant plane, and the KS helper."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from skewtail import mc
 from skewtail.errors import DomainError, MultiplicityError, PairingError
 from skewtail.mc import (
     SampleStream,
@@ -44,6 +46,13 @@ class TestSkewMatrix:
         with pytest.raises(DomainError):
             SkewMatrix.from_full(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_full_rejects_non_finite(self, bad):
+        full = np.zeros((3, 3))
+        full[0, 1], full[1, 0] = bad, -bad
+        with pytest.raises(DomainError, match="finite"):
+            SkewMatrix.from_full(full)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(DomainError):
             SkewMatrix(p=4, upper=np.zeros(5))
@@ -72,6 +81,24 @@ class TestDeterminism:
         a = sample_spectra(5, 20_000, seed=3, threads=None)
         b = sample_spectra(5, 20_000, seed=3, threads=4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("cpus,expect", [(2, 2), (64, 3)])
+    def test_workers_clamped_to_cpus_and_blocks(self, monkeypatch, cpus, expect):
+        # three blocks, so even an unclamped pool starts only three threads
+        workers = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        count = 2 * mc._BLOCK + 1
+        serial = sample_spectra(3, count, seed=4)
+        assert workers == []  # threads unset: no pool at all
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        assert np.array_equal(sample_spectra(3, count, seed=4, threads=64), serial)
+        assert workers == [expect, expect]  # one pool to sample, one to solve
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(
@@ -267,6 +294,11 @@ class TestKsDistance:
 
 
 class TestUppersToFull:
+    def test_stack_spectra_match_per_matrix(self):
+        stack = uppers_to_full(sample_uppers(5, 6, seed=8), 5)
+        for a, sigma in zip(stack, mc.spectra_of_matrices(stack)):
+            assert np.allclose(sigma, singular_values(SkewMatrix.from_full(a)).sigma, rtol=1e-12)
+
     def test_batch_shape_and_skewness(self):
         uppers = sample_uppers(4, 7, seed=2)
         stack = uppers_to_full(uppers, 4)

@@ -3,6 +3,7 @@ least-squares split, the three subtractivity tests on the league data,
 deadlock search, and the rank-2 embedding."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -51,6 +52,21 @@ def subtractive_observations(scores) -> SkewObservations:
     return SkewObservations(m=a.size, y=a[:, None] - a[None, :])
 
 
+def max_deadlock_loop(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
+    """Reference for max_deadlock: one triple at a time, first wins ties."""
+    g = fit.gamma_hat
+    best_triple = None
+    best_value = -math.inf
+    for a, b, c in combinations(range(fit.m), 3):
+        cycle = (g[a, b] + g[b, c] + g[c, a]) / SQRT3
+        triple, value = ((a, b, c), cycle) if cycle >= 0.0 else ((c, b, a), -cycle)
+        if value > best_value:
+            best_value = value
+            best_triple = triple
+    i, j, k = best_triple
+    return (i + 1, j + 1, k + 1), best_value
+
+
 class TestScoreSheet:
     def test_league_sheet_loads(self, league_sheet):
         assert league_sheet.m == 6
@@ -64,6 +80,13 @@ class TestScoreSheet:
         r[1, 2], r[2, 1] = 1, 4
         with pytest.raises(DataError):
             ScoreSheet(m=3, names=("a", "b", "c"), n_games=5, r=r)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observations_rejected(self, bad):
+        y = np.zeros((3, 3))
+        y[1, 2], y[2, 1] = bad, -bad
+        with pytest.raises(DataError, match=r"y\[2,3\]"):
+            SkewObservations(m=3, y=y)
 
     def test_out_of_range_rejected(self):
         r = np.zeros((3, 3), dtype=int)
@@ -266,6 +289,26 @@ class TestMaxDeadlock:
         _, value = max_deadlock(fit)
         assert value == pytest.approx(0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_matches_loop_on_tie_heavy_residuals(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            g = np.triu(rng.integers(-2, 3, size=(m, m)), 1).astype(float)
+            fit = ScheffeFit(m=m, alpha_hat=np.zeros(m), gamma_hat=g - g.T)
+            assert max_deadlock(fit) == max_deadlock_loop(fit)
+
+    def test_matches_loop_on_central_league(self, league_fit):
+        assert max_deadlock(league_fit) == max_deadlock_loop(league_fit)
+
+    @pytest.mark.parametrize("m", [20, 40, 60])
+    def test_matches_loop_on_random_league_sheets(self, m):
+        rng = np.random.default_rng(m)
+        r = np.triu(rng.binomial(27, 0.5, size=(m, m)), 1)
+        r += np.triu(27 - r, 1).T
+        sheet = ScoreSheet(m=m, names=tuple(map(str, range(m))), n_games=27, r=r)
+        fit = scheffe_fit(variance_stabilize(sheet))
+        assert max_deadlock(fit) == max_deadlock_loop(fit)
+
     def test_value_bounded_by_sigma1(self):
         from skewtail.paired import interaction_spectrum
 
@@ -416,6 +459,18 @@ class TestInvariances:
 
 
 class TestBuildReport:
+    @pytest.mark.parametrize("m", [4, 6, 20])
+    def test_one_eigendecomposition(self, monkeypatch, m):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k)
+            )
+        rng = np.random.default_rng(m)
+        build_report(observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2)))
+        assert len(calls) == 1
+
     def test_league_report_fields(self, league_sheet):
         report = build_report(variance_stabilize(league_sheet), names=league_sheet.names)
         assert report.chi2_df == 10
