@@ -5,10 +5,11 @@ draw matrices with i.i.d. standard-normal upper triangles, extract the
 paired singular spectrum, and compare tail frequencies against the
 closed-form distributions.
 
-Reproducibility contract: sample ``i`` under seed ``s`` is generated
-from its own Philox substream with counter ``(0, 0, 0, i)`` and a key
-derived from ``s``, so results are a pure function of (seed, order,
-sample count) regardless of batching, thread count, or scheduling.
+Reproducibility contract: under seed ``s``, sample ``i`` of order ``p`` is
+row ``i % 256`` of the (256, p(p-1)/2) standard-normal block that numpy's
+Philox draws at counter ``(0, 0, 0, i // 256)`` with a key derived from
+``s``, so results are a pure function of (seed, order, sample index)
+regardless of batching, thread count, or scheduling.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .errors import DomainError, MultiplicityError, PairingError
 
 _PAIR_RTOL = 1e-8
 _KERNEL_RTOL = 1e-10
+#: Samples per Philox block; changing it changes every draw of every seed.
+_STREAM_BLOCK = 256
+#: Samples per task; a multiple of _STREAM_BLOCK, so no two tasks draw the same block.
 _BLOCK = 8192
 
 
@@ -36,9 +40,7 @@ class SkewMatrix:
     upper: np.ndarray
 
     def __post_init__(self):
-        n = self.p * (self.p - 1) // 2
-        if self.p < 2:
-            raise DomainError(f"matrix order must be >= 2, got {self.p}")
+        n = _triangle(self.p)
         u = np.asarray(self.upper, dtype=float)
         if u.shape != (n,):
             raise DomainError(f"upper triangle must have length {n}, got shape {u.shape}")
@@ -84,14 +86,20 @@ class TopPlane:
     v: np.ndarray
 
 
+def _triangle(p: int) -> int:
+    """Length p(p-1)/2 of the upper triangle of an order-p matrix."""
+    if p < 2:
+        raise DomainError(f"matrix order must be >= 2, got {p}")
+    return p * (p - 1) // 2
+
+
 class SampleStream:
     """Counter-based random stream handle.
 
-    Sequential draws advance an internal sample index; the substream for
-    any index can also be addressed directly (:meth:`normals`), which is
-    what batched and threaded consumers use.  A single handle must not
-    be shared between threads mid-draw: share the seed and address
-    indices instead.
+    Sequential draws advance an internal sample index; any index can
+    also be addressed directly (:meth:`normals`), which is what batched
+    and threaded consumers use.  A single handle must not be shared
+    between threads mid-draw: share the seed and address indices instead.
     """
 
     def __init__(self, seed: int):
@@ -111,11 +119,11 @@ class SampleStream:
         return i
 
     def normals(self, index: int, count: int) -> np.ndarray:
-        """The first ``count`` standard normals of substream ``index``."""
+        """Row ``index % 256`` of the (256, count) block of sample ``index``:
+        ``normals(i, 10)`` is not a prefix of ``normals(i, 15)``."""
         if index < 0:
             raise DomainError(f"sample index must be >= 0, got {index}")
-        bg = np.random.Philox(key=self._key, counter=[0, 0, 0, index])
-        return np.random.Generator(bg).standard_normal(count)
+        return _rows(self._key, index, index + 1, count)[0]
 
 
 def sample_skew_gaussian(p: int, stream: SampleStream) -> SkewMatrix:
@@ -124,34 +132,21 @@ def sample_skew_gaussian(p: int, stream: SampleStream) -> SkewMatrix:
 
 
 def sample_skew_gaussian_at(p: int, stream: SampleStream, index: int) -> SkewMatrix:
-    """The matrix of substream ``index``: pure in (seed, p, index)."""
-    if p < 2:
-        raise DomainError(f"matrix order must be >= 2, got {p}")
-    n = p * (p - 1) // 2
-    return SkewMatrix(p=p, upper=stream.normals(index, n))
+    """The matrix of sample ``index``: pure in (seed, p, index)."""
+    return SkewMatrix(p=p, upper=stream.normals(index, _triangle(p)))
 
 
-def _block_uppers(key: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
-    """Upper triangles for samples [start, stop), bit-identical to
-    per-sample :meth:`SampleStream.normals` but ~8x faster by resetting
-    one Philox's state per sample instead of rebuilding generators."""
-    out = np.empty((stop - start, n))
-    bg = np.random.Philox(key=key)
-    gen = np.random.Generator(bg)
-    counter = np.zeros(4, dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for i in range(start, stop):
-        counter[3] = i
-        bg.state = state
-        out[i - start] = gen.standard_normal(n)
-    return out
+def _rows(key: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
+    """Rows [start, stop) of the sample layout, each of width ``n``, cut
+    from the Philox blocks that cover them."""
+    first = start // _STREAM_BLOCK
+    blocks = [
+        np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, b]))
+        .standard_normal((_STREAM_BLOCK, n))
+        for b in range(first, (stop - 1) // _STREAM_BLOCK + 1)
+    ]
+    skip = first * _STREAM_BLOCK
+    return np.concatenate(blocks)[start - skip:stop - skip]
 
 
 def _map_blocks(fn, count: int, width: int, threads: int | None) -> np.ndarray:
@@ -174,19 +169,21 @@ def _map_blocks(fn, count: int, width: int, threads: int | None) -> np.ndarray:
     return out
 
 
-def sample_uppers(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
-    """Upper triangles of ``count`` samples as a (count, p(p-1)/2) array.
-
-    Row i equals ``SampleStream(seed).normals(i, n)`` exactly, for any
-    thread count.
-    """
-    if p < 2:
-        raise DomainError(f"matrix order must be >= 2, got {p}")
+def _sampler(p: int, count: int, seed: int):
+    """Checks a sampling run's arguments; returns the row width and the
+    function (s, e) -> upper triangles of samples [s, e)."""
+    n = _triangle(p)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     key = SampleStream(seed).key
-    n = p * (p - 1) // 2
-    return _map_blocks(lambda s, e: _block_uppers(key, s, e, n), count, n, threads)
+    return n, lambda s, e: _rows(key, s, e, n)
+
+
+def sample_uppers(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
+    """Upper triangles of ``count`` samples, shape (count, p(p-1)/2); row i
+    equals ``SampleStream(seed).normals(i, n)`` for any count and thread count."""
+    n, rows = _sampler(p, count, seed)
+    return _map_blocks(rows, count, n, threads)
 
 
 def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
@@ -240,9 +237,10 @@ def spectra_from_uppers(uppers: np.ndarray, p: int) -> np.ndarray:
 
 
 def sample_spectra(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
-    """Singular spectra of ``count`` seeded samples, shape (count, t)."""
-    uppers = sample_uppers(p, count, seed, threads=threads)
-    return _map_blocks(lambda s, e: spectra_from_uppers(uppers[s:e], p), count, p // 2, threads)
+    """Singular spectra of ``count`` seeded samples, shape (count, t); each
+    block of samples is drawn and solved in one pass."""
+    _, rows = _sampler(p, count, seed)
+    return _map_blocks(lambda s, e: spectra_from_uppers(rows(s, e), p), count, p // 2, threads)
 
 
 class SkewEigen:

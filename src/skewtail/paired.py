@@ -193,19 +193,20 @@ def variance_stabilize(sheet: ScoreSheet) -> SkewObservations:
     there, so they are accepted with a warning.
     """
     n = sheet.n_games
-    off = ~np.eye(sheet.m, dtype=bool)
-    if np.any((sheet.r[off] == 0) | (sheet.r[off] == n)):
+    iu = np.triu_indices(sheet.m, 1)
+    counts, where = np.unique(sheet.r[iu], return_inverse=True)
+    if counts[0] == 0 or counts[-1] == n:
         warnings.warn(
             "score sheet contains boundary sweeps (0 or all games won); "
             "the variance-stabilized scores are unreliable for those pairs",
             stacklevel=2,
         )
-    y = np.zeros((sheet.m, sheet.m))
+    # math.asin once per distinct count (np.arcsin rounds differently)
     scale = math.sqrt(n)
-    for i in range(sheet.m):
-        for j in range(i + 1, sheet.m):
-            y[i, j] = scale * math.asin((2.0 * int(sheet.r[i, j]) - n) / n)
-            y[j, i] = -y[i, j]
+    values = np.array([scale * math.asin((2.0 * int(k) - n) / n) for k in counts])
+    y = np.zeros((sheet.m, sheet.m))
+    y[iu] = values[where]
+    y.T[iu] = -y[iu]
     return SkewObservations(m=sheet.m, y=y)
 
 

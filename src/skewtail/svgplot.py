@@ -8,12 +8,12 @@ data is counterclockwise on screen.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 _SIZE = 480
 _MARGIN = 48
+#: xml.sax.saxutils.escape's replacements; xml.sax itself imports email and ssl.
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _scaler(points: np.ndarray):
@@ -45,7 +45,7 @@ def residual_plot_svg(
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
         f'<text x="{_SIZE / 2}" y="24" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        f'font-family="sans-serif">{title.translate(_ESCAPE)}</text>',
         # axes through the origin
         f'<line x1="{_MARGIN / 2}" y1="{_SIZE / 2}" x2="{_SIZE - _MARGIN / 2}" '
         f'y2="{_SIZE / 2}" stroke="#999" stroke-width="1"/>',
@@ -65,7 +65,7 @@ def residual_plot_svg(
         parts.append(
             f'<g class="point"><circle cx="{sx:.2f}" cy="{sy:.2f}" r="4" fill="#225"/>'
             f'<text x="{sx + 7:.2f}" y="{sy - 7:.2f}" font-size="12" '
-            f'font-family="sans-serif">{escape(str(name))}</text></g>'
+            f'font-family="sans-serif">{str(name).translate(_ESCAPE)}</text></g>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

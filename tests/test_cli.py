@@ -3,12 +3,18 @@ determinism, and the SVG plot."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+import skewtail
 from skewtail.cli import _table1_cell, main
 from skewtail.io import central_league_1997_path
+from skewtail.svgplot import residual_plot_svg
 
 FIXTURE = str(central_league_1997_path())
 
@@ -265,12 +271,31 @@ class TestPlot:
         screen_area = 0.5 * ((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
         assert screen_area < 0.0
 
+    def test_title_and_labels_are_escaped(self):
+        names = ["A&B", "<x>", "q\"'", "plain"]
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        svg = residual_plot_svg(pts, names, title="a < b & c > d")
+        assert '>a &lt; b &amp; c &gt; d</text>' in svg
+        for label in ("A&amp;B", "&lt;x&gt;", "q\"'", "plain"):
+            assert f'font-family="sans-serif">{label}</text></g>' in svg
+        root = ET.fromstring(svg)
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        assert [g.find("svg:text", ns).text for g in root.findall(".//svg:g", ns)] == names
+
 
 class TestEntryPoint:
-    def test_module_invocation(self):
-        import subprocess
-        import sys
+    def test_import_leaves_out_xml_sax_email_and_ssl(self):
+        paths = [os.path.dirname(os.path.dirname(skewtail.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        code = (
+            "import sys, skewtail.cli; "
+            "print([m for m in ('xml.sax', 'email', 'ssl') if m in sys.modules])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
+    def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "skewtail.cli", "dist", "--kind", "cdf",
              "--p", "2", "--x", "1.0"],

@@ -2,6 +2,7 @@
 moments, pairing, the top invariant plane, and the KS helper."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,6 +25,24 @@ from skewtail.mc import (
     top_plane,
     uppers_to_full,
 )
+
+
+#: Rows per Philox block of the sample layout; a different value is a
+#: different layout, so every realized draw would change.
+ROWS_PER_BLOCK = 256
+
+
+def oracle_rows(seed: int, n: int, indices) -> np.ndarray:
+    """Sample i is row i % 256 of the (256, n) standard-normal block that
+    numpy's Philox draws at counter (0, 0, 0, i // 256), keyed by the
+    seed's SeedSequence: built here one sample at a time, without mc."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    rows = []
+    for i in indices:
+        bg = np.random.Philox(key=key, counter=[0, 0, 0, i // ROWS_PER_BLOCK])
+        block = np.random.Generator(bg).standard_normal((ROWS_PER_BLOCK, n))
+        rows.append(block[i % ROWS_PER_BLOCK])
+    return np.array(rows)
 
 
 def rank2_matrix(p: int, s: float, a: np.ndarray, b: np.ndarray) -> SkewMatrix:
@@ -74,8 +93,10 @@ class TestDeterminism:
     def test_block_path_matches_per_sample_path(self):
         uppers = sample_uppers(6, 300, seed=11)
         stream = SampleStream(11)
-        for i in (0, 1, 137, 299):
-            assert np.array_equal(uppers[i], stream.normals(i, 15))
+        indices = (0, 1, 137, 255, 256, 299)
+        for i, expect in zip(indices, oracle_rows(11, 15, indices)):
+            assert np.array_equal(uppers[i], expect)
+            assert np.array_equal(stream.normals(i, 15), expect)
 
     def test_thread_count_does_not_change_results(self):
         a = sample_spectra(5, 20_000, seed=3, threads=None)
@@ -98,7 +119,7 @@ class TestDeterminism:
         monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
         assert np.array_equal(sample_spectra(3, count, seed=4, threads=64), serial)
-        assert workers == [expect, expect]  # one pool to sample, one to solve
+        assert workers == [expect]  # one pool samples and solves each block
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(
@@ -108,6 +129,52 @@ class TestDeterminism:
     def test_seed_validation(self):
         with pytest.raises(DomainError):
             SampleStream(-1)
+
+
+class TestSampleLayout:
+    def test_block_constants(self):
+        assert mc._STREAM_BLOCK == ROWS_PER_BLOCK
+        assert mc._BLOCK % ROWS_PER_BLOCK == 0
+
+    def test_rows_equal_oracle_at_block_edges(self):
+        p, n, seed = 4, 6, 17
+        count = mc._BLOCK + 300
+        indices = (0, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, mc._BLOCK - 1, mc._BLOCK, count - 1)
+        uppers = sample_uppers(p, count, seed)
+        stream = SampleStream(seed)
+        for i, expect in zip(indices, oracle_rows(seed, n, indices)):
+            assert np.array_equal(uppers[i], expect)
+            assert np.array_equal(stream.normals(i, n), expect)
+            assert np.array_equal(sample_skew_gaussian_at(p, stream, i).upper, expect)
+
+    def test_rows_independent_of_count(self):
+        full = sample_uppers(5, mc._BLOCK + 513, seed=6)
+        for count in (1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK + 1, mc._BLOCK, mc._BLOCK + 1):
+            assert np.array_equal(sample_uppers(5, count, seed=6), full[:count])
+
+    def test_rows_and_spectra_independent_of_threads(self, monkeypatch):
+        # four blocks and eight CPUs, so threads=4 really runs four workers
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        count = 3 * mc._BLOCK + 700
+        uppers = [sample_uppers(4, count, seed=12, threads=t) for t in (None, 2, 4)]
+        spectra = [sample_spectra(4, count, seed=12, threads=t) for t in (None, 2, 4)]
+        for u, s in zip(uppers[1:], spectra[1:]):
+            assert np.array_equal(u, uppers[0])
+            assert np.array_equal(s, spectra[0])
+        assert np.array_equal(spectra[0], mc.spectra_from_uppers(uppers[0], 4))
+
+    def test_sample_spectra_holds_one_block_of_uppers(self, monkeypatch):
+        # 64 small blocks: the whole run's upper triangles would take 5.9 MB
+        monkeypatch.setattr(mc, "_BLOCK", ROWS_PER_BLOCK)
+        p, count = 10, 64 * ROWS_PER_BLOCK
+        whole_run = count * (p * (p - 1) // 2) * 8
+        tracemalloc.start()
+        try:
+            sample_spectra(p, count, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_run / 2
 
 
 class TestMoments:

@@ -3,6 +3,7 @@ least-squares split, the three subtractivity tests on the league data,
 deadlock search, and the rank-2 embedding."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -50,6 +51,28 @@ def observations_from_vector(m: int, values) -> SkewObservations:
 def subtractive_observations(scores) -> SkewObservations:
     a = np.asarray(scores, dtype=float)
     return SkewObservations(m=a.size, y=a[:, None] - a[None, :])
+
+
+def variance_stabilize_loop(sheet: ScoreSheet) -> np.ndarray:
+    """Reference for variance_stabilize: one math.asin per pair."""
+    n = sheet.n_games
+    y = np.zeros((sheet.m, sheet.m))
+    scale = math.sqrt(n)
+    for i in range(sheet.m):
+        for j in range(i + 1, sheet.m):
+            y[i, j] = scale * math.asin((2.0 * int(sheet.r[i, j]) - n) / n)
+            y[j, i] = -y[i, j]
+    return y
+
+
+def random_sheet(m: int, n: int, rng) -> ScoreSheet:
+    """Round robin with uniform win counts in 0..n, so sweeps and (for even
+    n) even splits occur."""
+    r = np.zeros((m, m), dtype=int)
+    iu = np.triu_indices(m, 1)
+    r[iu] = rng.integers(0, n + 1, size=iu[0].size)
+    r[iu[1], iu[0]] = n - r[iu]
+    return ScoreSheet(m=m, names=tuple(f"o{i}" for i in range(m)), n_games=n, r=r)
 
 
 def max_deadlock_loop(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
@@ -119,6 +142,28 @@ class TestVarianceStabilize:
     def test_league_sheet_exactly_skew(self, league_sheet):
         y = variance_stabilize(league_sheet).y
         assert float(np.max(np.abs(y + y.T))) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 27, 100])
+    def test_bytes_match_loop(self, n):
+        rng = np.random.default_rng(n)
+        for m in range(3, 61):
+            sheet = random_sheet(m, n, rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                y = variance_stabilize(sheet).y
+            assert y.tobytes() == variance_stabilize_loop(sheet).tobytes()
+
+    def test_bytes_match_loop_on_league(self, league_sheet):
+        y = variance_stabilize(league_sheet).y
+        assert y.tobytes() == variance_stabilize_loop(league_sheet).tobytes()
+
+    def test_even_split_keeps_negative_zero_below_diagonal(self):
+        r = np.full((4, 4), 5)
+        np.fill_diagonal(r, 0)
+        y = variance_stabilize(ScoreSheet(m=4, names=tuple("abcd"), n_games=10, r=r)).y
+        below = y[np.tril_indices(4, -1)]
+        assert np.all(below == 0.0) and np.all(np.signbit(below))
+        assert not np.any(np.signbit(y[np.triu_indices(4)]))
 
     def test_boundary_sweep_warns_but_stays_finite(self):
         r = np.zeros((3, 3), dtype=int)
