@@ -55,10 +55,8 @@ from .rmtdist import (
     HankelGram,
     SpectrumLaw,
     critical_radius_objective,
-    critical_radius_search,
     euler_characteristic,
     hankel_gram,
-    hankel_inverse_oracle,
     joint_density,
     largest_sv_cdf,
     largest_sv_tail_asymptotic,
@@ -98,12 +96,10 @@ __all__ = [
     "chi_square_test",
     "contrast_value",
     "critical_radius_objective",
-    "critical_radius_search",
     "deadlock_contrast_pair",
     "empirical_upper",
     "euler_characteristic",
     "hankel_gram",
-    "hankel_inverse_oracle",
     "joint_density",
     "ks_distance",
     "largest_sv_cdf",

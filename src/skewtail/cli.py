@@ -159,8 +159,18 @@ def _load_report(args: argparse.Namespace) -> TestReport:
     return build_report(obs, sigma2=args.sigma2, names=names)
 
 
+def _residual_svg(report: TestReport) -> str:
+    if report.embedding is None:
+        raise DataError(
+            "the interaction residual is exactly zero (perfectly subtractive data); "
+            "there is no residual plot to draw"
+        )
+    return svgplot.residual_plot_svg(report.embedding, report.names, report.deadlock_triple)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     report = _load_report(args)
+    svg = _residual_svg(report) if args.plot else None
     rendering = io.render_json(report) if args.format == "json" else io.render_text(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -168,17 +178,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(rendering if rendering.endswith("\n") else rendering + "\n")
     if args.plot:
-        svg = svgplot.residual_plot_svg(
-            report.embedding, report.names, report.deadlock_triple
-        )
         with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    report = _load_report(args)
-    svg = svgplot.residual_plot_svg(report.embedding, report.names, report.deadlock_triple)
+    svg = _residual_svg(_load_report(args))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0

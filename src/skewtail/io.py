@@ -14,7 +14,9 @@ p-values to 4, as conventionally tabulated) or as JSON with the fixed
 schema ``{chi2: {stat, df, p}, largest_sv: {stat, p}, standardized:
 {stat, p}, spectrum: [...], deadlock: {triple, value}, embedding:
 [{name, x, y}]}``, where an out-of-validity standardized p-value is the
-string ``"outside_validity"``.
+string ``"outside_validity"``.  For perfectly subtractive data (an
+exactly zero interaction residual) the standardized stat and p, the
+deadlock area ratio and the embedding are ``null``.
 """
 
 from __future__ import annotations
@@ -112,21 +114,26 @@ def read_skew_matrix(path) -> SkewObservations:
     return SkewObservations(m=y.shape[0], y=y)
 
 
-def deadlock_area_ratio(report: TestReport) -> float:
+def deadlock_area_ratio(report: TestReport) -> float | None:
     """2 S_ijk / sqrt(3) for the report's deadlock triple: the embedding's
-    estimate of the deadlock contrast."""
+    estimate of the deadlock contrast; None when there is no embedding."""
+    if report.embedding is None:
+        return None
     i, j, k = (idx - 1 for idx in report.deadlock_triple)
     return 2.0 * signed_area(report.embedding, i, j, k) / _SQRT3
 
 
 def report_to_dict(report: TestReport) -> dict:
     """JSON-ready dict with the fixed report schema."""
+    std_p = report.std_p
+    if std_p is None and report.std_stat is not None:
+        std_p = "outside_validity"
     return {
         "chi2": {"stat": report.chi2_stat, "df": report.chi2_df, "p": report.chi2_p},
         "largest_sv": {"stat": report.sv_stat, "p": report.sv_p},
         "standardized": {
             "stat": report.std_stat,
-            "p": "outside_validity" if report.std_p is None else report.std_p,
+            "p": std_p,
         },
         "spectrum": [float(s) for s in report.spectrum.sigma],
         "deadlock": {
@@ -134,7 +141,7 @@ def report_to_dict(report: TestReport) -> dict:
             "value": report.deadlock_value,
             "area_ratio": deadlock_area_ratio(report),
         },
-        "embedding": [
+        "embedding": None if report.embedding is None else [
             {"name": name, "x": float(x), "y": float(y)}
             for name, (x, y) in zip(report.names, report.embedding)
         ],
@@ -149,19 +156,29 @@ def render_text(report: TestReport) -> str:
     """Aligned text report: statistics to 3 decimals, p-values to 4."""
     triple = ",".join(str(i) for i in report.deadlock_triple)
     cycle = " > ".join(report.names[i - 1] for i in report.deadlock_triple)
-    std_p = "outside validity range (< 1/sqrt(2))" if report.std_p is None else f"p = {report.std_p:.4f}"
+    if report.std_stat is None:
+        std = "undefined (zero interaction residual)"
+    elif report.std_p is None:
+        std = f"stat = {report.std_stat:.3f}   outside validity range (< 1/sqrt(2))"
+    else:
+        std = f"stat = {report.std_stat:.3f}   p = {report.std_p:.4f}"
     lines = [
         f"Paired-comparison subtractivity analysis (m = {len(report.names)})",
         "",
         f"  chi-square      stat = {report.chi2_stat:.3f}   df = {report.chi2_df}   p = {report.chi2_p:.4f}",
         f"  largest sv      stat = {report.sv_stat:.3f}   p = {report.sv_p:.4f}",
-        f"  standardized    stat = {report.std_stat:.3f}   {std_p}",
+        f"  standardized    {std}",
         "  spectrum        " + ", ".join(f"{s:.3f}" for s in report.spectrum.sigma),
         f"  deadlock        ({triple})   value = {report.deadlock_value:.3f}   [{cycle} > ...]",
-        f"  area check      2*S/sqrt(3) = {deadlock_area_ratio(report):.3f}",
-        "",
-        "  embedding (sqrt(sigma1) * (u_i, v_i)):",
     ]
-    for name, (x, y) in zip(report.names, report.embedding):
-        lines.append(f"    {name:<12s} {x:+.4f}  {y:+.4f}")
+    if report.embedding is None:
+        lines.append("  embedding       none (zero interaction residual)")
+    else:
+        lines += [
+            f"  area check      2*S/sqrt(3) = {deadlock_area_ratio(report):.3f}",
+            "",
+            "  embedding (sqrt(sigma1) * (u_i, v_i)):",
+        ]
+        for name, (x, y) in zip(report.names, report.embedding):
+            lines.append(f"    {name:<12s} {x:+.4f}  {y:+.4f}")
     return "\n".join(lines) + "\n"

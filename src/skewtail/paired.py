@@ -164,7 +164,10 @@ class TestReport:
     by sqrt(sigma2)), so ``sv_stat == spectrum.sigma[0]`` and the sum of
     squared spectrum entries equals ``chi2_stat``.  ``std_p`` is None
     when the standardized statistic falls below the critical point
-    1/sqrt(2), outside the exact range of the tube formula.
+    1/sqrt(2), outside the exact range of the tube formula.  Perfectly
+    subtractive data (an exactly zero interaction residual) leave the
+    standardized statistic a 0/0 form and the top plane undefined:
+    ``std_stat``, ``std_p`` and ``embedding`` are then all None.
     """
 
     names: tuple[str, ...]
@@ -173,12 +176,12 @@ class TestReport:
     chi2_p: float
     sv_stat: float
     sv_p: float
-    std_stat: float
+    std_stat: float | None
     std_p: float | None
     spectrum: SingularSpectrum
     deadlock_triple: tuple[int, int, int]
     deadlock_value: float
-    embedding: np.ndarray
+    embedding: np.ndarray | None
 
 
 def variance_stabilize(sheet: ScoreSheet) -> SkewObservations:
@@ -270,12 +273,13 @@ def _largest_sv(m: int, spectrum: SingularSpectrum) -> tuple[float, float]:
     return stat, 1.0 - largest_sv_cdf(m - 1, stat)
 
 
-def lrt_standardized_test(fit: ScheffeFit) -> tuple[float, float | None]:
+def lrt_standardized_test(fit: ScheffeFit) -> tuple[float | None, float | None]:
     """Likelihood-ratio test of a single deadlock plane, variance unknown.
 
     The statistic sigma_1 / sqrt(sum sigma_i^2) is scale-free; its exact
     upper probability is available for values at or above the critical
-    point 1/sqrt(2), and None is returned below it.
+    point 1/sqrt(2), and None is returned below it.  On perfectly
+    subtractive data the statistic is 0/0 and both values are None.
     """
     if fit.m < 5:
         raise DomainError(
@@ -284,16 +288,14 @@ def lrt_standardized_test(fit: ScheffeFit) -> tuple[float, float | None]:
     return _standardized(fit.m, _residual_eigen(fit).spectrum)
 
 
-def _standardized(m: int, spectrum: SingularSpectrum) -> tuple[float, float | None]:
+def _standardized(m: int, spectrum: SingularSpectrum) -> tuple[float | None, float | None]:
     """The statistic for any m >= 3; its p-value is None for m < 5, where
-    no exact law is available, and below the critical point."""
+    no exact law is available, and below the critical point.  Both are
+    None when the residual is exactly zero."""
     sigma = spectrum.sigma
     energy = float(np.sum(sigma**2))
     if energy <= 0.0:
-        raise DomainError(
-            "interaction residual is exactly zero: the standardized statistic "
-            "is a 0/0 form (the data are perfectly subtractive)"
-        )
+        return None, None
     stat = float(sigma[0] / math.sqrt(energy))
     if m < 5 or stat < CRITICAL_POINT - 1e-12:
         return stat, None
@@ -384,7 +386,7 @@ def build_report(
         spectrum=spectrum,
         deadlock_triple=triple,
         deadlock_value=value,
-        embedding=_embedding(eigen),
+        embedding=_embedding(eigen) if sv_stat > 0.0 else None,
     )
 
 

@@ -1,0 +1,115 @@
+"""Test-only oracles: independent routes to quantities the library
+computes in closed form.
+
+* :func:`hankel_inverse_oracle` inverts the Hankel gram matrix by the
+  paper's triangular band factorization, a second route to
+  :func:`skewtail.rmtdist.hankel_gram`'s closed-form inverse;
+* :func:`critical_radius_search` is a vectorized random search for the
+  supremum of :func:`skewtail.rmtdist.critical_radius_objective`, which
+  pins the critical angle pi/4.
+"""
+
+import math
+
+import numpy as np
+
+from skewtail.errors import DomainError
+from skewtail.specfun import log_gamma
+
+
+def _band_factorization(delta: float, t: int):
+    """The triangular pieces of B_{t-1}...B_1 G = E T D.
+
+    Returns (G, B, T, Tinv, D_diag, E_diag) where B is the product of
+    the band matrices (unit upper triangular), T holds the binomial
+    entries C(t-j, t-i) on and below the diagonal, T^{-1} flips their
+    signs checkerboard-style, and D, E are the gamma/factorial
+    diagonals.
+    """
+    idx = range(1, t + 1)
+    G = np.array([[math.exp(log_gamma(delta + 2 * t - i - j + 1.0)) for j in idx] for i in idx])
+
+    # product order is B_{t-1} ... B_2 B_1
+    B = np.eye(t)
+    for k in range(t - 1, 0, -1):
+        Bk = np.eye(t)
+        for i in range(1, t - k + 1):
+            Bk[i - 1, i] = -(delta + t - i)
+        B = B @ Bk
+
+    T = np.zeros((t, t))
+    for i in idx:
+        for j in idx:
+            if i >= j:
+                T[i - 1, j - 1] = math.comb(t - j, t - i)
+    Tinv = np.array([[(-1) ** (i + j) * T[i - 1, j - 1] for j in idx] for i in idx])
+
+    D_diag = np.array([math.exp(log_gamma(delta + t - i + 1.0)) for i in idx])
+    E_diag = np.array([float(math.factorial(t - i)) for i in idx])
+    return G, B, T, Tinv, D_diag, E_diag
+
+
+def hankel_inverse_oracle(delta: float, t: int) -> np.ndarray:
+    """Invert G = (Gamma(delta + 2t - i - j + 1)) by triangular factorization.
+
+    Builds the band matrices B_k, the binomial lower-triangular T and
+    the diagonals D, E with B_{t-1}...B_1 G = E T D, and returns
+    G^{-1} = D^{-1} T^{-1} E^{-1} B.  With delta = eps - 1/2 this is an
+    independent route to :func:`hankel_gram`'s closed-form inverse.
+
+    The factorization also implies det(G) = prod_i Gamma(delta+t-i+1) *
+    (t-i)!, which is verified here against a pivoted-LU determinant of
+    the assembled G before returning.
+    """
+    if not (isinstance(t, (int, np.integer)) and t >= 1):
+        raise DomainError(f"t must be an integer >= 1, got {t!r}")
+    if not math.isfinite(delta) or delta <= -1.0:
+        raise DomainError(f"delta must be > -1, got {delta!r}")
+    t = int(t)
+    G, B, _, Tinv, D_diag, E_diag = _band_factorization(delta, t)
+
+    log_det_product = sum(
+        log_gamma(delta + t - i + 1.0) + log_gamma(t - i + 1.0) for i in range(1, t + 1)
+    )
+    sign, log_det_lu = np.linalg.slogdet(G)
+    if sign <= 0.0 or abs(log_det_lu - log_det_product) > 1e-9 * max(1.0, abs(log_det_product)):
+        raise ArithmeticError(
+            f"determinant identity failed for delta={delta}, t={t}: "
+            f"LU gives {sign}*exp({log_det_lu}), product gives exp({log_det_product})"
+        )
+
+    return (Tinv / D_diag[:, None]) @ (B / E_diag[:, None])
+
+
+
+def critical_radius_search(count: int, seed: int, exclude_tol: float = 1e-3) -> tuple[float, np.ndarray]:
+    """Randomized supremum search over 2x2 matrices with entries in [-1, 1].
+
+    Evaluates the objective at ``count`` uniform matrices, skipping
+    denominators smaller than ``exclude_tol``, and returns the largest
+    value with its argmax matrix.  The maximum approaching 1 from below
+    confirms cot^2(theta_c) = 1, i.e. theta_c = pi/4.
+    """
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count!r}")
+    rng = np.random.default_rng(seed)
+    best_val = -np.inf
+    best_R = None
+    remaining = int(count)
+    while remaining > 0:
+        m = min(remaining, 250_000)
+        remaining -= m
+        R = rng.uniform(-1.0, 1.0, size=(m, 2, 2))
+        den = 1.0 - R[:, 0, 0] * R[:, 1, 1] + R[:, 0, 1] * R[:, 1, 0]
+        keep = np.abs(den) >= exclude_tol
+        if not np.any(keep):
+            continue
+        num = (R[keep, 0, 0] - R[keep, 1, 1]) ** 2 + (R[keep, 0, 1] + R[keep, 1, 0]) ** 2
+        vals = 1.0 - num / den[keep] ** 2
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best_R = R[keep][i].copy()
+    if best_R is None:
+        raise ArithmeticError("every sampled matrix fell inside the excluded set")
+    return best_val, best_R

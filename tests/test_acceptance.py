@@ -37,15 +37,15 @@ from skewtail.paired import (
 )
 from skewtail.rmtdist import (
     CRITICAL_POINT,
-    critical_radius_search,
     euler_characteristic,
     hankel_gram,
-    hankel_inverse_oracle,
     joint_density,
     largest_sv_cdf,
     largest_sv_tail_asymptotic,
     standardized_sv_upper,
 )
+
+from oracles import critical_radius_search, hankel_inverse_oracle
 
 TABLE1 = {
     4: 1.0000, 5: 1.0000, 6: 0.9989, 7: 0.9913, 8: 0.9614, 9: 0.8827,

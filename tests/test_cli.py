@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import skewtail
+from skewtail import cli
 from skewtail.cli import _table1_cell, main
 from skewtail.io import central_league_1997_path
 from skewtail.svgplot import residual_plot_svg
@@ -119,6 +120,17 @@ class TestValidate:
     def test_too_few_samples_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--p", "4", "--samples", "10")
         assert code == 2
+
+    def test_sigma1_cdf_call_budget(self, capsys, monkeypatch):
+        # 129 Chebyshev points for the KS check plus the 3 quantile points
+        calls = []
+        cdf = cli.largest_sv_cdf
+        monkeypatch.setattr(
+            cli, "largest_sv_cdf", lambda *a, **k: calls.append(1) or cdf(*a, **k)
+        )
+        code, out, _ = run_cli(capsys, "validate", "--p", "10", "--samples", "20000")
+        assert code == 0 and "overall: PASS" in out
+        assert len(calls) <= 132
 
 
 class TestAnalyze:
@@ -231,6 +243,31 @@ class TestAnalyze:
     def test_missing_file_exits_4(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "/nonexistent.csv", "--n-games", "27")
         assert code == 4
+
+    def test_perfectly_subtractive_data_report(self, capsys, tmp_path):
+        raw = tmp_path / "subtractive.txt"
+        raw.write_text("0 1 2\n-1 0 1\n-2 -1 0\n")
+        code, out, _ = run_cli(capsys, "analyze", str(raw), "--raw", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["chi2"] == {"stat": 0.0, "df": 1, "p": 1.0}
+        assert doc["largest_sv"] == {"stat": 0.0, "p": 1.0}
+        assert doc["standardized"] == {"stat": None, "p": None}
+        assert doc["deadlock"]["area_ratio"] is None and doc["embedding"] is None
+        code, out, _ = run_cli(capsys, "analyze", str(raw), "--raw")
+        assert code == 0
+        assert "standardized    undefined" in out and "embedding       none" in out
+
+    def test_perfectly_subtractive_data_cannot_be_plotted(self, capsys, tmp_path):
+        raw = tmp_path / "subtractive.txt"
+        raw.write_text("0 1 2\n-1 0 1\n-2 -1 0\n")
+        svg = tmp_path / "plot.svg"
+        for argv in (("analyze", str(raw), "--raw", "--plot", str(svg)),
+                     ("plot", str(raw), "--raw", "--out", str(svg))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 4
+            assert out == "" and "perfectly subtractive" in err
+            assert not svg.exists()
 
 
 class TestPlot:

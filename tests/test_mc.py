@@ -334,9 +334,32 @@ class TestKsDistance:
         rng = np.random.default_rng(3)
         samples = np.abs(rng.standard_normal(2000))
         cdf = lambda x: math.erf(x / math.sqrt(2.0))  # noqa: E731
-        exact = ks_distance(samples, cdf, grid=None)
-        gridded = ks_distance(samples, cdf, grid=8192)
-        assert gridded == pytest.approx(exact, abs=1e-5)
+        exact = ks_distance(samples, cdf, degree=None)
+        interpolated = ks_distance(samples, cdf)
+        assert interpolated == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [4, 6, 10])
+    def test_chebyshev_matches_exact_on_sigma1(self, p):
+        from skewtail.rmtdist import largest_sv_cdf
+
+        sigma1 = sample_spectra(p, 20_000, seed=p)[:, 0]
+        cdf = lambda x: largest_sv_cdf(p, x)  # noqa: E731
+        assert ks_distance(sigma1, cdf) == pytest.approx(
+            ks_distance(sigma1, cdf, degree=None), abs=1e-10
+        )
+
+    @pytest.mark.parametrize("degree", [1, 16, 128])
+    def test_cdf_called_degree_plus_one_times(self, degree):
+        calls = []
+
+        def cdf(x):
+            calls.append(x)
+            return math.erf(x / math.sqrt(2.0))
+
+        samples = np.abs(np.random.default_rng(6).standard_normal(5000))
+        ks_distance(samples, cdf, degree=degree)
+        assert len(calls) == degree + 1
+        assert min(calls) >= samples.min() and max(calls) <= samples.max()
 
     def test_against_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -346,7 +369,7 @@ class TestKsDistance:
         def cdf(x):
             return math.erf(x / math.sqrt(2.0))
 
-        ours = ks_distance(samples, cdf, grid=None)
+        ours = ks_distance(samples, cdf, degree=None)
         theirs = scipy_stats.kstest(samples, lambda xs: np.array([cdf(v) for v in xs])).statistic
         assert ours == pytest.approx(float(theirs), abs=1e-12)
 
@@ -355,9 +378,24 @@ class TestKsDistance:
         samples = np.abs(rng.standard_normal(5000)) * 2.0
         assert ks_distance(samples, lambda x: math.erf(x / math.sqrt(2.0))) > 0.2
 
+    def test_identical_samples_use_the_exact_cdf(self):
+        assert ks_distance([0.5] * 4, lambda x: 0.25) == pytest.approx(0.75)
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             ks_distance([], lambda x: 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ks_distance([0.5, bad, 1.0], lambda x: math.erf(x / math.sqrt(2.0)))
+        with pytest.raises(DomainError, match="finite"):
+            ks_distance([0.5, bad, 1.0], lambda x: math.erf(x / math.sqrt(2.0)), degree=None)
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_degree_below_one_rejected(self, degree):
+        with pytest.raises(DomainError, match="degree"):
+            ks_distance([0.5, 1.0], lambda x: 0.5, degree=degree)
 
 
 class TestUppersToFull:

@@ -305,10 +305,9 @@ class TestStandardizedTest:
         with pytest.raises(DomainError):
             lrt_standardized_test(fit)
 
-    def test_zero_residual_is_rejected_clearly(self):
+    def test_zero_residual_has_no_statistic(self):
         fit = scheffe_fit(subtractive_observations([2.0, 1.0, 0.0, -1.0, -2.0]))
-        with pytest.raises(DomainError, match="subtractive"):
-            lrt_standardized_test(fit)
+        assert lrt_standardized_test(fit) == (None, None)
 
 
 class TestMaxDeadlock:
@@ -515,6 +514,14 @@ class TestBuildReport:
         rng = np.random.default_rng(m)
         build_report(observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2)))
         assert len(calls) == 1
+
+    def test_perfectly_subtractive_data_give_a_report(self):
+        report = build_report(subtractive_observations([2.0, 1.0, 0.0, -1.0, -2.0]))
+        assert (report.chi2_stat, report.chi2_p) == (0.0, 1.0)
+        assert (report.sv_stat, report.sv_p) == (0.0, 1.0)
+        assert report.std_stat is None and report.std_p is None
+        assert report.embedding is None
+        assert deadlock_area_ratio(report) is None
 
     def test_league_report_fields(self, league_sheet):
         report = build_report(variance_stabilize(league_sheet), names=league_sheet.names)

@@ -11,12 +11,9 @@ from scipy import integrate
 from skewtail.errors import DomainError, ExcludedPointError, ValidityError
 from skewtail.rmtdist import (
     CRITICAL_POINT,
-    _band_factorization,
     critical_radius_objective,
-    critical_radius_search,
     euler_characteristic,
     hankel_gram,
-    hankel_inverse_oracle,
     joint_density,
     largest_sv_cdf,
     largest_sv_tail_asymptotic,
@@ -25,6 +22,8 @@ from skewtail.rmtdist import (
     standardized_sv_upper,
     volume_U,
 )
+
+from oracles import _band_factorization, critical_radius_search, hankel_inverse_oracle
 
 SQRT_PI = math.sqrt(math.pi)
 
