@@ -65,7 +65,7 @@ from .rmtdist import (
     standardized_sv_upper,
     volume_U,
 )
-from .specfun import beta_upper, chi2_lower, chi2_upper, log_gamma
+from .specfun import beta_upper, chi2_upper, log_gamma
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "beta_upper",
     "ContrastPair",
     "build_report",
-    "chi2_lower",
     "chi2_upper",
     "chi_square_test",
     "contrast_value",

@@ -26,6 +26,10 @@ from .specfun import chi2_upper
 
 _SQRT3 = math.sqrt(3.0)
 
+# A residual no larger than this many times m * eps * max|y| is rounding
+# noise of the fit itself: subtractive data leave up to about 0.3 times it.
+_ROUNDING_RESIDUAL = 4.0
+
 
 @dataclass(frozen=True)
 class ScoreSheet:
@@ -98,7 +102,7 @@ class ScheffeFit:
 
     alpha_hat sums to zero and every row of the skew-symmetric residual
     gamma_hat sums to zero (the model's side conditions); the split
-    reconstructs the observations exactly.
+    reconstructs the observations up to rounding.
     """
 
     m: int
@@ -165,7 +169,7 @@ class TestReport:
     squared spectrum entries equals ``chi2_stat``.  ``std_p`` is None
     when the standardized statistic falls below the critical point
     1/sqrt(2), outside the exact range of the tube formula.  Perfectly
-    subtractive data (an exactly zero interaction residual) leave the
+    subtractive data (a zero interaction residual, see scheffe_fit) leave the
     standardized statistic a 0/0 form and the top plane undefined:
     ``std_stat``, ``std_p`` and ``embedding`` are then all None.
     """
@@ -214,11 +218,18 @@ def variance_stabilize(sheet: ScoreSheet) -> SkewObservations:
 
 
 def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
-    """Least-squares estimators: alpha_i = row mean, gamma = what's left."""
+    """Least-squares estimators: alpha_i = row mean, gamma = what's left.
+
+    A gamma at rounding level (max |gamma| <= 4 m eps max |y|) is set to
+    exactly zero, so subtractive data take the exact-zero path.
+    """
     if obs.m < 3:
         raise DomainError(f"need m >= 3 objects for an interaction space, got {obs.m}")
     alpha = obs.y.sum(axis=1) / obs.m
     gamma = obs.y - (alpha[:, None] - alpha[None, :])
+    noise = _ROUNDING_RESIDUAL * obs.m * np.finfo(float).eps * float(np.max(np.abs(obs.y)))
+    if float(np.max(np.abs(gamma))) <= noise:
+        gamma = np.zeros_like(gamma)
     return ScheffeFit(m=obs.m, alpha_hat=alpha, gamma_hat=gamma)
 
 

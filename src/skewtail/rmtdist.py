@@ -9,17 +9,17 @@ provides, all in closed form:
   normalizing constants,
 * the exact distribution function of the largest singular value
   (a t x t determinant of lower incomplete-gamma entries),
-* the Hankel gram matrix Gamma(p - i - j + 1/2), its closed-form
-  inverse, and the geometric weights built from the two,
+* the Hankel gram matrix Gamma(p - i - j + 1/2), its inverse, and the
+  geometric weights built from the two, each rounded from exact rationals,
 * the asymptotic upper tail of sigma_1 (weighted chi-square tails) and
   the exact tube-method upper tail of the standardized statistic
   sigma_1 / sqrt(sum sigma_i^2) on its validity range x >= 1/sqrt(2),
 * the 2x2 objective whose supremum (= 1) pins the critical angle pi/4
   that delimits that validity range,
-* the Euler characteristic check implied by the weights.
+* the Euler characteristic implied by the weights, an exact identity.
 
-Everything is evaluated in log domain and is pure and thread-safe; the
-per-order gram matrices are memoized (idempotent, read-only arrays).
+Normalizers and CDF entries are evaluated in log domain.  All is pure
+and thread-safe; per-order gram matrices are memoized (read-only arrays).
 """
 
 from __future__ import annotations
@@ -76,11 +76,12 @@ def spectrum_law(p: int) -> SpectrumLaw:
 
 @dataclass(frozen=True)
 class HankelGram:
-    """Gram matrix g_ij = Gamma(p - i - j + 1/2), its closed-form inverse,
-    and the tail weights.
+    """Gram matrix g_ij = Gamma(p - i - j + 1/2), its inverse, and the
+    tail weights, rounded to doubles from g / sqrt(pi), sqrt(pi) * ginv
+    and the weights, which are rationals computed exactly.
 
     ``weights[k]`` is the anti-diagonal sum ``sum_{i+j=k+2} ginv[i,j] *
-    g[i,j]`` for k = 0 .. 2t-2; the weights sum to t and weight k
+    g[i,j]`` for k = 0 .. 2t-2; the exact weights sum to t and weight k
     multiplies the chi-square/beta tail with 2p - 3 - 2k degrees of
     freedom in the tail expansions.
     """
@@ -156,15 +157,6 @@ def joint_density(sigma, p: int) -> float:
     return math.exp(logv)
 
 
-def _gram_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(g, ginv) for any p >= 2; inlined scalar case below the tube range."""
-    if p >= 4:
-        gram = _hankel_gram_cached(p)
-        return gram.g, gram.ginv
-    g11 = math.exp(log_gamma(p - 2 + 0.5))
-    return np.array([[g11]]), np.array([[1.0 / g11]])
-
-
 def _cdf_complement_det(p: int, t: int, y: float) -> float | None:
     """det(I - C^{-1} K(y)) with K the upper-tail remainder of the CDF's
     integral matrix: an exact complement form of the determinantal CDF.
@@ -176,7 +168,8 @@ def _cdf_complement_det(p: int, t: int, y: float) -> float | None:
     route suffers there; its trace is the leading tail expansion.
     Returns None where the perturbation is too large to trust.
     """
-    g, ginv = _gram_pair(p)
+    gram = _hankel_gram_cached(p)
+    g, ginv = gram.g, gram.ginv
     q = np.array([chi2_upper(2 * p - 3 - 2 * k, y) for k in range(2 * t - 1)])
     m = np.empty((t, t))
     for k in range(1, t + 1):
@@ -236,49 +229,56 @@ def largest_sv_cdf(p: int, x: float) -> float:
     return min(1.0, value)
 
 
-def _hankel_ginv_closed_form(p: int) -> np.ndarray:
-    """Closed-form inverse of the gram matrix, via log-gamma differences
-    with explicit sign tracking for the (-1)^(i+j) factor."""
-    law = spectrum_law(p)
-    t, eps = law.t, law.eps
-    out = np.zeros((t, t))
+def _exact_hankel(p: int):
+    """Yield g / sqrt(pi), sqrt(pi) * ginv and the weights of order p as
+    exact rationals; g comes first, so an order whose g overflows fails
+    before the O(t^3) integer sums s_ij behind the inverse.
+
+    h(n) = Gamma(n + 1/2) / sqrt(pi) = X(n) / 4^n with X(n) = (2n)!/n!, and
+    sqrt(pi) ginv_ij = (-1)^(i+j) 4^(e-i-j) s_ij / (d_i d_j) with e = t + eps
+    and s_ij = sum over k <= min(i, j) of a_k (i-1)!/(i-k)! (j-1)!/(j-k)!.
+    g_ij = sqrt(pi) h(p-i-j) is constant along each anti-diagonal, so
+    w_k is h(p-k-2) times the sum of sqrt(pi) * ginv along i + j = k + 2.
+    """
+    from fractions import Fraction
+
+    t, e = p // 2, p - p // 2
+    f = [math.factorial(n) for n in range(2 * p)]
+    x = [f[2 * n] // f[n] for n in range(p)]
+    h = [Fraction(x[n], 4**n) for n in range(p - 1)]
+    yield [[h[p - i - j] for j in range(1, t + 1)] for i in range(1, t + 1)]
+    a = [f[t - k] * x[e - k] * 4**k for k in range(t + 1)]
+    falling = [[f[i - 1] // f[i - k] for k in range(i + 1)] for i in range(1, t + 1)]
+    d = [f[i - 1] * f[t - i] * x[e - i] for i in range(1, t + 1)]
+    inv = [[None] * t for _ in range(t)]
     for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            log_pref = -(
-                log_gamma(t + 1.0 - i) + log_gamma(t + eps + 0.5 - i)
-                + log_gamma(t + 1.0 - j) + log_gamma(t + eps + 0.5 - j)
-            )
-            acc = 0.0
-            for k in range(1, min(i, j) + 1):
-                acc += math.exp(
-                    log_pref
-                    + log_gamma(t + 1.0 - k) + log_gamma(t + eps + 0.5 - k)
-                    - log_gamma(i + 1.0 - k) - log_gamma(j + 1.0 - k)
-                )
-            out[i - 1, j - 1] = acc if (i + j) % 2 == 0 else -acc
-    return out
+        for j in range(i, t + 1):
+            s = sum(a[k] * falling[i - 1][k] * falling[j - 1][k] for k in range(1, i + 1))
+            entry = Fraction((-1) ** (i + j) * s * 4 ** (2 * e - i - j), d[i - 1] * d[j - 1] * 4**e)
+            inv[i - 1][j - 1] = inv[j - 1][i - 1] = entry
+    yield inv
+    yield [
+        h[p - k - 2] * sum(inv[i][k - i] for i in range(max(0, k - t + 1), min(k, t - 1) + 1))
+        for k in range(2 * t - 1)
+    ]
 
 
 @lru_cache(maxsize=None)
 def _hankel_gram_cached(p: int) -> HankelGram:
-    law = spectrum_law(p)
-    t = law.t
-    g = np.empty((t, t))
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            g[i - 1, j - 1] = math.exp(log_gamma(law.p - i - j + 0.5))
-    ginv = _hankel_ginv_closed_form(law.p)
-    products = ginv * g
-    weights = np.array([
-        float(np.trace(products[::-1], offset=k - (t - 1))) for k in range(2 * t - 1)
-    ])
-    for arr in (g, ginv, weights):
-        arr.flags.writeable = False
-    return HankelGram(p=law.p, t=t, eps=law.eps, g=g, ginv=ginv, weights=weights)
+    law, root_pi = spectrum_law(p), math.sqrt(math.pi)
+    pieces = []
+    try:
+        with np.errstate(over="raise"):
+            for exact, scale in zip(_exact_hankel(law.p), (root_pi, 1.0 / root_pi, 1.0)):
+                pieces.append(np.array(exact, dtype=float) * scale)
+                pieces[-1].flags.writeable = False
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"the Hankel gram of order p={law.p} leaves the double range") from None
+    return HankelGram(law.p, law.t, law.eps, *pieces)
 
 
 def hankel_gram(p: int) -> HankelGram:
-    """Gram matrix, closed-form inverse, and tail weights for order p >= 4."""
+    """Gram matrix, inverse and tail weights for 4 <= p <= 173 (g_11 overflows beyond)."""
     law = spectrum_law(p)
     if law.p < 4:
         raise DomainError(f"hankel_gram requires p >= 4 (tube formula range), got {p}")
@@ -308,6 +308,10 @@ def standardized_sv_upper(p: int, x: float) -> float:
     The weighted beta-tail expansion is exact only at or above the
     critical point 1/sqrt(2); below it a :class:`ValidityError` is
     raised rather than returning a silently wrong number.
+
+    Accuracy for p <= 60, against 600-digit references at p = 24 .. 59:
+    1e-10 relative where the value is above 1e-280, else 1e-290 absolute
+    (terms near the double floor lose relative accuracy or underflow).
     """
     gram = hankel_gram(p)
     if not math.isfinite(x):
@@ -329,18 +333,13 @@ def standardized_sv_upper(p: int, x: float) -> float:
 
 
 def euler_characteristic(p: int) -> int:
-    """Euler characteristic of the rank-2 frame manifold: 2 * floor(p/2).
-
-    Recomputed from the gram weights and cross-checked against the
-    closed form before rounding.
-    """
+    """Euler characteristic of the rank-2 frame manifold, 2 * floor(p/2),
+    checked against the exact rational sum of the tube weights."""
     gram = hankel_gram(p)
-    doubled = 2.0 * float(gram.weights.sum())
-    if abs(doubled - 2.0 * gram.t) >= 1e-8:
-        raise ArithmeticError(
-            f"Euler characteristic check failed for p={p}: 2*sum = {doubled!r}"
-        )
-    return round(doubled)
+    *_, weights = _exact_hankel(gram.p)
+    if sum(weights) != gram.t:
+        raise ArithmeticError(f"Euler characteristic check failed for p={p}: sum(w) != {gram.t}")
+    return 2 * gram.t
 
 
 def critical_radius_objective(R) -> float:

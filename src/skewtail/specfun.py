@@ -84,18 +84,6 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     raise ArithmeticError(f"incomplete gamma continued fraction failed (s={s}, x={x})")
 
 
-def regularized_gamma_lower(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x)."""
-    if s <= 0.0 or x < 0.0 or not (math.isfinite(s) and math.isfinite(x)):
-        raise DomainError(f"regularized gamma requires s > 0 and x >= 0, got ({s!r}, {x!r})")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        front = math.exp(-x + s * math.log(x) - math.lgamma(s))
-        return min(1.0, front * _lower_gamma_series(s, x))
-    return 1.0 - _upper_gamma_cf(s, x)
-
-
 def regularized_gamma_upper(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x)."""
     if s <= 0.0 or x < 0.0 or not (math.isfinite(s) and math.isfinite(x)):
@@ -137,11 +125,6 @@ def chi2_upper(nu: float, y: float) -> float:
     if not math.isfinite(y) or y < 0.0:
         raise DomainError(f"chi2_upper requires y >= 0, got {y!r}")
     return probability(regularized_gamma_upper(nu / 2.0, y / 2.0))
-
-
-def chi2_lower(nu: float, y: float) -> float:
-    """Lower tail P(chi2_nu <= y), derived as the complement of the upper tail."""
-    return probability(1.0 - chi2_upper(nu, y))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -3,18 +3,48 @@ computes in closed form.
 
 * :func:`hankel_inverse_oracle` inverts the Hankel gram matrix by the
   paper's triangular band factorization, a second route to
-  :func:`skewtail.rmtdist.hankel_gram`'s closed-form inverse;
+  :func:`skewtail.rmtdist.hankel_gram`'s inverse;
+* :func:`hankel_inverse_exact` inverts g / sqrt(pi) by Gauss-Jordan
+  elimination in exact rationals, a third route that also gives the
+  exact tube weights;
 * :func:`critical_radius_search` is a vectorized random search for the
   supremum of :func:`skewtail.rmtdist.critical_radius_objective`, which
-  pins the critical angle pi/4.
+  pins the critical angle pi/4;
+* :func:`regularized_gamma_lower` and :func:`chi2_lower` are the linear
+  lower tails that :func:`skewtail.specfun.log_regularized_gamma_lower`
+  and :func:`skewtail.specfun.chi2_upper` are checked against.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from skewtail.errors import DomainError
-from skewtail.specfun import log_gamma
+from skewtail.specfun import (
+    _lower_gamma_series,
+    _upper_gamma_cf,
+    chi2_upper,
+    log_gamma,
+    probability,
+)
+
+
+def regularized_gamma_lower(s: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(s, x)."""
+    if s <= 0.0 or x < 0.0 or not (math.isfinite(s) and math.isfinite(x)):
+        raise DomainError(f"regularized gamma requires s > 0 and x >= 0, got ({s!r}, {x!r})")
+    if x == 0.0:
+        return 0.0
+    if x < s + 1.0:
+        front = math.exp(-x + s * math.log(x) - math.lgamma(s))
+        return min(1.0, front * _lower_gamma_series(s, x))
+    return 1.0 - _upper_gamma_cf(s, x)
+
+
+def chi2_lower(nu: float, y: float) -> float:
+    """Lower tail P(chi2_nu <= y), derived as the complement of the upper tail."""
+    return probability(1.0 - chi2_upper(nu, y))
 
 
 def _band_factorization(delta: float, t: int):
@@ -80,6 +110,34 @@ def hankel_inverse_oracle(delta: float, t: int) -> np.ndarray:
 
     return (Tinv / D_diag[:, None]) @ (B / E_diag[:, None])
 
+
+def hankel_inverse_exact(p: int) -> tuple[list, list, list]:
+    """(g / sqrt(pi), sqrt(pi) * ginv, weights) of order p in exact rationals.
+
+    g_ij / sqrt(pi) = Gamma(p - i - j + 1/2) / sqrt(pi) = (2n)! / (4^n n!)
+    with n = p - i - j; the inverse comes from Gauss-Jordan elimination
+    with exact pivots, and weight k is the anti-diagonal sum of
+    g_ij * ginv_ij over i + j = k + 2.
+    """
+    t = p // 2
+    half = [Fraction(math.factorial(2 * n), 4**n * math.factorial(n)) for n in range(p - 1)]
+    g = [[half[p - i - j] for j in range(1, t + 1)] for i in range(1, t + 1)]
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(t)] for i, row in enumerate(g)]
+    for c in range(t):
+        pivot = next(r for r in range(c, t) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pivot_value = aug[c][c]
+        aug[c] = [v / pivot_value for v in aug[c]]
+        for r in range(t):
+            if r != c and aug[r][c] != 0:
+                factor = aug[r][c]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[c])]
+    ginv = [row[t:] for row in aug]
+    weights = [
+        sum(g[i][k - i] * ginv[i][k - i] for i in range(max(0, k - t + 1), min(k, t - 1) + 1))
+        for k in range(2 * t - 1)
+    ]
+    return g, ginv, weights
 
 
 def critical_radius_search(count: int, seed: int, exclude_tol: float = 1e-3) -> tuple[float, np.ndarray]:

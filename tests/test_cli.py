@@ -62,6 +62,15 @@ class TestDist:
         code, _, _ = run_cli(capsys, "dist", "--kind", "cdf", "--p", "1", "--x", "1.0")
         assert code == 2
 
+    @pytest.mark.parametrize("kind,x", [("standardized", "0.8"), ("cdf", "30")])
+    def test_order_past_the_double_range_exits_2(self, capsys, kind, x):
+        # g_11 = Gamma(p - 3/2) overflows a double from p = 174
+        code, out, err = run_cli(capsys, "dist", "--kind", kind, "--p", "200", "--x", x)
+        assert code == 2
+        assert out == "" and "p=200" in err and "double range" in err
+        code, out, _ = run_cli(capsys, "dist", "--kind", kind, "--p", "120", "--x", x)
+        assert code == 0 and "4dp" in out
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["dist", "--kind", "bogus", "--p", "5", "--x", "1.0"])
@@ -258,6 +267,23 @@ class TestAnalyze:
         assert code == 0
         assert "standardized    undefined" in out and "embedding       none" in out
 
+    def test_rounding_level_residual_is_perfectly_subtractive(self, capsys, tmp_path):
+        # y_ij = s_i - s_j leaves max |gamma_hat| = 4.4e-16, not 0, after the fit
+        s = np.array([0.3, 1.7, -0.2, 0.9, 5.1, 2.2])
+        raw = tmp_path / "subtractive.txt"
+        rows = s[:, None] - s
+        raw.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in rows) + "\n")
+        code, out, _ = run_cli(capsys, "analyze", str(raw), "--raw", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["chi2"] == {"stat": 0.0, "df": 10, "p": 1.0}
+        assert doc["largest_sv"] == {"stat": 0.0, "p": 1.0}
+        assert doc["standardized"] == {"stat": None, "p": None}
+        assert doc["embedding"] is None
+        svg = tmp_path / "plot.svg"
+        code, _, err = run_cli(capsys, "analyze", str(raw), "--raw", "--plot", str(svg))
+        assert code == 4 and "perfectly subtractive" in err and not svg.exists()
+
     def test_perfectly_subtractive_data_cannot_be_plotted(self, capsys, tmp_path):
         raw = tmp_path / "subtractive.txt"
         raw.write_text("0 1 2\n-1 0 1\n-2 -1 0\n")
@@ -320,17 +346,23 @@ class TestPlot:
         assert [g.find("svg:text", ns).text for g in root.findall(".//svg:g", ns)] == names
 
 
+def loaded_by_cli_import(modules) -> str:
+    """Which of ``modules`` a fresh ``import skewtail.cli`` loads, as printed."""
+    paths = [os.path.dirname(os.path.dirname(skewtail.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = f"import sys, skewtail.cli; print([m for m in {tuple(modules)!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestEntryPoint:
     def test_import_leaves_out_xml_sax_email_and_ssl(self):
-        paths = [os.path.dirname(os.path.dirname(skewtail.__file__)), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        code = (
-            "import sys, skewtail.cli; "
-            "print([m for m in ('xml.sax', 'email', 'ssl') if m in sys.modules])"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert loaded_by_cli_import(("xml.sax", "email", "ssl")) == "[]"
+
+    def test_import_leaves_out_fractions_and_decimal(self):
+        # the exact Hankel builder imports fractions on first use only
+        assert loaded_by_cli_import(("fractions", "decimal")) == "[]"
 
     def test_module_invocation(self):
         proc = subprocess.run(

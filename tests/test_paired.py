@@ -523,6 +523,26 @@ class TestBuildReport:
         assert report.embedding is None
         assert deadlock_area_ratio(report) is None
 
+    def test_rounding_level_residual_gives_the_subtractive_report(self):
+        obs = subtractive_observations([0.3, 1.7, -0.2, 0.9, 5.1, 2.2])
+        fit = scheffe_fit(obs)
+        assert np.all(fit.gamma_hat == 0.0)
+        recon = fit.alpha_hat[:, None] - fit.alpha_hat[None, :]
+        assert np.max(np.abs(recon - obs.y)) < 1e-15
+        report = build_report(obs)
+        assert (report.chi2_stat, report.chi2_p) == (0.0, 1.0)
+        assert (report.sv_stat, report.sv_p) == (0.0, 1.0)
+        assert report.std_stat is None and report.std_p is None
+        assert report.embedding is None
+
+    def test_small_residual_above_rounding_level_is_kept(self):
+        obs = subtractive_observations([0.3, 1.7, -0.2, 0.9, 5.1, 2.2])
+        y = obs.y.copy()
+        y[0, 1] += 1e-12
+        y[1, 0] -= 1e-12
+        fit = scheffe_fit(SkewObservations(m=6, y=y))
+        assert 0.0 < float(np.max(np.abs(fit.gamma_hat))) < 1e-12
+
     def test_league_report_fields(self, league_sheet):
         report = build_report(variance_stabilize(league_sheet), names=league_sheet.names)
         assert report.chi2_df == 10

@@ -2,7 +2,9 @@
 reductions, Hankel inverse cross-checks, tail expansions, and the
 critical-radius objective."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,19 @@ from skewtail.rmtdist import (
     volume_U,
 )
 
-from oracles import _band_factorization, critical_radius_search, hankel_inverse_oracle
+from oracles import (
+    _band_factorization,
+    critical_radius_search,
+    hankel_inverse_exact,
+    hankel_inverse_oracle,
+)
 
 SQRT_PI = math.sqrt(math.pi)
+
+# regenerate with tests/make_standardized_refs.py
+STANDARDIZED_REFS = json.loads(
+    Path(__file__).with_name("standardized_refs.json").read_text()
+)["references"]
 
 
 def sphere_area(n: int) -> float:
@@ -265,6 +277,27 @@ class TestHankelGram:
         numeric = np.linalg.inv(gram.g)
         assert np.max(np.abs(gram.ginv - numeric) / np.abs(numeric)) < 1e-10
 
+    @pytest.mark.parametrize("p", [*range(4, 21), 24, 32, 40, 48, 59, 60])
+    def test_matches_exact_oracle_rounded(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        g, ginv, weights = hankel_inverse_exact(p)
+        gram = hankel_gram(p)
+        with mpmath.workdps(40):
+            root_pi = mpmath.sqrt(mpmath.pi)
+
+            def rounded(q, scale):
+                return float(scale * mpmath.mpf(q.numerator) / q.denominator)
+
+            pieces = (
+                (gram.g, [[rounded(q, root_pi) for q in row] for row in g]),
+                (gram.ginv, [[rounded(q, 1 / root_pi) for q in row] for row in ginv]),
+                (gram.weights, [float(q) for q in weights]),
+            )
+        for got, exact in pieces:
+            exact = np.array(exact)
+            assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-15
+        assert sum(weights) == gram.t
+
     def test_arrays_frozen(self):
         gram = hankel_gram(6)
         with pytest.raises(ValueError):
@@ -414,6 +447,18 @@ class TestStandardizedUpper:
         )
         assert standardized_sv_upper(p, x) == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "ref", STANDARDIZED_REFS, ids=[f"p{r['p']}-x{r['x']:.3f}" for r in STANDARDIZED_REFS]
+    )
+    def test_accuracy_envelope(self, ref):
+        # the docstring's envelope: 1e-10 relative above 1e-280, 1e-290 absolute below
+        exact = float(ref["value"])
+        got = standardized_sv_upper(ref["p"], ref["x"])
+        if exact > 1e-280:
+            assert abs(got - exact) <= 1e-10 * exact
+        else:
+            assert abs(got - exact) <= 1e-290
+
     def test_validity_error_distinct_from_domain_error(self):
         with pytest.raises(ValidityError):
             standardized_sv_upper(6, 0.5)
@@ -451,7 +496,7 @@ class TestCriticalRadius:
 
 
 class TestEulerCharacteristic:
-    @pytest.mark.parametrize("p,expected", [(4, 4), (5, 4), (9, 8), (12, 12), (18, 18)])
+    @pytest.mark.parametrize("p,expected", [(p, 2 * (p // 2)) for p in range(4, 61)])
     def test_values(self, p, expected):
         assert euler_characteristic(p) == expected
 

@@ -13,14 +13,14 @@ from scipy import integrate
 from skewtail.errors import DomainError
 from skewtail.specfun import (
     beta_upper,
-    chi2_lower,
     chi2_upper,
     log_gamma,
     log_regularized_gamma_lower,
     probability,
     regularized_beta,
-    regularized_gamma_lower,
 )
+
+from oracles import chi2_lower, regularized_gamma_lower
 
 
 def chi2_upper_quadrature(nu: float, y: float) -> float:
