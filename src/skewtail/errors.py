@@ -31,11 +31,14 @@ class DataError(SkewtailError, ValueError):
 
 
 class PairingError(SkewtailError, ArithmeticError):
-    """Eigenvalues of A'A failed to pair up within tolerance.
+    """A computed spectrum broke an identity of every skew spectrum.
 
     Singular values of a real skew-symmetric matrix occur in exactly
-    equal pairs, so a pairing failure signals a broken eigensolver (or
-    a non-skew input smuggled past validation), never bad data.
+    equal pairs, and their squares sum to ||A||_F^2 / 2.  The single
+    solve raises this when the eigenvalues of A'A do not pair up, the
+    batched solve when the sum misses the energy.  Either signals a
+    broken solver (or a non-skew input smuggled past validation), never
+    bad data.
     """
 
 

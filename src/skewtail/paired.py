@@ -410,11 +410,16 @@ def simulate_null_largest_sv(
     triangles) through the counter-based stream contract, fits each one,
     and returns the largest singular values of the residuals.  Their
     empirical law should match the exact order-(m-1) distribution.
+    Each block of samples is drawn, fitted and solved in one pass.
     """
     if m < 3:
         raise DomainError(f"need m >= 3, got {m}")
-    uppers = mc.sample_uppers(m, count, seed, threads=threads)
-    y = mc.uppers_to_full(uppers, m)
-    alpha = y.sum(axis=2) / m
-    gamma = y - (alpha[:, :, None] - alpha[:, None, :])
-    return mc.spectra_of_matrices(gamma)[:, 0]
+    _, rows = mc._sampler(m, count, seed)
+
+    def sigma1(s: int, e: int) -> np.ndarray:
+        y = mc.uppers_to_full(rows(s, e), m)
+        alpha = y.sum(axis=2) / m
+        gamma = y - (alpha[:, :, None] - alpha[:, None, :])
+        return mc.spectra_of_matrices(gamma)[:, :1]
+
+    return mc._map_blocks(sigma1, count, 1, threads)[:, 0]

@@ -176,6 +176,24 @@ class TestSampleLayout:
             tracemalloc.stop()
         assert peak < whole_run / 2
 
+    def test_spectra_rows_equal_single_row_solves_and_small_blocks(self, monkeypatch):
+        p, seed = 10, 31
+        count = mc._BLOCK + 301
+        rows = (0, mc._BLOCK - 1, mc._BLOCK, count - 1)
+        uppers = sample_uppers(p, count, seed)
+        spectra = sample_spectra(p, count, seed)
+        monkeypatch.setattr(mc, "_BLOCK", ROWS_PER_BLOCK)
+        small_blocks = sample_spectra(p, count, seed)
+        for i in rows:
+            assert np.array_equal(spectra[i], mc.spectra_from_uppers(uppers[i:i + 1], p)[0])
+            assert np.array_equal(spectra[i], small_blocks[i])
+
+    def test_spectra_independent_of_count(self):
+        # count = _BLOCK + 1 leaves a last block of a single sample
+        full = sample_spectra(7, mc._BLOCK + 2, seed=8)
+        for count in (1, 2, mc._BLOCK, mc._BLOCK + 1):
+            assert np.array_equal(sample_spectra(7, count, seed=8), full[:count])
+
 
 class TestMoments:
     def test_entry_moments(self):
@@ -396,6 +414,40 @@ class TestKsDistance:
     def test_degree_below_one_rejected(self, degree):
         with pytest.raises(DomainError, match="degree"):
             ks_distance([0.5, 1.0], lambda x: 0.5, degree=degree)
+
+
+class TestBatchedSpectra:
+    @pytest.mark.parametrize("p", list(range(2, 13)) + [20, 40, 59])
+    def test_whole_spectrum_matches_lapack_svd(self, p):
+        uppers = sample_uppers(p, 300, seed=40 + p)
+        stack = uppers_to_full(uppers, p)
+        expect = np.linalg.svd(stack, compute_uv=False)[:, ::2][:, :p // 2]
+        tol = 1e-13 * expect[:, :1]
+        for spectra in (mc.spectra_of_matrices(stack), mc.spectra_from_uppers(uppers, p)):
+            assert spectra.shape == expect.shape
+            assert np.all(np.abs(spectra - expect) <= tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises_domain_error(self, bad):
+        uppers = sample_uppers(6, 20, seed=5)
+        stack = uppers_to_full(uppers, 6)
+        stack[7, 2, 1] = bad
+        with pytest.raises(DomainError, match="sample 7"):
+            mc.spectra_of_matrices(stack)
+        uppers[3, 4] = bad
+        with pytest.raises(DomainError, match="sample 3"):
+            mc.spectra_from_uppers(uppers, 6)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 1), (3, 3)])
+    def test_non_skew_stack_raises_pairing_error(self, entry):
+        stack = uppers_to_full(sample_uppers(6, 20, seed=5), 6)
+        stack[(0,) + entry] += 0.5
+        with pytest.raises(PairingError, match="sample 0"):
+            mc.spectra_of_matrices(stack)
+
+    def test_zero_and_empty_stacks(self):
+        assert np.array_equal(mc.spectra_of_matrices(np.zeros((3, 5, 5))), np.zeros((3, 2)))
+        assert mc.spectra_of_matrices(np.zeros((0, 4, 4))).shape == (0, 2)
 
 
 class TestUppersToFull:

@@ -3,6 +3,7 @@ least-squares split, the three subtractivity tests on the league data,
 deadlock search, and the rank-2 embedding."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewtail import mc
 from skewtail.errors import DataError, DomainError
 from skewtail.io import central_league_1997_path, deadlock_area_ratio, read_score_sheet_csv
 from skewtail.paired import (
@@ -253,6 +255,26 @@ class TestLargestSvTest:
 
         sigma1 = simulate_null_largest_sv(6, 20_000, seed=99)
         assert ks_distance(sigma1, lambda x: largest_sv_cdf(5, x)) < 0.02
+
+    def test_null_simulation_holds_one_block_of_matrices(self, monkeypatch):
+        # 64 small blocks: a whole-run (count, m, m) stack would take 13.1 MB
+        monkeypatch.setattr(mc, "_BLOCK", 256)
+        m, count = 10, 64 * 256
+        whole_run = count * m * m * 8
+        tracemalloc.start()
+        try:
+            sigma1 = simulate_null_largest_sv(m, count, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sigma1.shape == (count,)
+        assert peak < whole_run / 2
+
+    def test_null_simulation_rows_independent_of_blocks(self, monkeypatch):
+        full = simulate_null_largest_sv(7, 700, seed=4)
+        monkeypatch.setattr(mc, "_BLOCK", 256)
+        assert np.array_equal(simulate_null_largest_sv(7, 700, seed=4, threads=2), full)
+        assert np.array_equal(simulate_null_largest_sv(7, 1, seed=4), full[:1])
 
 
 class TestStandardizedTest:
