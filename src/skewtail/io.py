@@ -6,8 +6,9 @@ Two input formats are supported:
   names), followed by one row per object holding its name and m cells;
   the diagonal cell is ``-`` and every other cell is a nonnegative
   integer win count;
-* raw matrix: whitespace-separated m x m reals, already skew-symmetric,
-  for observations that were stabilized (or generated) elsewhere.
+* raw matrix: whitespace-separated m x m reals, already skew-symmetric
+  to within 1e-9 max |y_ij|, for observations that were stabilized (or
+  generated) elsewhere.
 
 Reports render either as aligned text (statistics to 3 decimals,
 p-values to 4, as conventionally tabulated) or as JSON with the fixed
@@ -107,9 +108,13 @@ def read_skew_matrix(path) -> SkewObservations:
     if not np.all(np.isfinite(y)):
         i, j = np.unravel_index(int(np.argmin(np.isfinite(y))), y.shape)
         raise DataError(f"{path}: row {i + 1}, column {j + 1}: {float(y[i, j])} is not finite")
-    resid = float(np.max(np.abs(y + y.T)))
-    if resid > 1e-9:
-        raise DataError(f"{path}: matrix is not skew-symmetric (max |y_ij + y_ji| = {resid:.3e})")
+    with np.errstate(over="ignore"):
+        resid = float(np.max(np.abs(y + y.T)))
+    if resid > 1e-9 * float(np.max(np.abs(y))):
+        raise DataError(
+            f"{path}: matrix is not skew-symmetric "
+            f"(max |y_ij + y_ji| = {resid:.3e}, above 1e-9 max |y_ij|)"
+        )
     y = 0.5 * (y - y.T)  # discard sub-tolerance asymmetry
     return SkewObservations(m=y.shape[0], y=y)
 

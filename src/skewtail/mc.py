@@ -39,6 +39,10 @@ _KERNEL_RTOL = 1e-10
 _STREAM_BLOCK = 256
 #: Samples per task; a multiple of _STREAM_BLOCK, so no two tasks draw the same block.
 _BLOCK = 1024
+#: A matrix is solved as given while max |a_ij| lies in 2^[-W, W] (a batched
+#: sample: while its energy ||A||_F^2 / 2 lies in 2^[-2W, 2W]); any other is
+#: first scaled by a power of two, which is exact, to max |a_ij| in [1/2, 1).
+_SCALE_WINDOW = 400
 
 
 @dataclass(frozen=True)
@@ -278,6 +282,8 @@ def _spectra(a: np.ndarray) -> np.ndarray:
     The sub-diagonal of the reduced tridiagonal splits into a t x t
     (p even) or (t + 1) x t (p odd) lower bidiagonal M with diagonal e_0,
     e_2, ... and sub-diagonal e_1, e_3, ...; sigma^2 = eigvalsh(M'M).
+    Only the samples whose energy leaves the window are scaled, so the
+    others are solved exactly as given.
     """
     p, _, b = a.shape
     if b == 1:
@@ -285,12 +291,20 @@ def _spectra(a: np.ndarray) -> np.ndarray:
         # another order than a batch of them: solve it as a batch of two
         return _spectra(np.concatenate((a, a), axis=2))[:1]
     energy = 0.5 * np.einsum("ijb,ijb->b", a, a)
-    finite = np.isfinite(energy)
-    if not finite.all():
-        raise DomainError(
-            f"sample {int(np.argmin(finite))}: matrix entries must be finite, "
-            "and so must their sum of squares"
-        )
+    window = 2.0 ** (2 * _SCALE_WINDOW)
+    outside = ~((energy >= 1.0 / window) & (energy <= window))  # NaN is outside
+    shift = None
+    if outside.any():
+        cols = a[:, :, outside]
+        finite = np.isfinite(cols).all(axis=(0, 1))
+        if not finite.all():
+            j = int(np.flatnonzero(outside)[np.argmin(finite)])
+            raise DomainError(f"sample {j}: matrix entries must be finite")
+        shift = np.zeros(b, dtype=int)
+        cols, shift[outside] = _unit_scaled(cols, axis=(0, 1))
+        a = a.copy()
+        a[:, :, outside] = cols
+        energy[outside] = 0.5 * np.einsum("ijb,ijb->b", cols, cols)
     t = p // 2
     e = np.zeros((2 * t, b))  # even p: a zero last sub-diagonal entry
     e[:p - 1] = _skew_subdiagonal(a)
@@ -308,7 +322,15 @@ def _spectra(a: np.ndarray) -> np.ndarray:
             f"sample {j}: sum of sigma^2 {float(sigma2[j].sum()):.17g} misses "
             f"||A||_F^2 / 2 = {float(energy[j]):.17g} by {float(gap[j]):.3e}"
         )
-    return np.sqrt(sigma2)[:, ::-1]
+    sigma = np.sqrt(sigma2)[:, ::-1]
+    return sigma if shift is None else np.ldexp(sigma, shift[:, None])
+
+
+def _unit_scaled(a: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """(a 2^-k, k), with k chosen per slice so that max |a| over ``axis``
+    lies in [1/2, 1); exact, and k = 0 for an all-zero slice."""
+    _, k = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
+    return np.ldexp(a, -k), k.ravel()
 
 
 def spectra_of_matrices(a: np.ndarray) -> np.ndarray:
@@ -318,10 +340,12 @@ def spectra_of_matrices(a: np.ndarray) -> np.ndarray:
     Route: a batched skew Householder tridiagonalization with delayed
     updates (Ward & Gray 1978; the panel form of LAPACK's dlatrd), then
     one t x t eigen-solve of M'M for the bidiagonal M it leaves.  Every
-    singular value is within 1e-13 * sigma_1 of LAPACK's SVD.  Raises
-    :class:`DomainError` for non-finite entries and :class:`PairingError`
-    when sum(sigma^2) misses the energy ||A||_F^2 / 2 by relative 1e-8,
-    which is what a non-skew input does.
+    singular value is within 1e-13 * sigma_1 of LAPACK's SVD, also for
+    samples whose squares underflow or overflow: those are solved scaled
+    by a power of two.  Raises :class:`DomainError` for non-finite
+    entries and :class:`PairingError` when sum(sigma^2) misses the
+    energy ||A||_F^2 / 2 by relative 1e-8, which is what a non-skew
+    input does.
     """
     return _spectra(np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype=float), 0, -1)))
 
@@ -352,13 +376,23 @@ def sample_spectra(p: int, count: int, seed: int, threads: int | None = None) ->
 
 class SkewEigen:
     """One eigen-solve of A'A for a skew-symmetric A: its paired spectrum
-    and the eigenvectors, in ascending eigenvalue order.  Raises
-    :class:`PairingError` if the eigenvalues do not pair up."""
+    and the eigenvectors, in ascending eigenvalue order.  A whose largest
+    entry lies outside 2^[-400, 400] is solved scaled by a power of two,
+    so no square underflows or overflows.  Raises :class:`DomainError`
+    for non-finite entries and :class:`PairingError` if the eigenvalues
+    do not pair up."""
 
     def __init__(self, a: SkewMatrix):
         self.full = a.to_full()
-        eigs, self.vecs = np.linalg.eigh(self.full.T @ self.full)
-        self.spectrum = SingularSpectrum(p=a.p, sigma=_paired_spectra(eigs[None, :], a.p)[0])
+        scaled, shift = self.full, 0
+        peak = float(np.max(np.abs(self.full)))
+        if not math.isfinite(peak):
+            raise DomainError("matrix entries must be finite")
+        if abs(math.frexp(peak)[1]) > _SCALE_WINDOW:
+            scaled, shift = _unit_scaled(self.full, axis=None)
+        eigs, self.vecs = np.linalg.eigh(scaled.T @ scaled)
+        sigma = _paired_spectra(eigs[None, :], a.p)[0]
+        self.spectrum = SingularSpectrum(p=a.p, sigma=np.ldexp(sigma, shift))
 
     def top_plane(self) -> TopPlane:
         """The oriented leading 2-plane; see :func:`top_plane`."""

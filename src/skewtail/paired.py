@@ -259,9 +259,16 @@ def chi_square_test(fit: ScheffeFit, sigma2: float = 1.0) -> tuple[float, int, f
 
     Returns (statistic, degrees of freedom, p-value) where the statistic
     is tr(gamma' gamma) / (2 sigma2) on (m-1)(m-2)/2 degrees of freedom.
+    Raises :class:`DataError` when the statistic overflows.
     """
     _check_sigma2(sigma2)
-    stat = float(np.sum(np.triu(fit.gamma_hat, 1) ** 2)) / sigma2
+    with np.errstate(over="ignore"):
+        stat = float(np.sum(np.triu(fit.gamma_hat, 1) ** 2)) / sigma2
+    if math.isinf(stat):
+        raise DataError(
+            "the chi-square statistic tr(gamma' gamma) / (2 sigma2) overflows: "
+            "the interaction residual is too large for double precision"
+        )
     df = (fit.m - 1) * (fit.m - 2) // 2
     return stat, df, chi2_upper(df, stat)
 
@@ -302,8 +309,10 @@ def lrt_standardized_test(fit: ScheffeFit) -> tuple[float | None, float | None]:
 def _standardized(m: int, spectrum: SingularSpectrum) -> tuple[float | None, float | None]:
     """The statistic for any m >= 3; its p-value is None for m < 5, where
     no exact law is available, and below the critical point.  Both are
-    None when the residual is exactly zero."""
-    sigma = spectrum.sigma
+    None when the residual is exactly zero.  The spectrum is first scaled
+    by a power of two near 1 / sigma_1, which is exact, so the sum of
+    squares neither underflows nor overflows."""
+    sigma = np.ldexp(spectrum.sigma, -math.frexp(float(spectrum.sigma[0]))[1])
     energy = float(np.sum(sigma**2))
     if energy <= 0.0:
         return None, None

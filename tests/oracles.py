@@ -12,7 +12,11 @@ computes in closed form.
   pins the critical angle pi/4;
 * :func:`regularized_gamma_lower` and :func:`chi2_lower` are the linear
   lower tails that :func:`skewtail.specfun.log_regularized_gamma_lower`
-  and :func:`skewtail.specfun.chi2_upper` are checked against.
+  and :func:`skewtail.specfun.chi2_upper` are checked against;
+* :func:`direct_cdf_entrywise` is the direct route of
+  :func:`skewtail.rmtdist.largest_sv_cdf` with every one of the t^2
+  determinant entries evaluated on its own, which the Hankel route
+  (one evaluation per anti-diagonal) must reproduce bit for bit.
 """
 
 import math
@@ -21,11 +25,13 @@ from fractions import Fraction
 import numpy as np
 
 from skewtail.errors import DomainError
+from skewtail.rmtdist import _log_constants
 from skewtail.specfun import (
     _lower_gamma_series,
     _upper_gamma_cf,
     chi2_upper,
     log_gamma,
+    log_regularized_gamma_lower,
     probability,
 )
 
@@ -45,6 +51,32 @@ def regularized_gamma_lower(s: float, x: float) -> float:
 def chi2_lower(nu: float, y: float) -> float:
     """Lower tail P(chi2_nu <= y), derived as the complement of the upper tail."""
     return probability(1.0 - chi2_upper(nu, y))
+
+
+def direct_cdf_entrywise(p: int, x: float) -> float:
+    """The direct-route value of P(sigma_1 < x) at order p and x > 0, its
+    t x t log-entries filled one (i, j) at a time, rows equilibrated and
+    recombined with the normalizer d_p in log domain."""
+    t = p // 2
+    half_y = 0.5 * (x * x)
+    log2 = math.log(2.0)
+    log_entries = np.empty((t, t))
+    for i in range(1, t + 1):
+        for j in range(1, t + 1):
+            nu = 2 * p - 2 * i - 2 * j + 1
+            log_entries[i - 1, j - 1] = (
+                0.5 * nu * log2
+                + log_gamma(0.5 * nu)
+                + log_regularized_gamma_lower(0.5 * nu, half_y)
+            )
+    scales = log_entries.max(axis=1)
+    if not np.all(np.isfinite(scales)):
+        return 0.0
+    det = float(np.linalg.det(np.exp(log_entries - scales[:, None])))
+    if det <= 0.0:
+        return 0.0
+    _, log_dp = _log_constants(p)
+    return min(1.0, math.exp(log_dp + float(scales.sum()) + math.log(det)))
 
 
 def _band_factorization(delta: float, t: int):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -50,6 +51,12 @@ class TestDist:
         cdf = float(out_cdf.split()[0])
         tail = float(out_tail.split()[0])
         assert cdf + tail == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind, expect", [("cdf", 1.0), ("tail", 0.0)])
+    def test_threshold_whose_square_overflows(self, capsys, kind, expect):
+        code, out, err = run_cli(capsys, "dist", "--kind", kind, "--p", "10", "--x", "1e170")
+        assert code == 0 and err == ""
+        assert float(out.split()[0]) == expect
 
     def test_below_validity_exits_3(self, capsys):
         code, _, err = run_cli(
@@ -248,6 +255,55 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(raw), "--raw")
         assert code == 4
         assert "row 2, column 3" in err and "finite" in err
+
+    def test_symmetric_raw_matrix_of_small_entries_exits_4(self, capsys, tmp_path):
+        # |y + y'| = 2e-10 is below 1e-9 in absolute terms, but the
+        # matrix is symmetric: antisymmetrizing it would leave zero
+        raw = tmp_path / "symmetric.txt"
+        raw.write_text("0 1e-10 2e-10\n1e-10 0 1e-10\n2e-10 1e-10 0\n")
+        code, out, err = run_cli(capsys, "analyze", str(raw), "--raw")
+        assert code == 4 and out == ""
+        assert "skew" in err
+
+    def test_rounding_level_asymmetry_is_accepted(self, capsys, tmp_path):
+        raw = tmp_path / "near_skew.txt"
+        raw.write_text("0 1e-10 2e-10\n-1e-10 0 3e-10\n-2.0000000001e-10 -3e-10 0\n")
+        code, _, _ = run_cli(capsys, "analyze", str(raw), "--raw")
+        assert code == 0
+
+    def _league_raw(self, tmp_path, scale):
+        from skewtail.io import read_score_sheet_csv
+        from skewtail.paired import variance_stabilize
+
+        y = scale * variance_stabilize(read_score_sheet_csv(FIXTURE, 27)).y
+        raw = tmp_path / f"scaled_{scale:g}.txt"
+        raw.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in y) + "\n")
+        return raw
+
+    def test_overflowing_raw_matrix_exits_4_without_warning(self, capsys, tmp_path):
+        raw = self._league_raw(tmp_path, 1e170)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "analyze", str(raw), "--raw")
+        assert code == 4 and out == ""
+        assert "chi-square statistic" in err and "overflows" in err
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170])
+    def test_tiny_raw_matrix_keeps_its_spectrum(self, capsys, tmp_path, scale):
+        _, out, _ = run_cli(capsys, "analyze", str(self._league_raw(tmp_path, 1.0)),
+                            "--raw", "--format", "json")
+        expect = json.loads(out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "analyze", str(self._league_raw(tmp_path, scale)),
+                                   "--raw", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert np.allclose(np.array(doc["spectrum"]) / scale, expect["spectrum"],
+                           rtol=0, atol=1e-13 * expect["spectrum"][0])
+        assert doc["standardized"]["stat"] == pytest.approx(expect["standardized"]["stat"], rel=1e-13)
+        assert doc["standardized"]["p"] == pytest.approx(expect["standardized"]["p"], rel=1e-10)
+        assert doc["deadlock"]["triple"] == expect["deadlock"]["triple"]
 
     def test_missing_file_exits_4(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "/nonexistent.csv", "--n-games", "27")

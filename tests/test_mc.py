@@ -250,6 +250,23 @@ class TestSingularValues:
         spec = singular_values(SkewMatrix(p=4, upper=np.zeros(6)))
         assert np.array_equal(spec.sigma, np.zeros(2))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170])
+    def test_squares_out_of_range(self, scale):
+        m = sample_skew_gaussian(7, SampleStream(3))
+        expect = singular_values(m).sigma
+        eigen = mc.SkewEigen(SkewMatrix(p=7, upper=scale * m.upper))
+        assert np.all(np.abs(eigen.spectrum.sigma / scale - expect) <= 1e-13 * expect[0])
+        plane, ref = eigen.top_plane(), top_plane(m)
+        assert plane.sigma1 / scale == pytest.approx(ref.sigma1, rel=1e-13)
+        assert np.allclose(plane.u, ref.u, atol=1e-12) and np.allclose(plane.v, ref.v, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_raises_domain_error(self, bad):
+        upper = np.ones(6)
+        upper[2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            singular_values(SkewMatrix(p=4, upper=upper))
+
 
 class TestTopPlane:
     def test_exact_rank2_recovery(self):
@@ -448,6 +465,33 @@ class TestBatchedSpectra:
     def test_zero_and_empty_stacks(self):
         assert np.array_equal(mc.spectra_of_matrices(np.zeros((3, 5, 5))), np.zeros((3, 2)))
         assert mc.spectra_of_matrices(np.zeros((0, 4, 4))).shape == (0, 2)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170])
+    @pytest.mark.parametrize("p", [5, 6])
+    def test_spectra_survive_underflowing_and_overflowing_squares(self, p, scale):
+        uppers = sample_uppers(p, 20, seed=6)
+        expect = mc.spectra_from_uppers(uppers, p)
+        mixed = uppers.copy()
+        mixed[::2] *= scale  # in-window samples beside scaled ones
+        for spectra in (mc.spectra_from_uppers(mixed, p),
+                        mc.spectra_of_matrices(uppers_to_full(mixed, p))):
+            assert np.array_equal(spectra[1::2], expect[1::2])
+            assert np.all(np.abs(spectra[::2] / scale - expect[::2]) <= 1e-13 * expect[::2, :1])
+
+    def test_power_of_two_scale_is_bit_identical(self):
+        uppers = sample_uppers(7, 10, seed=9)
+        expect = mc.spectra_from_uppers(uppers, 7)
+        for k in (-1000, -565, 565, 1000):
+            spectra = mc.spectra_from_uppers(np.ldexp(uppers, k), 7)
+            assert np.array_equal(np.ldexp(spectra, -k), expect)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_beside_tiny_sample_raises_domain_error(self, bad):
+        uppers = sample_uppers(6, 20, seed=5)
+        uppers[2] *= 1e-170
+        uppers[5, 0] = bad
+        with pytest.raises(DomainError, match="sample 5"):
+            mc.spectra_from_uppers(uppers, 6)
 
 
 class TestUppersToFull:

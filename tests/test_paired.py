@@ -235,6 +235,16 @@ class TestChiSquareTest:
         with pytest.raises(DomainError):
             chi_square_test(league_fit, sigma2=0.0)
 
+    def test_overflowing_statistic_is_a_data_error(self, league_fit):
+        fit = ScheffeFit(m=league_fit.m, alpha_hat=league_fit.alpha_hat,
+                         gamma_hat=1e170 * league_fit.gamma_hat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="chi-square statistic"):
+                chi_square_test(fit)
+            with pytest.raises(DataError, match="chi-square statistic"):
+                chi_square_test(league_fit, sigma2=1e-308)
+
 
 class TestLargestSvTest:
     def test_league_numbers(self, league_fit):
@@ -330,6 +340,14 @@ class TestStandardizedTest:
     def test_zero_residual_has_no_statistic(self):
         fit = scheffe_fit(subtractive_observations([2.0, 1.0, 0.0, -1.0, -2.0]))
         assert lrt_standardized_test(fit) == (None, None)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170])
+    def test_statistic_is_scale_free(self, league_sheet, scale):
+        y = variance_stabilize(league_sheet).y
+        expect = lrt_standardized_test(scheffe_fit(SkewObservations(m=6, y=y)))
+        stat, p = lrt_standardized_test(scheffe_fit(SkewObservations(m=6, y=scale * y)))
+        assert stat == pytest.approx(expect[0], rel=1e-13)
+        assert p == pytest.approx(expect[1], rel=1e-10)
 
 
 class TestMaxDeadlock:

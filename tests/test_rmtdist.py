@@ -11,6 +11,7 @@ import pytest
 from scipy import integrate
 
 from skewtail.errors import DomainError, ExcludedPointError, ValidityError
+from skewtail.specfun import log_regularized_gamma_lower
 from skewtail.rmtdist import (
     CRITICAL_POINT,
     critical_radius_objective,
@@ -28,6 +29,7 @@ from skewtail.rmtdist import (
 from oracles import (
     _band_factorization,
     critical_radius_search,
+    direct_cdf_entrywise,
     hankel_inverse_exact,
     hankel_inverse_oracle,
 )
@@ -60,27 +62,6 @@ def chi3_cdf(x: float) -> float:
     from scipy.special import gammainc
 
     return float(gammainc(1.5, x * x / 2.0))
-
-
-def _direct_route_cdf(p: int, x: float) -> float:
-    """The equilibrated-determinant route, replicated without the
-    near-saturation switch, for route cross-validation."""
-    from skewtail.rmtdist import _log_constants, spectrum_law
-    from skewtail.specfun import log_gamma, log_regularized_gamma_lower
-
-    t = spectrum_law(p).t
-    log_entries = np.empty((t, t))
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            nu = 2 * p - 2 * i - 2 * j + 1
-            log_entries[i - 1, j - 1] = (
-                0.5 * nu * math.log(2.0)
-                + log_gamma(0.5 * nu)
-                + log_regularized_gamma_lower(0.5 * nu, 0.5 * x * x)
-            )
-    scales = log_entries.max(axis=1)
-    det = float(np.linalg.det(np.exp(log_entries - scales[:, None])))
-    return math.exp(_log_constants(p)[1] + float(scales.sum()) + math.log(det))
 
 
 class TestSpectrumLaw:
@@ -219,12 +200,46 @@ class TestLargestSvCdf:
                 continue
             checked += 1
             assert largest_sv_cdf(p, x) == pytest.approx(comp, abs=5e-10)
-            direct = _direct_route_cdf(p, x)
+            direct = direct_cdf_entrywise(p, x)
             # agreement is limited by the direct route's Hankel
             # conditioning (~1e-9 by p=16); the complement route is the
             # sharper of the two near saturation
             assert comp == pytest.approx(direct, abs=2e-9)
         assert checked >= 5
+
+    @pytest.mark.parametrize("p", range(2, 61))
+    def test_hankel_route_is_bit_identical_to_entrywise(self, p, monkeypatch):
+        # one log-entry per anti-diagonal, indexed by i + j, is the same
+        # scalar arithmetic as filling all t^2 entries one by one; the
+        # complement route is switched off, so every x takes the direct one
+        from skewtail import rmtdist
+
+        monkeypatch.setattr(rmtdist, "_cdf_complement_det", lambda *args: None)
+        for x in np.linspace(0.0, 2.0 * math.sqrt(p) + 4.0, 10)[1:]:
+            assert largest_sv_cdf(p, x) == direct_cdf_entrywise(p, x)
+
+    @pytest.mark.parametrize("p, x", [(4, 1.0), (5, 2.0), (10, 3.0), (33, 10.0), (59, 8.0)])
+    def test_one_incomplete_gamma_per_anti_diagonal(self, p, x, monkeypatch):
+        from skewtail import rmtdist
+
+        calls = []
+
+        def counted(s, y):
+            calls.append(s)
+            return log_regularized_gamma_lower(s, y)
+
+        monkeypatch.setattr(rmtdist, "log_regularized_gamma_lower", counted)
+        t = p // 2
+        assert rmtdist._cdf_complement_det(p, t, x * x) is None
+        assert 0.0 <= largest_sv_cdf(p, x) <= 1.0
+        assert len(calls) == 2 * t - 1
+        assert sorted(calls) == [p - 1.5 - k for k in range(2 * t - 2, -1, -1)]
+
+    def test_overflowing_square_gives_one(self):
+        assert largest_sv_cdf(10, 1e154) == 1.0  # x^2 = 1e308 is still finite
+        for p in (2, 10, 59):
+            for x in (1e155, 1e170, float(np.finfo(float).max)):
+                assert largest_sv_cdf(p, x) == 1.0
 
     def test_deep_left_tail_is_zero_not_garbage(self):
         assert largest_sv_cdf(16, 1e-12) == 0.0
