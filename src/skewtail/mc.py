@@ -39,9 +39,10 @@ _KERNEL_RTOL = 1e-10
 _STREAM_BLOCK = 256
 #: Samples per task; a multiple of _STREAM_BLOCK, so no two tasks draw the same block.
 _BLOCK = 1024
-#: A matrix is solved as given while max |a_ij| lies in 2^[-W, W] (a batched
-#: sample: while its energy ||A||_F^2 / 2 lies in 2^[-2W, 2W]); any other is
-#: first scaled by a power of two, which is exact, to max |a_ij| in [1/2, 1).
+#: A batched sample is solved as given while its energy ||A||_F^2 / 2 lies in
+#: 2^[-2W, 2W]; any other is first scaled by a power of two, which is exact,
+#: to max |a_ij| in [1/2, 1).  Scaling only those keeps the common case free
+#: of a copy of the batch.
 _SCALE_WINDOW = 400
 
 
@@ -376,23 +377,20 @@ def sample_spectra(p: int, count: int, seed: int, threads: int | None = None) ->
 
 class SkewEigen:
     """One eigen-solve of A'A for a skew-symmetric A: its paired spectrum
-    and the eigenvectors, in ascending eigenvalue order.  A whose largest
-    entry lies outside 2^[-400, 400] is solved scaled by a power of two,
+    and the eigenvectors, in ascending eigenvalue order.  A is solved
+    scaled by a power of two to max |a_ij| in [1/2, 1), which is exact,
     so no square underflows or overflows.  Raises :class:`DomainError`
     for non-finite entries and :class:`PairingError` if the eigenvalues
     do not pair up."""
 
     def __init__(self, a: SkewMatrix):
         self.full = a.to_full()
-        scaled, shift = self.full, 0
-        peak = float(np.max(np.abs(self.full)))
-        if not math.isfinite(peak):
+        if not np.all(np.isfinite(self.full)):
             raise DomainError("matrix entries must be finite")
-        if abs(math.frexp(peak)[1]) > _SCALE_WINDOW:
-            scaled, shift = _unit_scaled(self.full, axis=None)
+        scaled, shift = _unit_scaled(self.full, axis=None)
         eigs, self.vecs = np.linalg.eigh(scaled.T @ scaled)
         sigma = _paired_spectra(eigs[None, :], a.p)[0]
-        self.spectrum = SingularSpectrum(p=a.p, sigma=np.ldexp(sigma, shift))
+        self.spectrum = SingularSpectrum(p=a.p, sigma=np.ldexp(sigma, int(shift[0])))
 
     def top_plane(self) -> TopPlane:
         """The oriented leading 2-plane; see :func:`top_plane`."""

@@ -259,15 +259,22 @@ def chi_square_test(fit: ScheffeFit, sigma2: float = 1.0) -> tuple[float, int, f
 
     Returns (statistic, degrees of freedom, p-value) where the statistic
     is tr(gamma' gamma) / (2 sigma2) on (m-1)(m-2)/2 degrees of freedom.
-    Raises :class:`DataError` when the statistic overflows.
+    Raises :class:`DataError` when tr(gamma' gamma) / 2 alone overflows and
+    :class:`DomainError` when only the division by sigma2 does.
     """
     _check_sigma2(sigma2)
     with np.errstate(over="ignore"):
-        stat = float(np.sum(np.triu(fit.gamma_hat, 1) ** 2)) / sigma2
-    if math.isinf(stat):
+        half_trace = float(np.sum(np.triu(fit.gamma_hat, 1) ** 2))
+    if math.isinf(half_trace):
         raise DataError(
             "the chi-square statistic tr(gamma' gamma) / (2 sigma2) overflows: "
             "the interaction residual is too large for double precision"
+        )
+    stat = half_trace / sigma2
+    if math.isinf(stat):
+        raise DomainError(
+            "the chi-square statistic tr(gamma' gamma) / (2 sigma2) overflows "
+            f"for sigma2 = {sigma2!r}"
         )
     df = (fit.m - 1) * (fit.m - 2) // 2
     return stat, df, chi2_upper(df, stat)

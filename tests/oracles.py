@@ -56,7 +56,11 @@ def chi2_lower(nu: float, y: float) -> float:
 def direct_cdf_entrywise(p: int, x: float) -> float:
     """The direct-route value of P(sigma_1 < x) at order p and x > 0, its
     t x t log-entries filled one (i, j) at a time, rows equilibrated and
-    recombined with the normalizer d_p in log domain."""
+    recombined with the normalizer d_p in log domain.
+
+    The value is not clipped to 1, so an overshoot of the direct formula
+    near saturation stays visible; 0.0 stands for a non-positive
+    equilibrated determinant."""
     t = p // 2
     half_y = 0.5 * (x * x)
     log2 = math.log(2.0)
@@ -76,7 +80,7 @@ def direct_cdf_entrywise(p: int, x: float) -> float:
     if det <= 0.0:
         return 0.0
     _, log_dp = _log_constants(p)
-    return min(1.0, math.exp(log_dp + float(scales.sum()) + math.log(det)))
+    return math.exp(log_dp + float(scales.sum()) + math.log(det))
 
 
 def _band_factorization(delta: float, t: int):

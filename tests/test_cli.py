@@ -288,6 +288,12 @@ class TestAnalyze:
         assert code == 4 and out == ""
         assert "chi-square statistic" in err and "overflows" in err
 
+    def test_sigma2_whose_division_overflows_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", FIXTURE, "--n-games", "27",
+                                 "--sigma2", "1e-308")
+        assert code == 2 and out == ""
+        assert "sigma2 = 1e-308" in err
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-170])
     def test_tiny_raw_matrix_keeps_its_spectrum(self, capsys, tmp_path, scale):
         _, out, _ = run_cli(capsys, "analyze", str(self._league_raw(tmp_path, 1.0)),

@@ -242,7 +242,7 @@ class TestChiSquareTest:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="chi-square statistic"):
                 chi_square_test(fit)
-            with pytest.raises(DataError, match="chi-square statistic"):
+            with pytest.raises(DomainError, match="sigma2 = 1e-308"):
                 chi_square_test(league_fit, sigma2=1e-308)
 
 
