@@ -66,15 +66,21 @@ class SkewMatrix:
 
     @classmethod
     def from_full(cls, a, tol: float = 1e-9) -> "SkewMatrix":
-        """Extract upper-triangle storage from a full matrix, validating skew-symmetry."""
+        """Extract upper-triangle storage from a full matrix, validating
+        skew-symmetry: max |a_ij + a_ji| may be at most ``tol`` times
+        max |a_ij| (a relative tolerance, so the check is scale-free)."""
         m = np.asarray(a, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise DomainError("matrix entries must be finite")
-        resid = float(np.max(np.abs(m + m.T)))
-        if resid > tol:
-            raise DomainError(f"matrix is not skew-symmetric (max |a_ij + a_ji| = {resid:.3e})")
+        with np.errstate(over="ignore"):
+            resid = float(np.max(np.abs(m + m.T)))
+        if resid > tol * float(np.max(np.abs(m))):
+            raise DomainError(
+                f"matrix is not skew-symmetric (max |a_ij + a_ji| = {resid:.3e}, "
+                f"above {tol:g} max |a_ij|)"
+            )
         return cls(p=m.shape[0], upper=m[np.triu_indices(m.shape[0], 1)])
 
 

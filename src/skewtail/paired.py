@@ -90,9 +90,13 @@ class SkewObservations:
         if not np.all(np.isfinite(y)):
             i, j = np.unravel_index(int(np.argmin(np.isfinite(y))), y.shape)
             raise DataError(f"observation y[{i + 1},{j + 1}] = {float(y[i, j])} is not finite")
-        resid = float(np.max(np.abs(y + y.T)))
-        if resid > 1e-12:
-            raise DataError(f"observations are not skew-symmetric (max residual {resid:.3e})")
+        with np.errstate(over="ignore"):
+            resid = float(np.max(np.abs(y + y.T)))
+        if resid > 1e-12 * float(np.max(np.abs(y))):
+            raise DataError(
+                f"observations are not skew-symmetric (max residual {resid:.3e}, "
+                "above 1e-12 max |y_ij|)"
+            )
         object.__setattr__(self, "y", y)
 
 

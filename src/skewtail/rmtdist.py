@@ -8,8 +8,8 @@ provides, all in closed form:
 * the joint density of the ordered singular values and its
   normalizing constants,
 * the exact distribution function of the largest singular value
-  (a t x t Hankel determinant of lower incomplete-gamma entries, so one
-  value costs 2t - 1 incomplete-gamma evaluations, one per anti-diagonal),
+  (a t x t Hankel determinant of lower incomplete-gamma entries, one
+  per anti-diagonal),
 * the Hankel gram matrix Gamma(p - i - j + 1/2), its inverse, and the
   geometric weights built from the two, each rounded from exact rationals,
 * the asymptotic upper tail of sigma_1 (weighted chi-square tails) and
@@ -18,6 +18,11 @@ provides, all in closed form:
 * the 2x2 objective whose supremum (= 1) pins the critical angle pi/4
   that delimits that validity range,
 * the Euler characteristic implied by the weights, an exact identity.
+
+Both exact laws, and the tail expansion, stack or sum 2t - 1 tails
+whose degrees of freedom step by 2: each law call makes one scalar tail
+evaluation at the stable end of that ladder and climbs the other 2t - 2
+rungs by the recurrences in :mod:`skewtail.specfun`.
 
 Normalizers and CDF entries are evaluated in log domain.  All is pure
 and thread-safe; per-order gram matrices are memoized (read-only arrays).
@@ -33,6 +38,9 @@ import numpy as np
 
 from .errors import DomainError, ExcludedPointError, ValidityError
 from .specfun import (
+    _beta_upper_rungs,
+    _log_lower_gamma_rungs,
+    _upper_gamma_rungs,
     beta_upper,
     chi2_upper,
     log_gamma,
@@ -158,6 +166,13 @@ def joint_density(sigma, p: int) -> float:
     return math.exp(logv)
 
 
+def _chi2_upper_ladder(p: int, t: int, y: float) -> list[float]:
+    """q[k] = P(chi2_nu > y) with nu = 2p - 3 - 2k for k = 0 .. 2t - 2:
+    the smallest nu by one evaluation, the rest by the upward recurrence."""
+    nu = 2 * p - 3 - 2 * (2 * t - 2)
+    return _upper_gamma_rungs(chi2_upper(nu, y), 0.5 * nu, 0.5 * y, 2 * t - 1)[::-1]
+
+
 def _cdf_complement_det(p: int, t: int, y: float) -> float | None:
     """det(I - C^{-1} K(y)) with K the upper-tail remainder of the CDF's
     integral matrix: an exact complement form of the determinantal CDF.
@@ -171,7 +186,7 @@ def _cdf_complement_det(p: int, t: int, y: float) -> float | None:
     """
     gram = _hankel_gram_cached(p)
     g, ginv = gram.g, gram.ginv
-    q = np.array([chi2_upper(2 * p - 3 - 2 * k, y) for k in range(2 * t - 1)])
+    q = _chi2_upper_ladder(p, t, y)
     m = np.empty((t, t))
     for k in range(1, t + 1):
         for j in range(1, t + 1):
@@ -184,6 +199,20 @@ def _cdf_complement_det(p: int, t: int, y: float) -> float | None:
     return float(np.linalg.det(np.eye(t) - m))
 
 
+def _cdf_log_antidiagonals(p: int, t: int, half_y: float) -> np.ndarray:
+    """ln of the direct route's Hankel entries, 2^(nu/2) Gamma(nu/2)
+    P(nu/2, y/2) with nu = 2p - 3 - 2k, one per anti-diagonal k = i + j
+    (0-based) = 0 .. 2t - 2: the largest nu by one evaluation in log
+    scale, the rest by the downward recurrence."""
+    log_p = _log_lower_gamma_rungs(
+        log_regularized_gamma_lower(p - 1.5, half_y), p - 1.5, half_y, 2 * t - 1
+    )
+    log2 = math.log(2.0)
+    return np.array([
+        (p - 1.5 - k) * log2 + log_gamma(p - 1.5 - k) + lp for k, lp in enumerate(log_p)
+    ])
+
+
 def largest_sv_cdf(p: int, x: float) -> float:
     """P(sigma_1 < x): exact determinantal distribution function.
 
@@ -193,12 +222,14 @@ def largest_sv_cdf(p: int, x: float) -> float:
     elsewhere the direct t x t determinant is used.  Its entry (i, j) is
     a lower incomplete gamma with nu = 2p - 2i - 2j + 1 degrees of
     freedom, so the matrix is Hankel: the 2t - 1 distinct entries, one
-    per anti-diagonal, are formed once each in log scale (2t - 1
-    incomplete-gamma evaluations per call), and every row is
-    equilibrated by its own largest entry before the normalizer d_p
-    recombines in log domain.  The raw entries span hundreds of orders
-    of magnitude by p ~ 16, which is what the scaling and the log-domain
-    normalizer absorb.  Once x^2 overflows the value is 1.
+    per anti-diagonal, are formed once each in log scale, and every row
+    is equilibrated by its own largest entry before the normalizer d_p
+    recombines in log domain.  The complement's try costs one scalar
+    chi-square tail and the direct route one scalar lower gamma; the
+    other 2t - 2 rungs of each ladder come by recurrence.  The raw
+    entries span hundreds of orders of magnitude by p ~ 16, which is what
+    the scaling and the log-domain normalizer absorb.  Once x^2
+    overflows the value is 1.
     """
     law = spectrum_law(p)
     if not math.isfinite(x):
@@ -214,16 +245,7 @@ def largest_sv_cdf(p: int, x: float) -> float:
     complement = _cdf_complement_det(law.p, t, y)
     if complement is not None:
         return probability(complement, tol=1e-9)
-    half_y = 0.5 * y
-    log2 = math.log(2.0)
-    anti = np.empty(2 * t - 1)
-    for k in range(2 * t - 1):
-        nu = 2 * law.p - 3 - 2 * k
-        anti[k] = (
-            0.5 * nu * log2
-            + log_gamma(0.5 * nu)
-            + log_regularized_gamma_lower(0.5 * nu, half_y)
-        )
+    anti = _cdf_log_antidiagonals(law.p, t, 0.5 * y)
     i = np.arange(t)
     log_entries = anti[i[:, None] + i]  # Hankel: entry (i, j) depends on i + j only
     scales = log_entries.max(axis=1)
@@ -303,11 +325,8 @@ def largest_sv_tail_asymptotic(p: int, x: float) -> float:
     gram = hankel_gram(p)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
-    y = x * x
-    return float(sum(
-        w * chi2_upper(2 * gram.p - 3 - 2 * k, y)
-        for k, w in enumerate(gram.weights)
-    ))
+    q = _chi2_upper_ladder(gram.p, gram.t, x * x)
+    return float(sum(w * qk for w, qk in zip(gram.weights, q)))
 
 
 def standardized_sv_upper(p: int, x: float) -> float:
@@ -333,10 +352,12 @@ def standardized_sv_upper(p: int, x: float) -> float:
         )
     n = gram.p * (gram.p - 1) // 2
     y = min(x * x, 1.0)
-    raw = sum(
-        w * beta_upper(0.5 * (2 * gram.p - 3 - 2 * k), 0.5 * (n - 2 * gram.p + 3 + 2 * k), y)
-        for k, w in enumerate(gram.weights)
-    )
+    # weight k multiplies 1 - I_y(a_k, b_k), a_k = p - 3/2 - k, a_k + b_k = n/2;
+    # the ladder climbs from the smallest tail, k = 2t - 2
+    a = gram.p - 1.5 - (2 * gram.t - 2)
+    b = 0.5 * n - a
+    tails = _beta_upper_rungs(beta_upper(a, b, y), a, b, y, 2 * gram.t - 1)
+    raw = sum(w * u for w, u in zip(gram.weights, tails[::-1]))
     return probability(float(raw), tol=1e-10)
 
 

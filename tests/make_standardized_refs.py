@@ -8,11 +8,15 @@ The weights alternate in sign and reach 1e25 at p = 59, so the sum
 cancels deeply: at 120 digits it goes negative from p = 32 at x = 0.9,
 at 200 digits it is wrong from p = 40, and at 400 digits it reads
 4.7e-380 at p = 59, x = 0.9, where the value is 1.6e-476.  Each value
-is therefore recomputed at 700 digits and must agree to 30 digits.
+is therefore recomputed 100 digits finer and must agree to 30 digits.
+Nearer x = 1 the value shrinks faster than the terms: at p = 59 and
+60, x = 0.99 it lies below 1e-1200 and 600 digits leave only the
+cancellation noise, so a point that fails the check is recomputed at
+the next precision in DIGITS.
 The x values are the doubles the library is called with, and x^2 is
 taken exactly.
 
-Run from the repository root (about 20 s):
+Run from the repository root (about a minute):
 
     PYTHONPATH=src python tests/make_standardized_refs.py
 """
@@ -25,9 +29,9 @@ import mpmath
 
 from oracles import hankel_inverse_exact
 
-ORDERS = (24, 32, 40, 48, 59)
-POINTS = (1.0 / math.sqrt(2.0), 0.8, 0.9)
-DIGITS = 600
+ORDERS = (24, 27, 32, 40, 45, 48, 59, 60)
+POINTS = (1.0 / math.sqrt(2.0), 0.8, 0.9, 0.95, 0.99)
+DIGITS = (600, 1000, 1600, 2400)
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "standardized_refs.json")
 
 
@@ -43,23 +47,31 @@ def reference(weights: list, p: int, x: float) -> mpmath.mpf:
     return total
 
 
+def converged(weights: list, p: int, x: float) -> tuple[mpmath.mpf, int]:
+    """The reference at the first precision in DIGITS that a run 100
+    digits finer confirms to 30 digits, and that precision."""
+    for digits in DIGITS:
+        with mpmath.workdps(digits):
+            value = reference(weights, p, x)
+            with mpmath.workdps(digits + 100):
+                check = reference(weights, p, x)
+            if abs(check - value) <= mpmath.mpf(10) ** -30 * abs(check):
+                return value, digits
+    raise ArithmeticError(f"p={p}, x={x}: {DIGITS[-1]} digits do not suffice")
+
+
 def main() -> None:
     rows = []
-    with mpmath.workdps(DIGITS):
-        for p in ORDERS:
-            _, _, weights = hankel_inverse_exact(p)
-            for x in POINTS:
-                value = reference(weights, p, x)
-                with mpmath.workdps(DIGITS + 100):
-                    check = reference(weights, p, x)
-                if abs(check - value) > mpmath.mpf(10) ** -30 * abs(check):
-                    raise ArithmeticError(f"p={p}, x={x}: {DIGITS} digits do not suffice")
-                text = mpmath.nstr(value, 25, min_fixed=1, max_fixed=0)
-                rows.append({"p": p, "x": x, "value": text})
+    for p in ORDERS:
+        _, _, weights = hankel_inverse_exact(p)
+        for x in POINTS:
+            value, digits = converged(weights, p, x)
+            text = mpmath.nstr(value, 25, min_fixed=1, max_fixed=0)
+            rows.append({"p": p, "x": x, "value": text, "digits": digits})
     doc = {
         "about": "P(sigma_1 / sqrt(sum sigma_i^2) > x): exact tube weights times "
-                 f"mpmath betainc at {DIGITS} digits; regenerate with "
-                 "PYTHONPATH=src python tests/make_standardized_refs.py",
+                 "mpmath betainc at the stated digits (confirmed 100 digits finer); "
+                 "regenerate with PYTHONPATH=src python tests/make_standardized_refs.py",
         "references": rows,
     }
     with open(OUT, "w") as fh:

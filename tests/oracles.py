@@ -13,10 +13,13 @@ computes in closed form.
 * :func:`regularized_gamma_lower` and :func:`chi2_lower` are the linear
   lower tails that :func:`skewtail.specfun.log_regularized_gamma_lower`
   and :func:`skewtail.specfun.chi2_upper` are checked against;
-* :func:`direct_cdf_entrywise` is the direct route of
-  :func:`skewtail.rmtdist.largest_sv_cdf` with every one of the t^2
-  determinant entries evaluated on its own, which the Hankel route
-  (one evaluation per anti-diagonal) must reproduce bit for bit.
+* :func:`direct_log_entries_entrywise` evaluates every one of the t^2
+  log-entries of :func:`skewtail.rmtdist.largest_sv_cdf`'s direct route
+  by its own scalar lower-gamma call, which the library's anti-diagonal
+  ladder (one scalar evaluation plus a recurrence) must reproduce to
+  2e-13; :func:`direct_cdf_of_log_entries` is that route's equilibrated
+  determinant and normalizer, and :func:`direct_cdf_entrywise` the two
+  together.
 """
 
 import math
@@ -53,14 +56,10 @@ def chi2_lower(nu: float, y: float) -> float:
     return probability(1.0 - chi2_upper(nu, y))
 
 
-def direct_cdf_entrywise(p: int, x: float) -> float:
-    """The direct-route value of P(sigma_1 < x) at order p and x > 0, its
-    t x t log-entries filled one (i, j) at a time, rows equilibrated and
-    recombined with the normalizer d_p in log domain.
-
-    The value is not clipped to 1, so an overshoot of the direct formula
-    near saturation stays visible; 0.0 stands for a non-positive
-    equilibrated determinant."""
+def direct_log_entries_entrywise(p: int, x: float) -> np.ndarray:
+    """The direct route's t x t log-entries at order p and x > 0, entry
+    (i, j) = ln(2^(nu/2) Gamma(nu/2) P(nu/2, x^2/2)) with
+    nu = 2p - 2i - 2j + 1, each from its own scalar evaluation."""
     t = p // 2
     half_y = 0.5 * (x * x)
     log2 = math.log(2.0)
@@ -73,6 +72,16 @@ def direct_cdf_entrywise(p: int, x: float) -> float:
                 + log_gamma(0.5 * nu)
                 + log_regularized_gamma_lower(0.5 * nu, half_y)
             )
+    return log_entries
+
+
+def direct_cdf_of_log_entries(p: int, log_entries: np.ndarray) -> float:
+    """The direct-route value of P(sigma_1 < x) from its t x t log-entries:
+    rows equilibrated, recombined with the normalizer d_p in log domain.
+
+    The value is not clipped to 1, so an overshoot of the direct formula
+    near saturation stays visible; 0.0 stands for a non-positive
+    equilibrated determinant."""
     scales = log_entries.max(axis=1)
     if not np.all(np.isfinite(scales)):
         return 0.0
@@ -81,6 +90,12 @@ def direct_cdf_entrywise(p: int, x: float) -> float:
         return 0.0
     _, log_dp = _log_constants(p)
     return math.exp(log_dp + float(scales.sum()) + math.log(det))
+
+
+def direct_cdf_entrywise(p: int, x: float) -> float:
+    """The direct-route value of P(sigma_1 < x), unclipped, with every
+    log-entry from its own scalar evaluation."""
+    return direct_cdf_of_log_entries(p, direct_log_entries_entrywise(p, x))
 
 
 def _band_factorization(delta: float, t: int):

@@ -65,6 +65,16 @@ class TestSkewMatrix:
         with pytest.raises(DomainError):
             SkewMatrix.from_full(np.eye(3))
 
+    def test_from_full_tolerance_is_relative(self):
+        # tol bounds max |a + a'| relative to max |a|: a symmetric matrix of
+        # tiny entries is rejected, rounding-level asymmetry of a 1e+6-scaled
+        # matrix is accepted
+        with pytest.raises(DomainError, match="skew"):
+            SkewMatrix.from_full(np.full((3, 3), 1e-10))
+        full = 1e6 * np.array([[0.0, 3.0, -1.0], [-3.0, 0.0, 2.0], [1.0, -2.0, 0.0]])
+        full[0, 1] *= 1.0 + 8 * np.finfo(float).eps
+        assert SkewMatrix.from_full(full).upper[0] == full[0, 1]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_from_full_rejects_non_finite(self, bad):
         full = np.zeros((3, 3))

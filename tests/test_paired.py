@@ -113,6 +113,15 @@ class TestScoreSheet:
         with pytest.raises(DataError, match=r"y\[2,3\]"):
             SkewObservations(m=3, y=y)
 
+    def test_skew_check_is_relative_to_the_largest_entry(self):
+        # as read_skew_matrix's: a symmetric y of tiny entries is rejected,
+        # rounding-level asymmetry of a 1e+6-scaled y is accepted
+        with pytest.raises(DataError, match="skew"):
+            SkewObservations(m=3, y=np.full((3, 3), 1e-13))
+        y = 1e6 * np.array([[0.0, 3.0, -1.0], [-3.0, 0.0, 2.0], [1.0, -2.0, 0.0]])
+        y[0, 1] *= 1.0 + 8 * np.finfo(float).eps
+        assert SkewObservations(m=3, y=y).y[0, 1] == y[0, 1]
+
     def test_out_of_range_rejected(self):
         r = np.zeros((3, 3), dtype=int)
         r[0, 1], r[1, 0] = 9, -4

@@ -11,9 +11,10 @@ import pytest
 from scipy import integrate
 
 from skewtail.errors import DomainError, ExcludedPointError, ValidityError
-from skewtail.specfun import log_regularized_gamma_lower
+from skewtail.specfun import beta_upper, chi2_upper, log_regularized_gamma_lower
 from skewtail.rmtdist import (
     CRITICAL_POINT,
+    _cdf_log_antidiagonals,
     critical_radius_objective,
     euler_characteristic,
     hankel_gram,
@@ -30,6 +31,8 @@ from oracles import (
     _band_factorization,
     critical_radius_search,
     direct_cdf_entrywise,
+    direct_cdf_of_log_entries,
+    direct_log_entries_entrywise,
     hankel_inverse_exact,
     hankel_inverse_oracle,
 )
@@ -55,6 +58,21 @@ def volume_U_recurrence(p: int) -> float:
         return 2.0
     grass = 2.0 * sphere_area(p) * sphere_area(p - 1) / (sphere_area(2) * sphere_area(1))
     return grass * volume_U_recurrence(p - 2)
+
+
+def count_gamma_loops(monkeypatch) -> list:
+    """Record the order s of every incomplete-gamma series or continued
+    fraction specfun runs: one entry per scalar evaluation."""
+    from skewtail import specfun
+
+    loops = []
+    for name in ("_lower_gamma_series", "_upper_gamma_cf"):
+        def counted(s, x, loop=getattr(specfun, name)):
+            loops.append(s)
+            return loop(s, x)
+
+        monkeypatch.setattr(specfun, name, counted)
+    return loops
 
 
 def chi3_cdf(x: float) -> float:
@@ -209,18 +227,30 @@ class TestLargestSvCdf:
 
     @pytest.mark.parametrize("p", range(2, 61))
     def test_hankel_route_is_bit_identical_to_entrywise(self, p, monkeypatch):
-        # one log-entry per anti-diagonal, indexed by i + j, is the same
-        # scalar arithmetic as filling all t^2 entries one by one; the
-        # complement route is switched off, so every x takes the direct one,
-        # which clips its value at 1
+        # the 2t - 1 anti-diagonal log-entries come from one scalar lower
+        # gamma and a recurrence, so they match the t^2 entries evaluated
+        # one by one to 2e-13, not bit for bit.  The CDF value cannot carry
+        # a tolerance (the Hankel determinant is ill-conditioned), so the
+        # entrywise determinant of the library's own entries (entry (i, j)
+        # has nu = 2p - 2i - 2j + 1, anti-diagonal i + j - 2) must reproduce
+        # it bit for bit.  The complement route is switched off, so every x
+        # takes the direct one, which clips its value at 1.
         from skewtail import rmtdist
 
         monkeypatch.setattr(rmtdist, "_cdf_complement_det", lambda *args: None)
+        t = p // 2
         for x in np.linspace(0.0, 2.0 * math.sqrt(p) + 4.0, 10)[1:]:
-            assert largest_sv_cdf(p, x) == min(1.0, direct_cdf_entrywise(p, x))
+            anti = _cdf_log_antidiagonals(p, t, 0.5 * x * x)
+            placed = np.array([[anti[i + j - 2] for j in range(1, t + 1)] for i in range(1, t + 1)])
+            assert np.max(np.abs(placed - direct_log_entries_entrywise(p, x))) <= 2e-13
+            assert largest_sv_cdf(p, x) == min(1.0, direct_cdf_of_log_entries(p, placed))
 
     @pytest.mark.parametrize("p, x", [(4, 1.0), (5, 2.0), (10, 3.0), (33, 10.0), (59, 8.0)])
     def test_one_incomplete_gamma_per_anti_diagonal(self, p, x, monkeypatch):
+        # one lower-gamma value per anti-diagonal, and of those only the
+        # largest order, s = p - 3/2, is a scalar evaluation (one series or
+        # continued fraction); the other 2t - 2 come from the recurrence.
+        # Before it, the complement route's try costs one chi-square tail.
         from skewtail import rmtdist
 
         calls = []
@@ -232,9 +262,34 @@ class TestLargestSvCdf:
         monkeypatch.setattr(rmtdist, "log_regularized_gamma_lower", counted)
         t = p // 2
         assert rmtdist._cdf_complement_det(p, t, x * x) is None
+        loops = count_gamma_loops(monkeypatch)
         assert 0.0 <= largest_sv_cdf(p, x) <= 1.0
-        assert len(calls) == 2 * t - 1
-        assert sorted(calls) == [p - 1.5 - k for k in range(2 * t - 2, -1, -1)]
+        assert calls == [p - 1.5]
+        assert loops == [p - 1.5 - (2 * t - 2), p - 1.5]
+        assert len(rmtdist._cdf_log_antidiagonals(p, t, 0.5 * x * x)) == 2 * t - 1
+
+    @pytest.mark.parametrize("p, x", [(4, 3.0), (5, 4.0), (10, 6.0), (16, 8.0), (33, 12.0), (59, 15.0)])
+    @pytest.mark.parametrize("law", ["complement", "tail_asymptotic"])
+    def test_one_chi2_tail_per_call(self, p, x, law, monkeypatch):
+        # the complement route and the tail expansion climb their 2t - 1
+        # chi-square tails from the smallest nu, the only scalar evaluation
+        from skewtail import rmtdist
+
+        calls = []
+
+        def counted(nu, y):
+            calls.append(nu)
+            return chi2_upper(nu, y)
+
+        monkeypatch.setattr(rmtdist, "chi2_upper", counted)
+        loops = count_gamma_loops(monkeypatch)
+        if law == "complement":
+            rmtdist._cdf_complement_det(p, p // 2, x * x)
+        else:
+            largest_sv_tail_asymptotic(p, x)
+        smallest = 2 * p - 3 - 2 * (2 * (p // 2) - 2)
+        assert calls == [smallest]
+        assert loops == [smallest / 2]
 
     def test_overflowing_square_gives_one(self):
         assert largest_sv_cdf(10, 1e154) == 1.0  # x^2 = 1e308 is still finite
@@ -369,8 +424,6 @@ class TestTailAsymptotic:
     def test_leading_term_dominates(self, p):
         # value / (w_0 * leading chi-square tail) -> 1 as x grows, with an
         # O(1/x^2) correction; doubling x^2 should halve the distance to 1
-        from skewtail.specfun import chi2_upper
-
         gram = hankel_gram(p)
 
         def ratio_minus_one(y):
@@ -401,9 +454,17 @@ class TestTailAsymptotic:
             if 1e-8 <= exact <= 1e-3:
                 assert largest_sv_tail_asymptotic(p, x) == pytest.approx(exact, rel=0.02)
 
-    def test_matches_elementwise_double_sum(self):
-        from skewtail.specfun import chi2_upper
+    @pytest.mark.parametrize("p", range(4, 61))
+    def test_ladder_matches_per_rung_sum(self, p):
+        # the weights alternate in sign, so the sum may cancel: the bound is
+        # relative to sum |w_k q_k|, not to the sum itself
+        gram = hankel_gram(p)
+        for x in np.linspace(0.25, 3.0 * math.sqrt(p) + 4.0, 12):
+            terms = [w * chi2_upper(2 * p - 3 - 2 * k, x * x) for k, w in enumerate(gram.weights)]
+            scale = sum(abs(v) for v in terms)
+            assert abs(largest_sv_tail_asymptotic(p, x) - sum(terms)) <= 1e-13 * scale
 
+    def test_matches_elementwise_double_sum(self):
         p, x = 7, 3.0
         gram = hankel_gram(p)
         direct = sum(
@@ -446,8 +507,6 @@ class TestStandardizedUpper:
         assert all(u >= v - 1e-12 for u, v in zip(vals, vals[1:]))
 
     def test_matches_elementwise_double_sum(self):
-        from skewtail.specfun import beta_upper
-
         p, x = 9, 0.8
         gram = hankel_gram(p)
         n = p * (p - 1) // 2
@@ -474,6 +533,30 @@ class TestStandardizedUpper:
             assert abs(got - exact) <= 1e-10 * exact
         else:
             assert abs(got - exact) <= 1e-290
+
+    @pytest.mark.parametrize("p, x", [(4, 0.75), (5, 0.9), (9, 0.8), (24, CRITICAL_POINT), (59, 0.95)])
+    def test_one_beta_tail_per_call(self, p, x, monkeypatch):
+        # the 2t - 1 beta tails climb from the smallest, a = p - 3/2 - (2t - 2),
+        # the only one evaluated as a scalar (one continued fraction)
+        from skewtail import rmtdist, specfun
+
+        calls, betas = [], []
+
+        def counted(a, b, y):
+            calls.append((a, b))
+            return beta_upper(a, b, y)
+
+        def counted_beta(a, b, y, regularized_beta=specfun.regularized_beta):
+            betas.append((a, b))
+            return regularized_beta(a, b, y)
+
+        monkeypatch.setattr(rmtdist, "beta_upper", counted)
+        monkeypatch.setattr(specfun, "regularized_beta", counted_beta)
+        standardized_sv_upper(p, x)
+        a = p - 1.5 - (2 * (p // 2) - 2)
+        b = p * (p - 1) / 4 - a
+        assert calls == [(a, b)]
+        assert betas == [(b, a)]
 
     def test_validity_error_distinct_from_domain_error(self):
         with pytest.raises(ValidityError):
