@@ -28,6 +28,7 @@ from .mc import (
     ks_distance,
     sample_skew_gaussian,
     sample_spectra,
+    sample_tops,
     singular_values,
     top_plane,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "residual_embedding",
     "sample_skew_gaussian",
     "sample_spectra",
+    "sample_tops",
     "scheffe_fit",
     "signed_area",
     "simulate_null_largest_sv",

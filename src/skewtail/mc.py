@@ -44,6 +44,8 @@ _BLOCK = 1024
 #: to max |a_ij| in [1/2, 1).  Scaling only those keeps the common case free
 #: of a copy of the batch.
 _SCALE_WINDOW = 400
+#: Samples per chunk of :func:`ks_distance`'s CDF evaluation and gaps.
+_KS_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -381,6 +383,18 @@ def sample_spectra(p: int, count: int, seed: int, threads: int | None = None) ->
     return _map_blocks(lambda s, e: spectra_from_uppers(rows(s, e), p), count, p // 2, threads)
 
 
+def sample_tops(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
+    """(sigma_1, sum sigma^2) of ``count`` seeded samples, shape (count, 2): bit for bit
+    column 0 and the row sums of squares of :func:`sample_spectra`, one block held at a time."""
+    _, rows = _sampler(p, count, seed)
+
+    def tops(s: int, e: int) -> np.ndarray:
+        sigma = spectra_from_uppers(rows(s, e), p)
+        return np.column_stack((sigma[:, 0], np.sum(sigma**2, axis=1)))
+
+    return _map_blocks(tops, count, 2, threads)
+
+
 class SkewEigen:
     """One eigen-solve of A'A for a skew-symmetric A: its paired spectrum
     and the eigenvectors, in ascending eigenvalue order.  A is solved
@@ -463,7 +477,7 @@ def ks_distance(samples, cdf: Callable[[float], float], degree: int | None = 128
     exact CDF to about 1e-12 for orders p <= 10, and from p ~ 20 its
     error is bounded by the CDF's own evaluation error rather than by
     the interpolation.  Pass ``degree=None`` to evaluate the CDF at
-    every sample.
+    every sample; either is read ``_KS_CHUNK`` sorted samples at a time.
     """
     if degree is not None and degree < 1:
         raise DomainError(f"Chebyshev degree must be >= 1, got {degree!r}")
@@ -473,14 +487,14 @@ def ks_distance(samples, cdf: Callable[[float], float], degree: int | None = 128
         raise DomainError("ks_distance requires at least one sample")
     if not np.all(np.isfinite(s)):
         raise DomainError("ks_distance requires finite samples")
-    if degree is None or s[0] == s[-1]:
-        f = np.array([cdf(x) for x in s])
-    else:
+    law = lambda xs: np.array([cdf(x) for x in xs])  # noqa: E731
+    if degree is not None and s[0] != s[-1]:
         from numpy.polynomial import Chebyshev  # deferred: keeps it out of `import skewtail`
 
-        law = Chebyshev.interpolate(
-            lambda xs: np.array([cdf(x) for x in xs]), int(degree), domain=[s[0], s[-1]]
-        )
-        f = law(s)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+        law = Chebyshev.interpolate(law, int(degree), domain=[s[0], s[-1]])
+    gap = -math.inf
+    for start in range(0, n, _KS_CHUNK):  # elementwise, so chunking changes no bit
+        f = law(s[start:start + _KS_CHUNK])
+        i = np.arange(start + 1, start + f.size + 1)
+        gap = max(gap, np.max(i / n - f), np.max(f - (i - 1) / n))
+    return float(gap)

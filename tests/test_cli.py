@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -147,6 +148,20 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--p", "10", "--samples", "20000")
         assert code == 0 and "overall: PASS" in out
         assert len(calls) <= 132
+
+    def test_traced_memory_peak_below_10_mb(self, capsys):
+        # 16 bytes per sample for (sigma1, sum sigma^2), plus the sorted and
+        # ratio copies: the full spectra and a full-length interpolant's
+        # temporaries (about 19 MB at 2e5 samples) would not fit in 10 MB
+        run_cli(capsys, "validate", "--p", "10", "--samples", "20000")  # warm-up
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "validate", "--p", "10", "--samples", "200000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "overall: PASS" in out
+        assert peak < 10e6
 
 
 class TestAnalyze:

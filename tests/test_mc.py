@@ -20,6 +20,7 @@ from skewtail.mc import (
     sample_skew_gaussian,
     sample_skew_gaussian_at,
     sample_spectra,
+    sample_tops,
     sample_uppers,
     singular_values,
     top_plane,
@@ -172,6 +173,18 @@ class TestSampleLayout:
             assert np.array_equal(u, uppers[0])
             assert np.array_equal(s, spectra[0])
         assert np.array_equal(spectra[0], mc.spectra_from_uppers(uppers[0], 4))
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 10])
+    def test_tops_equal_spectra_column_and_energy(self, monkeypatch, p):
+        # eight CPUs, so only the number of blocks clamps the thread count
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        for count in (1, mc._BLOCK, mc._BLOCK + 1):
+            spectra = sample_spectra(p, count, seed=p)
+            for threads in (None, 2, 4):
+                tops = sample_tops(p, count, seed=p, threads=threads)
+                assert tops.shape == (count, 2)
+                assert np.array_equal(tops[:, 0], spectra[:, 0])
+                assert np.array_equal(tops[:, 1], np.sum(spectra**2, axis=1))
 
     def test_sample_spectra_holds_one_block_of_uppers(self, monkeypatch):
         # 64 small blocks: the whole run's upper triangles would take 5.9 MB
@@ -422,6 +435,24 @@ class TestKsDistance:
         rng = np.random.default_rng(5)
         samples = np.abs(rng.standard_normal(5000)) * 2.0
         assert ks_distance(samples, lambda x: math.erf(x / math.sqrt(2.0))) > 0.2
+
+    @pytest.mark.parametrize(
+        "n", [1000, mc._KS_CHUNK - 1, mc._KS_CHUNK, mc._KS_CHUNK + 1, 200_000]
+    )
+    def test_chunked_equals_one_shot(self, n):
+        from numpy.polynomial import Chebyshev
+
+        def cdf(x):
+            return math.erf(x / math.sqrt(2.0))
+
+        s = np.sort(np.abs(np.random.default_rng(n).standard_normal(n)))
+        law = Chebyshev.interpolate(
+            lambda xs: np.array([cdf(x) for x in xs]), 128, domain=[s[0], s[-1]]
+        )
+        f = law(s)
+        i = np.arange(1, n + 1)
+        one_shot = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+        assert ks_distance(s[::-1], cdf) == one_shot
 
     def test_identical_samples_use_the_exact_cdf(self):
         assert ks_distance([0.5] * 4, lambda x: 0.25) == pytest.approx(0.75)
