@@ -20,13 +20,11 @@ from .errors import (
     ValidityError,
 )
 from .mc import (
-    SampleStream,
     SingularSpectrum,
     SkewMatrix,
     TopPlane,
     empirical_upper,
     ks_distance,
-    sample_skew_gaussian,
     sample_spectra,
     sample_tops,
     singular_values,
@@ -48,7 +46,6 @@ from .paired import (
     residual_embedding,
     scheffe_fit,
     signed_area,
-    simulate_null_largest_sv,
     variance_stabilize,
 )
 from .rmtdist import (
@@ -78,7 +75,6 @@ __all__ = [
     "HankelGram",
     "MultiplicityError",
     "PairingError",
-    "SampleStream",
     "ScheffeFit",
     "ScoreSheet",
     "SingularSpectrum",
@@ -110,12 +106,10 @@ __all__ = [
     "max_deadlock",
     "normalizing_constants",
     "residual_embedding",
-    "sample_skew_gaussian",
     "sample_spectra",
     "sample_tops",
     "scheffe_fit",
     "signed_area",
-    "simulate_null_largest_sv",
     "singular_values",
     "spectrum_law",
     "standardized_sv_upper",

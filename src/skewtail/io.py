@@ -72,9 +72,10 @@ def read_score_sheet_csv(path, n_games: int) -> ScoreSheet:
                 continue
             try:
                 r[i - 1, j - 1] = int(cell)
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise DataError(
-                    f"{path}: row {i + 1}, column {j + 1}: {cell!r} is not an integer win count"
+                    f"{path}: row {i + 1}, column {j + 1}: {cell!r} is not an integer "
+                    "win count below 2^63"
                 ) from None
     try:
         return ScoreSheet(m=m, names=names, n_games=n_games, r=r)

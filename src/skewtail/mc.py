@@ -44,6 +44,8 @@ _BLOCK = 1024
 #: to max |a_ij| in [1/2, 1).  Scaling only those keeps the common case free
 #: of a copy of the batch.
 _SCALE_WINDOW = 400
+#: Degree of :func:`ks_distance`'s Chebyshev interpolant of the CDF.
+_KS_DEGREE = 128
 #: Samples per chunk of :func:`ks_distance`'s CDF evaluation and gaps.
 _KS_CHUNK = 1 << 14
 
@@ -115,47 +117,11 @@ def _triangle(p: int) -> int:
     return p * (p - 1) // 2
 
 
-class SampleStream:
-    """Counter-based random stream handle.
-
-    Sequential draws advance an internal sample index; any index can
-    also be addressed directly (:meth:`normals`), which is what batched
-    and threaded consumers use.  A single handle must not be shared
-    between threads mid-draw: share the seed and address indices instead.
-    """
-
-    def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-        self.seed = int(seed)
-        self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
-        self._next_index = 0
-
-    @property
-    def key(self) -> np.ndarray:
-        return self._key.copy()
-
-    def take_index(self) -> int:
-        i = self._next_index
-        self._next_index += 1
-        return i
-
-    def normals(self, index: int, count: int) -> np.ndarray:
-        """Row ``index % 256`` of the (256, count) block of sample ``index``:
-        ``normals(i, 10)`` is not a prefix of ``normals(i, 15)``."""
-        if index < 0:
-            raise DomainError(f"sample index must be >= 0, got {index}")
-        return _rows(self._key, index, index + 1, count)[0]
-
-
-def sample_skew_gaussian(p: int, stream: SampleStream) -> SkewMatrix:
-    """Draw the next skew-symmetric Gaussian matrix from the stream."""
-    return sample_skew_gaussian_at(p, stream, stream.take_index())
-
-
-def sample_skew_gaussian_at(p: int, stream: SampleStream, index: int) -> SkewMatrix:
-    """The matrix of sample ``index``: pure in (seed, p, index)."""
-    return SkewMatrix(p=p, upper=stream.normals(index, _triangle(p)))
+def _key(seed: int) -> np.ndarray:
+    """The Philox key of ``seed``: two 64-bit words of its SeedSequence state."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
 
 
 def _rows(key: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
@@ -171,15 +137,21 @@ def _rows(key: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
     return np.concatenate(blocks)[start - skip:stop - skip]
 
 
-def _map_blocks(fn, count: int, width: int, threads: int | None) -> np.ndarray:
-    """A (count, width) array whose rows [s, e) are ``fn(s, e)``, one block
-    of ``_BLOCK`` rows at a time, on at most min(threads, CPU count,
-    number of blocks) threads."""
+def _sample_blocks(p: int, count: int, seed: int, threads: int | None, width: int,
+                   per_block: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """A (count, width) array whose rows [s, e) are ``per_block`` of the
+    upper triangles of samples [s, e), drawn one block of ``_BLOCK``
+    samples at a time on at most min(threads, CPU count, number of
+    blocks) threads."""
+    n = _triangle(p)
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+    key = _key(seed)
     out = np.empty((count, width))
     starts = range(0, count, _BLOCK)
 
     def fill(s: int) -> None:
-        out[s:s + _BLOCK] = fn(s, min(s + _BLOCK, count))
+        out[s:s + _BLOCK] = per_block(_rows(key, s, min(s + _BLOCK, count), n))
 
     workers = min(threads or 1, os.cpu_count() or 1, len(starts))
     if workers <= 1:
@@ -191,21 +163,10 @@ def _map_blocks(fn, count: int, width: int, threads: int | None) -> np.ndarray:
     return out
 
 
-def _sampler(p: int, count: int, seed: int):
-    """Checks a sampling run's arguments; returns the row width and the
-    function (s, e) -> upper triangles of samples [s, e)."""
-    n = _triangle(p)
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    key = SampleStream(seed).key
-    return n, lambda s, e: _rows(key, s, e, n)
-
-
 def sample_uppers(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
-    """Upper triangles of ``count`` samples, shape (count, p(p-1)/2); row i
-    equals ``SampleStream(seed).normals(i, n)`` for any count and thread count."""
-    n, rows = _sampler(p, count, seed)
-    return _map_blocks(rows, count, n, threads)
+    """Upper triangles of samples 0 .. count - 1, shape (count, p(p-1)/2);
+    sample i is the same for any count and thread count."""
+    return _sample_blocks(p, count, seed, threads, _triangle(p), lambda u: u)
 
 
 def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
@@ -363,8 +324,12 @@ def spectra_from_uppers(uppers: np.ndarray, p: int) -> np.ndarray:
     """Batched singular spectra of a (B, p(p-1)/2) array of upper
     triangles, shape (B, p // 2), descending along axis 1; the route,
     its accuracy and its checks are those of :func:`spectra_of_matrices`,
-    on a stack built batch last."""
-    u = np.ascontiguousarray(np.atleast_2d(np.asarray(uppers, dtype=float)).T)
+    on a stack built batch last.  Raises :class:`DomainError` unless the
+    rows have width p(p-1)/2."""
+    u = np.atleast_2d(np.asarray(uppers, dtype=float))
+    if u.ndim != 2 or u.shape[1] != _triangle(p):
+        raise DomainError(f"order {p} needs rows of width {_triangle(p)}, got shape {u.shape}")
+    u = np.ascontiguousarray(u.T)
     a = np.empty((p, p, u.shape[1]))
     start = 0
     for i in range(p):
@@ -379,20 +344,17 @@ def spectra_from_uppers(uppers: np.ndarray, p: int) -> np.ndarray:
 def sample_spectra(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
     """Singular spectra of ``count`` seeded samples, shape (count, t); each
     block of samples is drawn and solved in one pass."""
-    _, rows = _sampler(p, count, seed)
-    return _map_blocks(lambda s, e: spectra_from_uppers(rows(s, e), p), count, p // 2, threads)
+    return _sample_blocks(p, count, seed, threads, p // 2, lambda u: spectra_from_uppers(u, p))
 
 
 def sample_tops(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
     """(sigma_1, sum sigma^2) of ``count`` seeded samples, shape (count, 2): bit for bit
     column 0 and the row sums of squares of :func:`sample_spectra`, one block held at a time."""
-    _, rows = _sampler(p, count, seed)
-
-    def tops(s: int, e: int) -> np.ndarray:
-        sigma = spectra_from_uppers(rows(s, e), p)
+    def tops(uppers: np.ndarray) -> np.ndarray:
+        sigma = spectra_from_uppers(uppers, p)
         return np.column_stack((sigma[:, 0], np.sum(sigma**2, axis=1)))
 
-    return _map_blocks(tops, count, 2, threads)
+    return _sample_blocks(p, count, seed, threads, 2, tops)
 
 
 class SkewEigen:
@@ -466,21 +428,16 @@ def binomial_standard_error(fraction: float, count: int) -> float:
     return math.sqrt(fraction * (1.0 - fraction) / count)
 
 
-def ks_distance(samples, cdf: Callable[[float], float], degree: int | None = 128) -> float:
+def ks_distance(samples, cdf: Callable[[float], float]) -> float:
     """Kolmogorov-Smirnov distance between an empirical sample and a CDF.
 
-    With ``degree`` set (the default), the CDF is evaluated exactly at
-    the ``degree + 1`` Chebyshev points of the sample range and the
-    Chebyshev interpolant through them is evaluated at every sample.  A
-    smooth CDF such as the sigma_1 law is analytic there, so the
-    interpolant converges geometrically: at degree 128 it matches the
-    exact CDF to about 1e-12 for orders p <= 10, and from p ~ 20 its
-    error is bounded by the CDF's own evaluation error rather than by
-    the interpolation.  Pass ``degree=None`` to evaluate the CDF at
-    every sample; either is read ``_KS_CHUNK`` sorted samples at a time.
+    The CDF is evaluated at the ``_KS_DEGREE + 1`` Chebyshev points of the
+    sample range (at the samples if all are equal), and its interpolant is
+    read at every sample, ``_KS_CHUNK`` sorted samples at a time.  For the
+    sigma_1 law that matches the exact CDF to about 1e-12 for p <= 10; from
+    p ~ 20 the error is that of the CDF's own evaluation.  Raises
+    :class:`DomainError` for a non-finite sample or CDF value.
     """
-    if degree is not None and degree < 1:
-        raise DomainError(f"Chebyshev degree must be >= 1, got {degree!r}")
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
@@ -488,13 +445,15 @@ def ks_distance(samples, cdf: Callable[[float], float], degree: int | None = 128
     if not np.all(np.isfinite(s)):
         raise DomainError("ks_distance requires finite samples")
     law = lambda xs: np.array([cdf(x) for x in xs])  # noqa: E731
-    if degree is not None and s[0] != s[-1]:
+    if s[0] != s[-1]:
         from numpy.polynomial import Chebyshev  # deferred: keeps it out of `import skewtail`
 
-        law = Chebyshev.interpolate(law, int(degree), domain=[s[0], s[-1]])
+        law = Chebyshev.interpolate(law, _KS_DEGREE, domain=[s[0], s[-1]])
     gap = -math.inf
     for start in range(0, n, _KS_CHUNK):  # elementwise, so chunking changes no bit
         f = law(s[start:start + _KS_CHUNK])
+        if not np.all(np.isfinite(f)):  # a non-finite node spoils every interpolated value
+            raise DomainError("ks_distance requires a CDF that is finite on the sample range")
         i = np.arange(start + 1, start + f.size + 1)
         gap = max(gap, np.max(i / n - f), np.max(f - (i - 1) / n))
     return float(gap)

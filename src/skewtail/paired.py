@@ -419,27 +419,3 @@ def build_report(
         deadlock_value=value,
         embedding=_embedding(eigen) if sv_stat > 0.0 else None,
     )
-
-
-def simulate_null_largest_sv(
-    m: int, count: int, seed: int, threads: int | None = None
-) -> np.ndarray:
-    """Null-hypothesis simulation of sigma_1(gamma_hat).
-
-    Draws pure-noise observations y = eps (i.i.d. standard normal upper
-    triangles) through the counter-based stream contract, fits each one,
-    and returns the largest singular values of the residuals.  Their
-    empirical law should match the exact order-(m-1) distribution.
-    Each block of samples is drawn, fitted and solved in one pass.
-    """
-    if m < 3:
-        raise DomainError(f"need m >= 3, got {m}")
-    _, rows = mc._sampler(m, count, seed)
-
-    def sigma1(s: int, e: int) -> np.ndarray:
-        y = mc.uppers_to_full(rows(s, e), m)
-        alpha = y.sum(axis=2) / m
-        gamma = y - (alpha[:, :, None] - alpha[:, None, :])
-        return mc.spectra_of_matrices(gamma)[:, :1]
-
-    return mc._map_blocks(sigma1, count, 1, threads)[:, 0]

@@ -19,7 +19,10 @@ computes in closed form.
   ladder (one scalar evaluation plus a recurrence) must reproduce to
   2e-13; :func:`direct_cdf_of_log_entries` is that route's equilibrated
   determinant and normalizer, and :func:`direct_cdf_entrywise` the two
-  together.
+  together;
+* :func:`simulate_null_largest_sv` fits pure-noise Scheffe observations
+  and returns the largest singular values of their residuals, whose law
+  must be the exact one of order m - 1.
 """
 
 import math
@@ -27,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from skewtail import mc
 from skewtail.errors import DomainError
 from skewtail.rmtdist import _log_constants
 from skewtail.specfun import (
@@ -222,3 +226,25 @@ def critical_radius_search(count: int, seed: int, exclude_tol: float = 1e-3) -> 
     if best_R is None:
         raise ArithmeticError("every sampled matrix fell inside the excluded set")
     return best_val, best_R
+
+
+def simulate_null_largest_sv(m: int, count: int, seed: int) -> np.ndarray:
+    """Null-hypothesis simulation of sigma_1(gamma_hat).
+
+    Draws pure-noise observations y = eps (i.i.d. standard normal upper
+    triangles, sample i of ``seed`` as in :mod:`skewtail.mc`), fits each
+    one, and returns the largest singular values of the residuals.
+    Each block of ``mc._BLOCK`` samples is drawn, fitted and solved in
+    one pass, so the run's matrices are never held at once.
+    """
+    if m < 3:
+        raise DomainError(f"need m >= 3, got {m}")
+    key = mc._key(seed)
+    sigma1 = np.empty(count)
+    for s in range(0, count, mc._BLOCK):
+        e = min(s + mc._BLOCK, count)
+        y = mc.uppers_to_full(mc._rows(key, s, e, m * (m - 1) // 2), m)
+        alpha = y.sum(axis=2) / m
+        gamma = y - (alpha[:, :, None] - alpha[:, None, :])
+        sigma1[s:e] = mc.spectra_of_matrices(gamma)[:, 0]
+    return sigma1

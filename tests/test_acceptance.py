@@ -32,7 +32,6 @@ from skewtail.mc import (
 from skewtail.paired import (
     build_report,
     scheffe_fit,
-    simulate_null_largest_sv,
     variance_stabilize,
 )
 from skewtail.rmtdist import (
@@ -45,7 +44,7 @@ from skewtail.rmtdist import (
     standardized_sv_upper,
 )
 
-from oracles import critical_radius_search, hankel_inverse_oracle
+from oracles import critical_radius_search, hankel_inverse_oracle, simulate_null_largest_sv
 
 TABLE1 = {
     4: 1.0000, 5: 1.0000, 6: 0.9989, 7: 0.9913, 8: 0.9614, 9: 0.8827,

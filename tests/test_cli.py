@@ -1,9 +1,12 @@
 """Command-line surface tests: flags, exit codes, format equivalence,
 determinism, and the SVG plot."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +15,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewtail
 from skewtail import cli
@@ -256,6 +261,14 @@ class TestAnalyze:
         assert code == 4
         assert "row 3" in err and "column 4" in err
 
+    def test_win_count_past_int64_exits_4_with_location(self, capsys, tmp_path):
+        # found by the fuzz test below: the count once escaped as an OverflowError
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"team,a,b,c\na,-,0,0\nb,{10**20},-,0\nc,{10**20},{10**20},-\n")
+        code, _, err = run_cli(capsys, "analyze", str(bad), "--n-games", str(10**20))
+        assert code == 4
+        assert "row 3" in err and "column 2" in err and "2^63" in err
+
     def test_non_skew_raw_matrix_exits_4(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 2\n-1 0 3\n-2 -3 1\n")
@@ -455,3 +468,90 @@ class TestEntryPoint:
         assert 2.0 * 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0))) - 1.0 == pytest.approx(
             0.68268949, abs=1e-8
         )
+
+
+@st.composite
+def score_sheets(draw, m: int) -> tuple[str, int]:
+    """(CSV text, games per pair): random, sweep or even-split win counts,
+    some with a ragged row, a non-integer cell or a count past int64."""
+    style = draw(st.sampled_from(["random", "sweep", "even"]))
+    n = draw(st.sampled_from([27, 1, 2**40]) | st.integers(1, 60))
+    if style == "even":
+        n += n % 2
+    r = np.zeros((m, m), dtype=object)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if style == "sweep":
+                r[i, j] = draw(st.sampled_from([0, n]))
+            elif style == "even":
+                r[i, j] = n // 2
+            else:
+                r[i, j] = draw(st.integers(0, n))
+            r[j, i] = n - r[i, j]
+    names = [f"T{i + 1}" for i in range(m)]
+    rows = [["team"] + names]
+    rows += [[names[i]] + ["-" if i == j else str(r[i, j]) for j in range(m)] for i in range(m)]
+    i, j = draw(st.permutations(range(1, m + 1)))[:2]
+    defect = draw(st.sampled_from([None, None, "ragged", "cell", "games"]))
+    if defect == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+    elif defect == "cell":
+        rows[i][j] = draw(st.sampled_from(["1.5", "x", "", "nan", "1e3", str(2**63)]))
+    elif defect == "games":
+        n = draw(st.sampled_from([0, -1, 10**20]))
+    return "\n".join(",".join(row) for row in rows) + "\n", n
+
+
+@st.composite
+def raw_matrices(draw, m: int) -> str:
+    """A skew-symmetric matrix of moderate entries, in some of which a
+    few entries are NaN, infinite, huge or tiny."""
+    t = m * (m - 1) // 2
+    upper = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=t, max_size=t)))
+    if draw(st.booleans()):
+        wild = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e200, 1e-300]) | st.floats()
+        for _ in range(draw(st.integers(1, 3))):
+            upper[draw(st.integers(0, t - 1))] = draw(wild)
+    y = np.zeros((m, m))
+    y[np.triu_indices(m, 1)] = upper
+    y -= y.T
+    return "\n".join(" ".join(repr(float(v)) for v in row) for row in y) + "\n"
+
+
+@st.composite
+def analyze_runs(draw) -> tuple[str, list[str]]:
+    """(input text, analyze arguments after the input path) for m = 3..20."""
+    m = draw(st.integers(3, 20))
+    fmt = ["--format", draw(st.sampled_from(["text", "json"]))]
+    if draw(st.booleans()):
+        text, n = draw(score_sheets(m))
+        return text, ["--n-games", str(n)] + fmt
+    return draw(raw_matrices(m)), ["--raw"] + fmt
+
+
+def printed_p_values(out: str, fmt: str) -> list[float]:
+    if fmt == "json":
+        report = json.loads(out)
+        ps = [report[k]["p"] for k in ("chi2", "largest_sv", "standardized")]
+        return [p for p in ps if not isinstance(p, str) and p is not None]
+    return [float(p) for p in re.findall(r"\bp = (\S+)", out)]
+
+
+class TestFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(analyze_runs())
+    def test_analyze_exits_cleanly_with_p_values_in_unit_interval(self, tmp_path_factory, run):
+        text, args = run
+        path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path)] + args)
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            ps = printed_p_values(out.getvalue(), args[-1])
+            assert len(ps) >= 2
+            assert all(0.0 <= p <= 1.0 for p in ps), ps
+        else:
+            assert out.getvalue() == ""

