@@ -160,10 +160,12 @@ def _load_report(args: argparse.Namespace) -> TestReport:
 
 def _residual_svg(report: TestReport) -> str:
     if report.embedding is None:
-        raise DataError(
-            "the interaction residual is exactly zero (perfectly subtractive data); "
-            "there is no residual plot to draw"
+        why = (
+            "the interaction residual is exactly zero (perfectly subtractive data)"
+            if report.sv_stat == 0.0
+            else "the top singular value is not a simple pair (a tie), so its plane is undefined"
         )
+        raise DataError(f"{why}; there is no residual plot to draw")
     return svgplot.residual_plot_svg(report.embedding, report.names, report.deadlock_triple)
 
 

@@ -33,12 +33,10 @@ class DataError(SkewtailError, ValueError):
 class PairingError(SkewtailError, ArithmeticError):
     """A computed spectrum broke an identity of every skew spectrum.
 
-    Singular values of a real skew-symmetric matrix occur in exactly
-    equal pairs, and their squares sum to ||A||_F^2 / 2.  The single
-    solve raises this when the eigenvalues of A'A do not pair up, the
-    batched solve when the sum misses the energy.  Either signals a
-    broken solver (or a non-skew input smuggled past validation), never
-    bad data.
+    The squares of the singular values of a real skew-symmetric matrix,
+    one per pair, sum to ||A||_F^2 / 2.  Both spectral solves raise this
+    when the sum misses that energy, which signals a broken solver (or a
+    non-skew input smuggled past validation), never bad data.
     """
 
 

@@ -17,7 +17,9 @@ schema ``{chi2: {stat, df, p}, largest_sv: {stat, p}, standardized:
 [{name, x, y}]}``, where an out-of-validity standardized p-value is the
 string ``"outside_validity"``.  For perfectly subtractive data (an
 exactly zero interaction residual) the standardized stat and p, the
-deadlock area ratio and the embedding are ``null``.
+deadlock area ratio and the embedding are ``null``; the area ratio and
+the embedding are ``null`` too when the top singular value is not a
+simple pair, so its plane is undefined.
 """
 
 from __future__ import annotations
@@ -178,7 +180,11 @@ def render_text(report: TestReport) -> str:
         f"  deadlock        ({triple})   value = {report.deadlock_value:.3f}   [{cycle} > ...]",
     ]
     if report.embedding is None:
-        lines.append("  embedding       none (zero interaction residual)")
+        why = (
+            "zero interaction residual" if report.sv_stat == 0.0
+            else "top singular value is not a simple pair"
+        )
+        lines.append(f"  embedding       none ({why})")
     else:
         lines += [
             f"  area check      2*S/sqrt(3) = {deadlock_area_ratio(report):.3f}",

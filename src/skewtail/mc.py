@@ -5,14 +5,15 @@ draw matrices with i.i.d. standard-normal upper triangles, extract the
 paired singular spectrum, and compare tail frequencies against the
 closed-form distributions.
 
-Batched spectra (:func:`spectra_of_matrices`, :func:`spectra_from_uppers`)
-still reduce the sampled matrices themselves: a skew Householder
-tridiagonalization with delayed updates, run over a (p, p, B) stack
-with the batch last, leaves a t x t bidiagonal per sample, whose
-singular values come from one t x t eigen-solve.  They are within
-1e-13 * sigma_1 of LAPACK's SVD, and every sample is checked against
-the energy identity sum(sigma^2) = ||A||_F^2 / 2.  :class:`SkewEigen`
-is the single solve that also keeps eigenvectors.
+Both spectral solves scale each matrix by a power of two, which is
+exact, to max |a_ij| in [1/2, 1), and check its spectrum against the
+energy identity sum(sigma^2) = ||A||_F^2 / 2 to relative 1e-8.  The
+batched solve (:func:`spectra_of_matrices`, :func:`spectra_from_uppers`)
+is a skew Householder tridiagonalization with delayed updates over a
+(p, p, B) stack with the batch last, then one t x t eigen-solve per
+sample; :class:`SkewEigen`, the single solve that also keeps the top
+plane, is one Hermitian eigen-solve of iA.  Both are within
+1e-13 * sigma_1 of LAPACK's SVD.
 
 Reproducibility contract: under seed ``s``, sample ``i`` of order ``p`` is
 row ``i % 256`` of the (256, p(p-1)/2) standard-normal block that numpy's
@@ -34,16 +35,10 @@ import numpy as np
 from .errors import DomainError, MultiplicityError, PairingError
 
 _PAIR_RTOL = 1e-8
-_KERNEL_RTOL = 1e-10
 #: Samples per Philox block; changing it changes every draw of every seed.
 _STREAM_BLOCK = 256
 #: Samples per task; a multiple of _STREAM_BLOCK, so no two tasks draw the same block.
 _BLOCK = 1024
-#: A batched sample is solved as given while its energy ||A||_F^2 / 2 lies in
-#: 2^[-2W, 2W]; any other is first scaled by a power of two, which is exact,
-#: to max |a_ij| in [1/2, 1).  Scaling only those keeps the common case free
-#: of a copy of the batch.
-_SCALE_WINDOW = 400
 #: Degree of :func:`ks_distance`'s Chebyshev interpolant of the CDF.
 _KS_DEGREE = 128
 #: Samples per chunk of :func:`ks_distance`'s CDF evaluation and gaps.
@@ -178,35 +173,6 @@ def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
     return a - np.transpose(a, (0, 2, 1))
 
 
-def _paired_spectra(eigs: np.ndarray, p: int) -> np.ndarray:
-    """Descending singular values from ascending eigenvalues of A'A.
-
-    Eigenvalues must occur in equal pairs (plus one near-zero singleton
-    when p is odd); tolerances are relative to the leading eigenvalue,
-    since solver noise on any eigenvalue scales with the largest one.
-    """
-    t = p // 2
-    w = np.atleast_2d(eigs)
-    lead = w[:, -1]
-    scale = np.maximum(lead, np.finfo(float).tiny)
-    if p % 2 == 1:
-        resid = w[:, 0] / scale
-        if np.any(resid > _KERNEL_RTOL):
-            i = int(np.argmax(resid))
-            raise PairingError(
-                f"odd-order kernel eigenvalue not negligible: {w[i, 0]!r} vs leading {lead[i]!r}"
-            )
-        w = w[:, 1:]
-    gap = np.abs(w[:, 0::2] - w[:, 1::2]) / scale[:, None]
-    if np.any(gap > _PAIR_RTOL):
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        raise PairingError(
-            f"eigenvalue pair {j} of sample {i} disagrees by relative {gap[i, j]:.3e}"
-        )
-    paired = 0.5 * (w[:, 0::2] + w[:, 1::2])
-    return np.sqrt(np.maximum(paired, 0.0))[:, ::-1][:, :t]
-
-
 def _skew_subdiagonal(a: np.ndarray) -> np.ndarray:
     """Sub-diagonal magnitudes e_0..e_{p-2} of a skew tridiagonal Q'AQ, for
     a (p, p, B) stack of skew-symmetric matrices laid out batch last.
@@ -247,34 +213,23 @@ def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _spectra(a: np.ndarray) -> np.ndarray:
     """Singular spectra, shape (B, p // 2) and descending, of a (p, p, B)
-    stack of skew-symmetric matrices laid out batch last.
+    stack of skew-symmetric matrices laid out batch last; the stack is
+    the caller's scratch, scaled in place.
 
     The sub-diagonal of the reduced tridiagonal splits into a t x t
     (p even) or (t + 1) x t (p odd) lower bidiagonal M with diagonal e_0,
     e_2, ... and sub-diagonal e_1, e_3, ...; sigma^2 = eigvalsh(M'M).
-    Only the samples whose energy leaves the window are scaled, so the
-    others are solved exactly as given.
     """
     p, _, b = a.shape
     if b == 1:
         # einsum drops a unit batch axis and then sums one sample in
         # another order than a batch of them: solve it as a batch of two
         return _spectra(np.concatenate((a, a), axis=2))[:1]
+    shift = _unit_scaled(a, axis=(0, 1))
     energy = 0.5 * np.einsum("ijb,ijb->b", a, a)
-    window = 2.0 ** (2 * _SCALE_WINDOW)
-    outside = ~((energy >= 1.0 / window) & (energy <= window))  # NaN is outside
-    shift = None
-    if outside.any():
-        cols = a[:, :, outside]
-        finite = np.isfinite(cols).all(axis=(0, 1))
-        if not finite.all():
-            j = int(np.flatnonzero(outside)[np.argmin(finite)])
-            raise DomainError(f"sample {j}: matrix entries must be finite")
-        shift = np.zeros(b, dtype=int)
-        cols, shift[outside] = _unit_scaled(cols, axis=(0, 1))
-        a = a.copy()
-        a[:, :, outside] = cols
-        energy[outside] = 0.5 * np.einsum("ijb,ijb->b", cols, cols)
+    finite = np.isfinite(energy)
+    if not finite.all():
+        raise DomainError(f"sample {int(np.argmin(finite))}: matrix entries must be finite")
     t = p // 2
     e = np.zeros((2 * t, b))  # even p: a zero last sub-diagonal entry
     e[:p - 1] = _skew_subdiagonal(a)
@@ -284,6 +239,24 @@ def _spectra(a: np.ndarray) -> np.ndarray:
     mtm[:, i, i] = d * d + f * f
     mtm[:, i[1:], i[:-1]] = mtm[:, i[:-1], i[1:]] = f[:, :-1] * d[:, 1:]
     sigma2 = np.maximum(np.linalg.eigvalsh(mtm), 0.0)
+    _check_energy(sigma2, energy)
+    return np.ldexp(np.sqrt(sigma2)[:, ::-1], shift[:, None])
+
+
+def _unit_scaled(a: np.ndarray, axis) -> np.ndarray:
+    """Scale ``a`` in place by 2^-k, with k chosen per slice so that
+    max |a| over ``axis`` lies in [1/2, 1), and return k; exact, and k = 0
+    for an all-zero or a non-finite slice."""
+    peak = np.maximum(a.max(axis=axis, keepdims=True), -a.min(axis=axis, keepdims=True))
+    _, k = np.frexp(peak)
+    np.ldexp(a, -k, out=a)
+    return k.ravel()
+
+
+def _check_energy(sigma2: np.ndarray, energy: np.ndarray) -> None:
+    """Raise :class:`PairingError` for the first row of squared singular
+    values whose sum misses its matrix's energy ||A||_F^2 / 2 by relative
+    ``_PAIR_RTOL``."""
     gap = np.abs(sigma2.sum(axis=1) - energy)
     bad = ~(gap <= _PAIR_RTOL * energy)
     if bad.any():
@@ -292,15 +265,6 @@ def _spectra(a: np.ndarray) -> np.ndarray:
             f"sample {j}: sum of sigma^2 {float(sigma2[j].sum()):.17g} misses "
             f"||A||_F^2 / 2 = {float(energy[j]):.17g} by {float(gap[j]):.3e}"
         )
-    sigma = np.sqrt(sigma2)[:, ::-1]
-    return sigma if shift is None else np.ldexp(sigma, shift[:, None])
-
-
-def _unit_scaled(a: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
-    """(a 2^-k, k), with k chosen per slice so that max |a| over ``axis``
-    lies in [1/2, 1); exact, and k = 0 for an all-zero slice."""
-    _, k = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
-    return np.ldexp(a, -k), k.ravel()
 
 
 def spectra_of_matrices(a: np.ndarray) -> np.ndarray:
@@ -310,14 +274,14 @@ def spectra_of_matrices(a: np.ndarray) -> np.ndarray:
     Route: a batched skew Householder tridiagonalization with delayed
     updates (Ward & Gray 1978; the panel form of LAPACK's dlatrd), then
     one t x t eigen-solve of M'M for the bidiagonal M it leaves.  Every
-    singular value is within 1e-13 * sigma_1 of LAPACK's SVD, also for
-    samples whose squares underflow or overflow: those are solved scaled
-    by a power of two.  Raises :class:`DomainError` for non-finite
-    entries and :class:`PairingError` when sum(sigma^2) misses the
-    energy ||A||_F^2 / 2 by relative 1e-8, which is what a non-skew
-    input does.
+    sample is solved scaled by a power of two to max |a_ij| in [1/2, 1),
+    which is exact, so every singular value is within 1e-13 * sigma_1 of
+    LAPACK's SVD, also for samples whose squares would underflow or
+    overflow.  Raises :class:`DomainError` for non-finite entries and
+    :class:`PairingError` when sum(sigma^2) misses the energy
+    ||A||_F^2 / 2 by relative 1e-8, which is what a non-skew input does.
     """
-    return _spectra(np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype=float), 0, -1)))
+    return _spectra(np.moveaxis(np.asarray(a, dtype=float), 0, -1).copy())
 
 
 def spectra_from_uppers(uppers: np.ndarray, p: int) -> np.ndarray:
@@ -358,21 +322,24 @@ def sample_tops(p: int, count: int, seed: int, threads: int | None = None) -> np
 
 
 class SkewEigen:
-    """One eigen-solve of A'A for a skew-symmetric A: its paired spectrum
-    and the eigenvectors, in ascending eigenvalue order.  A is solved
-    scaled by a power of two to max |a_ij| in [1/2, 1), which is exact,
-    so no square underflows or overflows.  Raises :class:`DomainError`
-    for non-finite entries and :class:`PairingError` if the eigenvalues
-    do not pair up."""
+    """One Hermitian eigen-solve of iA for a skew-symmetric A: the t
+    largest of its eigenvalues +-sigma_k (and 0 for odd order) are the
+    paired spectrum, and the eigenvector of sigma_1 spans the top plane.
+    A is solved scaled by a power of two to max |a_ij| in [1/2, 1), which
+    is exact.  Raises :class:`DomainError` for non-finite entries and
+    :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2."""
 
     def __init__(self, a: SkewMatrix):
-        self.full = a.to_full()
-        if not np.all(np.isfinite(self.full)):
+        scaled = a.to_full()
+        shift = int(_unit_scaled(scaled, axis=None)[0])
+        energy = 0.5 * np.sum(scaled * scaled)
+        if not math.isfinite(energy):
             raise DomainError("matrix entries must be finite")
-        scaled, shift = _unit_scaled(self.full, axis=None)
-        eigs, self.vecs = np.linalg.eigh(scaled.T @ scaled)
-        sigma = _paired_spectra(eigs[None, :], a.p)[0]
-        self.spectrum = SingularSpectrum(p=a.p, sigma=np.ldexp(sigma, int(shift[0])))
+        eigs, vecs = np.linalg.eigh(1j * scaled)
+        sigma = np.maximum(eigs[::-1][:a.p // 2], 0.0)
+        _check_energy((sigma * sigma)[None, :], np.array([energy]))
+        self.spectrum = SingularSpectrum(p=a.p, sigma=np.ldexp(sigma, shift))
+        self.top_vector = vecs[:, -1]
 
     def top_plane(self) -> TopPlane:
         """The oriented leading 2-plane; see :func:`top_plane`."""
@@ -383,16 +350,13 @@ class SkewEigen:
             raise MultiplicityError(
                 f"top singular value is not a simple pair (sigma1={sigma1!r}, sigma2={sigma2!r})"
             )
-        v = self.vecs[:, -1]
-        u = self.full @ v / sigma1
-        u /= float(np.linalg.norm(u))
-        # fix the in-plane rotation: align u with the coordinate of largest
-        # joint amplitude and make that component positive
-        amp2 = u * u + v * v
-        istar = int(np.argmax(amp2))
-        r = math.sqrt(float(amp2[istar]))
-        c, s = u[istar] / r, v[istar] / r
-        u, v = c * u + s * v, -s * u + c * v
+        # iA z = sigma1 z with z = v + iu is A v = sigma1 u and A u = -sigma1 v;
+        # fix the in-plane rotation, the phase of z: align u with the coordinate
+        # of largest joint amplitude, where the product leaves v exactly 0
+        z = self.top_vector
+        istar = int(np.argmax(np.abs(z)))
+        z = z * (1j * np.conj(z[istar]))
+        u, v = (w / float(np.linalg.norm(w)) for w in (z.imag, z.real))
         return TopPlane(sigma1=sigma1, u=u, v=v)
 
 
@@ -444,7 +408,13 @@ def ks_distance(samples, cdf: Callable[[float], float]) -> float:
         raise DomainError("ks_distance requires at least one sample")
     if not np.all(np.isfinite(s)):
         raise DomainError("ks_distance requires finite samples")
-    law = lambda xs: np.array([cdf(x) for x in xs])  # noqa: E731
+
+    def law(xs: np.ndarray) -> np.ndarray:
+        f = np.array([cdf(x) for x in xs])
+        if not np.all(np.isfinite(f)):  # checked before a non-finite node spoils the interpolant
+            raise DomainError("ks_distance requires a CDF that is finite on the sample range")
+        return f
+
     if s[0] != s[-1]:
         from numpy.polynomial import Chebyshev  # deferred: keeps it out of `import skewtail`
 
@@ -452,8 +422,6 @@ def ks_distance(samples, cdf: Callable[[float], float]) -> float:
     gap = -math.inf
     for start in range(0, n, _KS_CHUNK):  # elementwise, so chunking changes no bit
         f = law(s[start:start + _KS_CHUNK])
-        if not np.all(np.isfinite(f)):  # a non-finite node spoils every interpolated value
-            raise DomainError("ks_distance requires a CDF that is finite on the sample range")
         i = np.arange(start + 1, start + f.size + 1)
         gap = max(gap, np.max(i / n - f), np.max(f - (i - 1) / n))
     return float(gap)

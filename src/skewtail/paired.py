@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, MultiplicityError
 from .mc import SingularSpectrum, SkewMatrix
 from .rmtdist import CRITICAL_POINT, largest_sv_cdf, standardized_sv_upper
 from .specfun import chi2_upper
@@ -64,13 +64,12 @@ class ScoreSheet:
             raise DataError(
                 f"score r[{i + 1},{j + 1}]={r[i, j]} outside 0..{self.n_games}"
             )
-        totals = r + r.T
-        off = ~np.eye(self.m, dtype=bool)
-        if np.any(totals[off] != self.n_games):
-            bad = off & (totals != self.n_games)
+        wins = r.astype(object)  # Python ints, so r + r.T cannot wrap
+        bad = ~np.eye(self.m, dtype=bool) & (wins + wins.T != self.n_games)
+        if np.any(bad):
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise DataError(
-                f"r[{i + 1},{j + 1}] + r[{j + 1},{i + 1}] = {totals[i, j]} != "
+                f"r[{i + 1},{j + 1}] + r[{j + 1},{i + 1}] = {wins[i, j] + wins[j, i]} != "
                 f"{self.n_games}: ties or miscounts are not allowed"
             )
         object.__setattr__(self, "r", r)
@@ -175,7 +174,10 @@ class TestReport:
     1/sqrt(2), outside the exact range of the tube formula.  Perfectly
     subtractive data (a zero interaction residual, see scheffe_fit) leave the
     standardized statistic a 0/0 form and the top plane undefined:
-    ``std_stat``, ``std_p`` and ``embedding`` are then all None.
+    ``std_stat``, ``std_p`` and ``embedding`` are then all None.  The
+    ``embedding`` is None too when the top singular value is not a simple
+    pair (``sv_stat > 0``), as in a regular Paley tournament, whose nonzero
+    singular values are all equal.
     """
 
     names: tuple[str, ...]
@@ -238,7 +240,7 @@ def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
 
 
 def _residual_eigen(fit: ScheffeFit) -> mc.SkewEigen:
-    """The one eigen-solve of gamma_hat' gamma_hat that a report's spectrum,
+    """The one eigen-solve of i gamma_hat that a report's spectrum,
     spectral statistics and embedding are all read from."""
     return mc.SkewEigen(SkewMatrix.from_full(fit.gamma_hat, tol=1e-8))
 
@@ -405,6 +407,10 @@ def build_report(
     sv_stat, sv_p = _largest_sv(fit.m, spectrum)
     std_stat, std_p = _standardized(fit.m, eigen.spectrum)
     triple, value = max_deadlock(fit)
+    try:
+        embedding = _embedding(eigen)
+    except MultiplicityError:  # a zero residual, or a tie at the top
+        embedding = None
     return TestReport(
         names=names,
         chi2_stat=chi2_stat,
@@ -417,5 +423,5 @@ def build_report(
         spectrum=spectrum,
         deadlock_triple=triple,
         deadlock_value=value,
-        embedding=_embedding(eigen) if sv_stat > 0.0 else None,
+        embedding=embedding,
     )

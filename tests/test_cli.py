@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skewtail
@@ -27,10 +27,41 @@ from skewtail.svgplot import residual_plot_svg
 FIXTURE = str(central_league_1997_path())
 
 
+#: The orders up to 61 of Paley tournaments: the primes m = 3 (mod 4).
+PALEY_ORDERS = (3, 7, 11, 19, 23, 31, 43, 47, 59)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def beats_in_paley(m: int, i: int, j: int) -> bool:
+    """Whether team i beats team j in the Paley tournament of prime order
+    m = 3 (mod 4): j - i is a nonzero square mod m.  The tournament is
+    regular, and its residual's nonzero singular values are all equal."""
+    return (j - i) % m in {k * k % m for k in range(1, m)}
+
+
+def paley_league(m: int) -> str:
+    """Score-sheet CSV of the Paley league of order m: 27 games per pair,
+    each won 20-7 by the team that beats the other in the tournament."""
+    return csv_text(sheet_rows([[0 if i == j else 20 if beats_in_paley(m, i, j) else 7
+                                 for j in range(m)] for i in range(m)]))
+
+
+def sheet_rows(r) -> list[list[str]]:
+    """Score-sheet CSV rows of a win-count matrix, teams T1 .. Tm."""
+    m = len(r)
+    names = [f"T{i + 1}" for i in range(m)]
+    rows = [["team"] + names]
+    return rows + [[names[i]] + ["-" if i == j else str(r[i][j]) for j in range(m)]
+                   for i in range(m)]
+
+
+def csv_text(rows: list[list[str]]) -> str:
+    return "\n".join(",".join(row) for row in rows) + "\n"
 
 
 class TestDist:
@@ -357,6 +388,28 @@ class TestAnalyze:
         assert code == 0
         assert "standardized    undefined" in out and "embedding       none" in out
 
+    @pytest.mark.parametrize("m", [7, 11, 19])
+    def test_paley_league_reports_a_tied_top_pair(self, capsys, tmp_path, m):
+        sheet = tmp_path / f"paley{m}.csv"
+        sheet.write_text(paley_league(m), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(sheet), "--n-games", "27")
+        assert code == 0, err
+        assert "embedding       none (top singular value is not a simple pair)" in out
+        code, out, _ = run_cli(capsys, "analyze", str(sheet), "--n-games", "27",
+                               "--format", "json")
+        doc = json.loads(out)
+        sigma = np.array(doc["spectrum"])
+        assert np.allclose(sigma, sigma[0], rtol=1e-12) and sigma[0] > 0.0
+        assert doc["chi2"]["stat"] == pytest.approx(float(np.sum(sigma**2)), rel=1e-12)
+        assert doc["standardized"]["stat"] == pytest.approx(1.0 / math.sqrt(len(sigma)))
+        assert doc["deadlock"]["area_ratio"] is None and doc["embedding"] is None
+        svg = tmp_path / "plot.svg"
+        for argv in (("analyze", str(sheet), "--n-games", "27", "--plot", str(svg)),
+                     ("plot", str(sheet), "--n-games", "27", "--out", str(svg))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 4 and out == "" and not svg.exists()
+            assert "not a simple pair (a tie)" in err
+
     def test_rounding_level_residual_is_perfectly_subtractive(self, capsys, tmp_path):
         # y_ij = s_i - s_j leaves max |gamma_hat| = 4.4e-16, not 0, after the fit
         s = np.array([0.3, 1.7, -0.2, 0.9, 5.1, 2.2])
@@ -472,12 +525,16 @@ class TestEntryPoint:
 
 @st.composite
 def score_sheets(draw, m: int) -> tuple[str, int]:
-    """(CSV text, games per pair): random, sweep or even-split win counts,
-    some with a ragged row, a non-integer cell or a count past int64."""
+    """(CSV text, games per pair): random, sweep, even-split or (at a
+    Paley order) Paley-tournament win counts, some with a ragged row, a
+    non-integer cell or a count past int64."""
     style = draw(st.sampled_from(["random", "sweep", "even"]))
+    if m in PALEY_ORDERS and draw(st.booleans()):
+        style = "paley"
     n = draw(st.sampled_from([27, 1, 2**40]) | st.integers(1, 60))
     if style == "even":
         n += n % 2
+    wins = draw(st.integers(0, n))
     r = np.zeros((m, m), dtype=object)
     for i in range(m):
         for j in range(i + 1, m):
@@ -485,12 +542,12 @@ def score_sheets(draw, m: int) -> tuple[str, int]:
                 r[i, j] = draw(st.sampled_from([0, n]))
             elif style == "even":
                 r[i, j] = n // 2
+            elif style == "paley":
+                r[i, j] = wins if beats_in_paley(m, i, j) else n - wins
             else:
                 r[i, j] = draw(st.integers(0, n))
             r[j, i] = n - r[i, j]
-    names = [f"T{i + 1}" for i in range(m)]
-    rows = [["team"] + names]
-    rows += [[names[i]] + ["-" if i == j else str(r[i, j]) for j in range(m)] for i in range(m)]
+    rows = sheet_rows(r)
     i, j = draw(st.permutations(range(1, m + 1)))[:2]
     defect = draw(st.sampled_from([None, None, "ragged", "cell", "games"]))
     if defect == "ragged":
@@ -499,7 +556,7 @@ def score_sheets(draw, m: int) -> tuple[str, int]:
         rows[i][j] = draw(st.sampled_from(["1.5", "x", "", "nan", "1e3", str(2**63)]))
     elif defect == "games":
         n = draw(st.sampled_from([0, -1, 10**20]))
-    return "\n".join(",".join(row) for row in rows) + "\n", n
+    return csv_text(rows), n
 
 
 @st.composite
@@ -520,8 +577,9 @@ def raw_matrices(draw, m: int) -> str:
 
 @st.composite
 def analyze_runs(draw) -> tuple[str, list[str]]:
-    """(input text, analyze arguments after the input path) for m = 3..20."""
-    m = draw(st.integers(3, 20))
+    """(input text, analyze arguments after the input path) for m = 3..61,
+    often a Paley order."""
+    m = draw(st.integers(3, 61) | st.sampled_from(PALEY_ORDERS))
     fmt = ["--format", draw(st.sampled_from(["text", "json"]))]
     if draw(st.booleans()):
         text, n = draw(score_sheets(m))
@@ -540,6 +598,7 @@ def printed_p_values(out: str, fmt: str) -> list[float]:
 class TestFuzz:
     @settings(derandomize=True, deadline=None, max_examples=40, database=None)
     @given(analyze_runs())
+    @example((paley_league(59), ["--n-games", "27", "--format", "json"]))
     def test_analyze_exits_cleanly_with_p_values_in_unit_interval(self, tmp_path_factory, run):
         text, args = run
         path = tmp_path_factory.mktemp("fuzz") / "input.txt"

@@ -12,7 +12,6 @@ from skewtail import mc
 from skewtail.errors import DomainError, MultiplicityError, PairingError
 from skewtail.mc import (
     SkewMatrix,
-    _paired_spectra,
     binomial_standard_error,
     empirical_upper,
     ks_distance,
@@ -259,13 +258,17 @@ class TestSingularValues:
                 energy = float(np.sum(m.upper**2))
                 assert float(np.sum(sigma**2)) == pytest.approx(energy, rel=1e-10)
 
-    def test_pairing_error_on_unpaired_spectrum(self):
-        with pytest.raises(PairingError):
-            _paired_spectra(np.array([[0.0, 1.0, 2.0, 4.0]]), 4)
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_pairing_error_when_the_spectrum_misses_the_energy(self, monkeypatch, p):
+        solve = np.linalg.eigh
 
-    def test_pairing_error_on_bad_kernel(self):
-        with pytest.raises(PairingError):
-            _paired_spectra(np.array([[0.5, 1.0, 1.0, 4.0, 4.0]]), 5)
+        def off_energy(a):
+            w, z = solve(a)
+            return 1.001 * w, z
+
+        monkeypatch.setattr(np.linalg, "eigh", off_energy)
+        with pytest.raises(PairingError, match="misses"):
+            singular_values(sample_matrix(p, 11))
 
     def test_zero_matrix(self):
         spec = singular_values(SkewMatrix(p=4, upper=np.zeros(6)))
@@ -464,6 +467,7 @@ class TestKsDistance:
             ks_distance([0.5, bad, 1.0], lambda x: math.erf(x / math.sqrt(2.0)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_cdf_rejected(self, bad):
         # a NaN CDF once left every gap NaN and returned -inf
         with pytest.raises(DomainError, match="finite on the sample range"):
@@ -508,6 +512,18 @@ class TestBatchedSpectra:
         # width 7 once gave the spectra of the first 6 columns; 5 a bare ValueError
         with pytest.raises(DomainError, match="width 6"):
             mc.spectra_from_uppers(np.ones((3, width)), 4)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("batch_last", [False, True])
+    def test_input_stack_is_left_unchanged(self, count, batch_last):
+        # every sample is scaled in place, so the solve works on a copy; a
+        # view of a batch-last array is contiguous once moved batch last
+        stack = uppers_to_full(sample_uppers(7, count, seed=12), 7)
+        if batch_last:
+            stack = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+        kept = stack.copy()
+        mc.spectra_of_matrices(stack)
+        assert np.array_equal(stack, kept)
 
     def test_zero_and_empty_stacks(self):
         assert np.array_equal(mc.spectra_of_matrices(np.zeros((3, 5, 5))), np.zeros((3, 2)))

@@ -123,6 +123,18 @@ class TestScoreSheet:
         y[0, 1] *= 1.0 + 8 * np.finfo(float).eps
         assert SkewObservations(m=3, y=y).y[0, 1] == y[0, 1]
 
+    def test_totals_past_int64_are_reported_exactly(self):
+        # r + r.T in int64 once wrapped to -9223372036854775808
+        n = 2**62
+        r = np.full((3, 3), n, dtype=np.int64)
+        np.fill_diagonal(r, 0)
+        with pytest.raises(DataError) as excinfo:
+            ScoreSheet(m=3, names=("a", "b", "c"), n_games=n, r=r)
+        assert str(excinfo.value) == (
+            "r[1,2] + r[2,1] = 9223372036854775808 != 4611686018427387904: "
+            "ties or miscounts are not allowed"
+        )
+
     def test_out_of_range_rejected(self):
         r = np.zeros((3, 3), dtype=int)
         r[0, 1], r[1, 0] = 9, -4
@@ -564,6 +576,16 @@ class TestBuildReport:
         rng = np.random.default_rng(m)
         build_report(observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2)))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [6, 20, 40, 61])
+    def test_spectrum_matches_lapack_svd(self, m):
+        # the residual has rank at most m - 1, so it is rank-deficient at even m:
+        # a route through gamma' gamma put its zero pair up to 1.6e-8 sigma_1 away
+        rng = np.random.default_rng(m)
+        obs = observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2))
+        expect = np.linalg.svd(scheffe_fit(obs).gamma_hat, compute_uv=False)[::2][:m // 2]
+        sigma = build_report(obs).spectrum.sigma
+        assert np.all(np.abs(sigma - expect) <= 1e-13 * expect[0])
 
     def test_perfectly_subtractive_data_give_a_report(self):
         report = build_report(subtractive_observations([2.0, 1.0, 0.0, -1.0, -2.0]))
