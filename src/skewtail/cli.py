@@ -10,20 +10,18 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage/domain error, 3 validity-range error
 (standardized threshold below 1/sqrt(2)), 4 data error.  ``validate``
-honors the ``SKEWTAIL_THREADS`` environment variable (absent means one
-thread; clamped to the CPU count); results never depend on the thread count.
+checks its arguments and the order's Hankel gram before it draws a sample.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
 
-from . import io, mc, svgplot
+from . import io, mc, rmtdist, svgplot
 from .errors import DataError, DomainError, SkewtailError, ValidityError
 from .paired import TestReport, build_report, variance_stabilize
 from .rmtdist import (
@@ -36,19 +34,6 @@ _STD_TAIL_POINTS = (0.75, 0.8, 0.9)
 _QUANTILE_POINTS = (0.5, 0.9, 0.99)
 _KS_THRESHOLD = 0.005
 _KS_REFERENCE_SAMPLES = 200_000
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("SKEWTAIL_THREADS")
-    if raw is None:
-        return None
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise DomainError(f"SKEWTAIL_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise DomainError(f"SKEWTAIL_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def _fmt_prob(value: float) -> str:
@@ -95,9 +80,9 @@ def _validate_line(label: str, emp: float, exact: float, se: float) -> tuple[str
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.samples < 1000:
         raise DomainError(f"validation needs at least 1000 samples, got {args.samples}")
-    threads = _threads_from_env()
     p = args.p
-    sigma1, energy = mc.sample_tops(p, args.samples, args.seed, threads=threads).T
+    rmtdist._hankel_gram_cached(p)  # raises for an order the laws cannot evaluate
+    sigma1, energy = mc.sample_tops(p, args.samples, args.seed).T
     n = sigma1.size
     all_ok = True
     print(f"validate p={p} samples={args.samples} seed={args.seed}")

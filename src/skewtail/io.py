@@ -118,7 +118,7 @@ def read_skew_matrix(path) -> SkewObservations:
             f"{path}: matrix is not skew-symmetric "
             f"(max |y_ij + y_ji| = {resid:.3e}, above 1e-9 max |y_ij|)"
         )
-    y = 0.5 * (y - y.T)  # discard sub-tolerance asymmetry
+    y = 0.5 * y - 0.5 * y.T  # discard sub-tolerance asymmetry; halved first, so no sum overflows
     return SkewObservations(m=y.shape[0], y=y)
 
 

@@ -15,18 +15,17 @@ sample; :class:`SkewEigen`, the single solve that also keeps the top
 plane, is one Hermitian eigen-solve of iA.  Both are within
 1e-13 * sigma_1 of LAPACK's SVD.
 
+The samplers draw and solve one block of samples at a time, serially.
 Reproducibility contract: under seed ``s``, sample ``i`` of order ``p`` is
 row ``i % 256`` of the (256, p(p-1)/2) standard-normal block that numpy's
 Philox draws at counter ``(0, 0, 0, i // 256)`` with a key derived from
-``s``, so results are a pure function of (seed, order, sample index)
-regardless of batching, thread count, or scheduling.
+``s``, so a draw depends only on (seed, order, sample index), whatever
+the sample count or block size.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +36,7 @@ from .errors import DomainError, MultiplicityError, PairingError
 _PAIR_RTOL = 1e-8
 #: Samples per Philox block; changing it changes every draw of every seed.
 _STREAM_BLOCK = 256
-#: Samples per task; a multiple of _STREAM_BLOCK, so no two tasks draw the same block.
+#: Samples per solve batch; a multiple of _STREAM_BLOCK, so no Philox block is drawn twice.
 _BLOCK = 1024
 #: Degree of :func:`ks_distance`'s Chebyshev interpolant of the CDF.
 _KS_DEGREE = 128
@@ -132,36 +131,25 @@ def _rows(key: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
     return np.concatenate(blocks)[start - skip:stop - skip]
 
 
-def _sample_blocks(p: int, count: int, seed: int, threads: int | None, width: int,
+def _sample_blocks(p: int, count: int, seed: int, width: int,
                    per_block: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """A (count, width) array whose rows [s, e) are ``per_block`` of the
     upper triangles of samples [s, e), drawn one block of ``_BLOCK``
-    samples at a time on at most min(threads, CPU count, number of
-    blocks) threads."""
+    samples at a time."""
     n = _triangle(p)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     key = _key(seed)
     out = np.empty((count, width))
-    starts = range(0, count, _BLOCK)
-
-    def fill(s: int) -> None:
+    for s in range(0, count, _BLOCK):
         out[s:s + _BLOCK] = per_block(_rows(key, s, min(s + _BLOCK, count), n))
-
-    workers = min(threads or 1, os.cpu_count() or 1, len(starts))
-    if workers <= 1:
-        for s in starts:
-            fill(s)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
     return out
 
 
-def sample_uppers(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
+def sample_uppers(p: int, count: int, seed: int) -> np.ndarray:
     """Upper triangles of samples 0 .. count - 1, shape (count, p(p-1)/2);
-    sample i is the same for any count and thread count."""
-    return _sample_blocks(p, count, seed, threads, _triangle(p), lambda u: u)
+    sample i is the same for any count."""
+    return _sample_blocks(p, count, seed, _triangle(p), lambda u: u)
 
 
 def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
@@ -305,20 +293,20 @@ def spectra_from_uppers(uppers: np.ndarray, p: int) -> np.ndarray:
     return _spectra(a)
 
 
-def sample_spectra(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
+def sample_spectra(p: int, count: int, seed: int) -> np.ndarray:
     """Singular spectra of ``count`` seeded samples, shape (count, t); each
     block of samples is drawn and solved in one pass."""
-    return _sample_blocks(p, count, seed, threads, p // 2, lambda u: spectra_from_uppers(u, p))
+    return _sample_blocks(p, count, seed, p // 2, lambda u: spectra_from_uppers(u, p))
 
 
-def sample_tops(p: int, count: int, seed: int, threads: int | None = None) -> np.ndarray:
+def sample_tops(p: int, count: int, seed: int) -> np.ndarray:
     """(sigma_1, sum sigma^2) of ``count`` seeded samples, shape (count, 2): bit for bit
     column 0 and the row sums of squares of :func:`sample_spectra`, one block held at a time."""
     def tops(uppers: np.ndarray) -> np.ndarray:
         sigma = spectra_from_uppers(uppers, p)
         return np.column_stack((sigma[:, 0], np.sum(sigma**2, axis=1)))
 
-    return _sample_blocks(p, count, seed, threads, 2, tops)
+    return _sample_blocks(p, count, seed, 2, tops)
 
 
 class SkewEigen:

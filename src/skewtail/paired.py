@@ -77,7 +77,12 @@ class ScoreSheet:
 
 @dataclass(frozen=True)
 class SkewObservations:
-    """Skew-symmetric preference observations y[i, j] = -y[j, i]."""
+    """Skew-symmetric preference observations y[i, j] = -y[j, i].
+
+    y may miss skew-symmetry by relative 1e-12; its exact skew part
+    (y - y') / 2 is stored, which leaves an already skew y of normal-range
+    entries unchanged.
+    """
 
     m: int
     y: np.ndarray
@@ -96,7 +101,7 @@ class SkewObservations:
                 f"observations are not skew-symmetric (max residual {resid:.3e}, "
                 "above 1e-12 max |y_ij|)"
             )
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", 0.5 * y - 0.5 * y.T)
 
 
 @dataclass(frozen=True)
@@ -383,9 +388,9 @@ def signed_area(points: np.ndarray, i: int, j: int, k: int) -> float:
 
     Indices are 0-based rows of the embedding array.
     """
-    if len({i, j, k}) != 3:
-        raise DomainError(f"apexes must be distinct, got ({i}, {j}, {k})")
     pts = np.asarray(points, dtype=float)
+    if len({i, j, k}) != 3 or not all(0 <= idx < len(pts) for idx in (i, j, k)):
+        raise DomainError(f"need three distinct indices below {len(pts)}, got ({i}, {j}, {k})")
     (xi, yi), (xj, yj), (xk, yk) = pts[i], pts[j], pts[k]
     return 0.5 * ((xj - xi) * (yk - yi) - (xk - xi) * (yj - yi))
 

@@ -323,11 +323,7 @@ class TestCriterion9PropertySpotChecks:
         for moment in (pts[:, 0].sum(), pts[:, 1].sum(), float(pts[:, 0] @ pts[:, 1])):
             assert abs(moment) < 1e-8
         assert float(np.sum(pts[:, 0] ** 2)) == pytest.approx(sigma1, abs=1e-8)
-
-        serial = sample_spectra(6, 20_000, seed=MC_SEED)
-        threaded = sample_spectra(6, 20_000, seed=MC_SEED, threads=4)
-        assert np.array_equal(serial, threaded)
         report(
             "9: PASS (stabilized skew-symmetry exact, fit reconstruction < 1e-12, "
-            "translation/scale invariances, embedding moments, thread determinism)"
+            "translation/scale invariances, embedding moments)"
         )

@@ -157,22 +157,18 @@ class TestValidate:
         assert "overall: PASS" in out1
         assert "min sigma1^2" in out1  # the p in {4,5} sharp-threshold check
 
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        args = ("validate", "--p", "6", "--samples", "3000", "--seed", "7")
-        code1, out1, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("SKEWTAIL_THREADS", "4")
-        code2, out2, _ = run_cli(capsys, *args)
-        assert code1 == code2 == 0
-        assert out1 == out2
-
-    def test_bad_thread_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SKEWTAIL_THREADS", "zero")
-        code, _, _ = run_cli(capsys, "validate", "--p", "4", "--samples", "2000")
-        assert code == 2
-
     def test_too_few_samples_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--p", "4", "--samples", "10")
         assert code == 2
+
+    def test_order_past_the_gram_exits_2_before_sampling(self, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("validate drew samples for an order it cannot judge")
+
+        monkeypatch.setattr(cli.mc, "sample_tops", no_sampling)
+        code, out, err = run_cli(capsys, "validate", "--p", "174", "--samples", "1000")
+        assert code == 2 and out == ""
+        assert "p=174 leaves the double range" in err
 
     def test_sigma1_cdf_call_budget(self, capsys, monkeypatch):
         # 129 Chebyshev points for the KS check plus the 3 quantile points
@@ -340,12 +336,14 @@ class TestAnalyze:
         return raw
 
     def test_overflowing_raw_matrix_exits_4_without_warning(self, capsys, tmp_path):
-        raw = self._league_raw(tmp_path, 1e170)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "analyze", str(raw), "--raw")
-        assert code == 4 and out == ""
-        assert "chi-square statistic" in err and "overflows" in err
+        cycle = tmp_path / "cycle_1e308.txt"  # y_ij - y_ji overflows, its halves do not
+        cycle.write_text("0 1e308 -1e308\n-1e308 0 1e308\n1e308 -1e308 0\n")
+        for raw in (self._league_raw(tmp_path, 1e170), cycle):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "analyze", str(raw), "--raw")
+            assert code == 4 and out == ""
+            assert "chi-square statistic" in err and "overflows" in err
 
     def test_sigma2_whose_division_overflows_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "analyze", FIXTURE, "--n-games", "27",
@@ -501,7 +499,7 @@ def loaded_by_cli_import(modules) -> str:
 
 class TestEntryPoint:
     def test_import_leaves_out_xml_sax_email_and_ssl(self):
-        assert loaded_by_cli_import(("xml.sax", "email", "ssl")) == "[]"
+        assert loaded_by_cli_import(("xml.sax", "email", "ssl", "concurrent.futures")) == "[]"
 
     def test_import_leaves_out_fractions_and_decimal(self):
         # the exact Hankel builder imports fractions on first use only

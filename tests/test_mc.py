@@ -1,9 +1,8 @@
-"""Sampler tests: determinism across batching and threads, normal
+"""Sampler tests: determinism across counts and block sizes, normal
 moments, pairing, the top invariant plane, and the KS helper."""
 
 import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -108,29 +107,6 @@ class TestDeterminism:
         for i, expect in zip(indices, oracle_rows(11, 15, indices)):
             assert np.array_equal(uppers[i], expect)
 
-    def test_thread_count_does_not_change_results(self):
-        a = sample_spectra(5, 20_000, seed=3, threads=None)
-        b = sample_spectra(5, 20_000, seed=3, threads=4)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("cpus,expect", [(2, 2), (64, 3)])
-    def test_workers_clamped_to_cpus_and_blocks(self, monkeypatch, cpus, expect):
-        # three blocks, so even an unclamped pool starts only three threads
-        workers = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                workers.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        count = 2 * mc._BLOCK + 1
-        serial = sample_spectra(3, count, seed=4)
-        assert workers == []  # threads unset: no pool at all
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
-        assert np.array_equal(sample_spectra(3, count, seed=4, threads=64), serial)
-        assert workers == [expect]  # one pool samples and solves each block
-
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(
             sample_uppers(4, 10, seed=0), sample_uppers(4, 10, seed=1)
@@ -160,28 +136,28 @@ class TestSampleLayout:
         for count in (1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK + 1, mc._BLOCK, mc._BLOCK + 1):
             assert np.array_equal(sample_uppers(5, count, seed=6), full[:count])
 
-    def test_rows_and_spectra_independent_of_threads(self, monkeypatch):
-        # four blocks and eight CPUs, so threads=4 really runs four workers
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
-        count = 3 * mc._BLOCK + 700
-        uppers = [sample_uppers(4, count, seed=12, threads=t) for t in (None, 2, 4)]
-        spectra = [sample_spectra(4, count, seed=12, threads=t) for t in (None, 2, 4)]
-        for u, s in zip(uppers[1:], spectra[1:]):
-            assert np.array_equal(u, uppers[0])
-            assert np.array_equal(s, spectra[0])
-        assert np.array_equal(spectra[0], mc.spectra_from_uppers(uppers[0], 4))
+    @pytest.mark.parametrize("block", [ROWS_PER_BLOCK, 1024])
+    def test_rows_and_spectra_independent_of_block_size(self, monkeypatch, block):
+        # against 512-sample blocks; the last block holds one sample either way
+        count = 4 * ROWS_PER_BLOCK + 1
+        samplers = (sample_uppers, sample_spectra, sample_tops)
+        monkeypatch.setattr(mc, "_BLOCK", 2 * ROWS_PER_BLOCK)
+        expect = [sampler(4, count, seed=12) for sampler in samplers]
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        got = [sampler(4, count, seed=12) for sampler in samplers]
+        for g, e in zip(got, expect):
+            assert np.array_equal(g, e)
+        assert np.array_equal(got[1], mc.spectra_from_uppers(got[0], 4))
+        assert np.array_equal(got[0][-1], oracle_rows(12, 6, [count - 1])[0])
 
     @pytest.mark.parametrize("p", [2, 3, 7, 10])
-    def test_tops_equal_spectra_column_and_energy(self, monkeypatch, p):
-        # eight CPUs, so only the number of blocks clamps the thread count
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+    def test_tops_equal_spectra_column_and_energy(self, p):
         for count in (1, mc._BLOCK, mc._BLOCK + 1):
             spectra = sample_spectra(p, count, seed=p)
-            for threads in (None, 2, 4):
-                tops = sample_tops(p, count, seed=p, threads=threads)
-                assert tops.shape == (count, 2)
-                assert np.array_equal(tops[:, 0], spectra[:, 0])
-                assert np.array_equal(tops[:, 1], np.sum(spectra**2, axis=1))
+            tops = sample_tops(p, count, seed=p)
+            assert tops.shape == (count, 2)
+            assert np.array_equal(tops[:, 0], spectra[:, 0])
+            assert np.array_equal(tops[:, 1], np.sum(spectra**2, axis=1))
 
     def test_sample_spectra_holds_one_block_of_uppers(self, monkeypatch):
         # 64 small blocks: the whole run's upper triangles would take 5.9 MB

@@ -121,7 +121,27 @@ class TestScoreSheet:
             SkewObservations(m=3, y=np.full((3, 3), 1e-13))
         y = 1e6 * np.array([[0.0, 3.0, -1.0], [-3.0, 0.0, 2.0], [1.0, -2.0, 0.0]])
         y[0, 1] *= 1.0 + 8 * np.finfo(float).eps
-        assert SkewObservations(m=3, y=y).y[0, 1] == y[0, 1]
+        assert np.array_equal(SkewObservations(m=3, y=y).y, 0.5 * y - 0.5 * y.T)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_near_subtractive_asymmetry_gives_a_report(self, m):
+        # relative asymmetry 5e-14 to 6.7e-14 is accepted; the residual's own
+        # asymmetry, 2e-13 against entries near 1e-9, once failed its re-check
+        a = np.arange(float(m))
+        y = a[:, None] - a[None, :]
+        y[0, 1] += 1e-9
+        y[1, 0] -= 1e-9
+        y[2, 3] += 1e-13
+        y[3, 2] += 1e-13
+        obs = SkewObservations(m=m, y=y)
+        assert np.array_equal(obs.y, -obs.y.T)
+        fit = scheffe_fit(obs)
+        report = build_report(obs)
+        assert largest_sv_test(fit) == (report.sv_stat, report.sv_p)
+        assert report.sv_stat == pytest.approx(1e-9 * math.sqrt((m - 2) / m), rel=1e-6)
+        assert np.array_equal(residual_embedding(fit), report.embedding)
+        if m == 5:
+            assert lrt_standardized_test(fit) == (report.std_stat, report.std_p)
 
     def test_totals_past_int64_are_reported_exactly(self):
         # r + r.T in int64 once wrapped to -9223372036854775808
@@ -518,6 +538,13 @@ class TestSignedArea:
         pts = np.zeros((4, 2))
         with pytest.raises(DomainError):
             signed_area(pts, 1, 1, 2)
+
+    @pytest.mark.parametrize("index", [-1, 4, 9])
+    def test_index_outside_the_points_rejected(self, index):
+        # -1 once read the last row silently, 9 escaped as an IndexError
+        pts = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(DomainError, match="below 4"):
+            signed_area(pts, index, 0, 1)
 
 
 class TestInvariances:
