@@ -15,12 +15,13 @@ sample; :class:`SkewEigen`, the single solve that also keeps the top
 plane, is one Hermitian eigen-solve of iA.  Both are within
 1e-13 * sigma_1 of LAPACK's SVD.
 
-The samplers draw and solve one block of samples at a time, serially.
-Reproducibility contract: under seed ``s``, sample ``i`` of order ``p`` is
-row ``i % 256`` of the (256, p(p-1)/2) standard-normal block that numpy's
-Philox draws at counter ``(0, 0, 0, i // 256)`` with a key derived from
-``s``, so a draw depends only on (seed, order, sample index), whatever
-the sample count or block size.
+The samplers draw and solve one block of samples at a time, serially, in
+buffers allocated once per call: fresh ones per block made a cold run fault
+them in again, ~460 minor page faults per block.  Reproducibility contract:
+under seed ``s``, sample ``i`` of order ``p`` is row ``i % 256`` of the
+(256, p(p-1)/2) standard-normal block that numpy's Philox draws at counter
+``(0, 0, 0, i // 256)`` with a key derived from ``s``, so a draw depends
+only on (seed, order, sample index), whatever the sample count or block size.
 """
 
 from __future__ import annotations
@@ -118,38 +119,56 @@ def _key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
 
 
-def _rows(key: np.ndarray, start: int, stop: int, n: int) -> np.ndarray:
-    """Rows [start, stop) of the sample layout, each of width ``n``, cut
-    from the Philox blocks that cover them."""
-    first = start // _STREAM_BLOCK
-    blocks = [
-        np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, b]))
-        .standard_normal((_STREAM_BLOCK, n))
-        for b in range(first, (stop - 1) // _STREAM_BLOCK + 1)
-    ]
-    skip = first * _STREAM_BLOCK
-    return np.concatenate(blocks)[start - skip:stop - skip]
+def _rows(key: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with rows [start, start + len(out)) of the sample layout, for a
+    ``start`` on a Philox block edge; numpy draws in C order, so a cut last
+    block holds that block's first rows bit for bit."""
+    for j in range(0, len(out), _STREAM_BLOCK):
+        philox = np.random.Philox(key=key, counter=[0, 0, 0, (start + j) // _STREAM_BLOCK])
+        np.random.Generator(philox).standard_normal(out=out[j:j + _STREAM_BLOCK])
+    return out
+
+
+class _Workspace:
+    """Flat buffers for batched solves of up to ``count`` order-``p`` samples: ``cut`` views
+    a buffer's front as a C-contiguous array of any smaller batch, laid out as a fresh one."""
+
+    def __init__(self, p: int, count: int):
+        self.p, w, t = p, max(count, 2), p // 2
+        self._flat = {"rows": np.empty(w * _triangle(p)), "stack": np.empty(p * p * w),
+                      "vz": np.empty(2 * p * (p - 2) * w),  # the V and Z panels
+                      "mtm": np.zeros(w * t * t)}  # a solve writes only its band
+
+    def cut(self, name: str, *shape: int) -> np.ndarray:
+        return self._flat[name][:math.prod(shape)].reshape(shape)
+
+    def stack(self, b: int) -> np.ndarray:
+        """The (p, p, B) stack of a batch of ``b``, to fill by broadcasting;
+        B = 2 for b = 1, as einsum sums a unit batch axis in another order."""
+        return self.cut("stack", self.p, self.p, b + (b == 1))
 
 
 def _sample_blocks(p: int, count: int, seed: int, width: int,
-                   per_block: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+                   per_block: Callable[[np.ndarray, _Workspace], np.ndarray]) -> np.ndarray:
     """A (count, width) array whose rows [s, e) are ``per_block`` of the
     upper triangles of samples [s, e), drawn one block of ``_BLOCK``
-    samples at a time."""
+    samples at a time into one workspace."""
     n = _triangle(p)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     key = _key(seed)
+    work = _Workspace(p, min(_BLOCK, count))
     out = np.empty((count, width))
     for s in range(0, count, _BLOCK):
-        out[s:s + _BLOCK] = per_block(_rows(key, s, min(s + _BLOCK, count), n))
+        rows = _rows(key, s, work.cut("rows", min(_BLOCK, count - s), n))
+        out[s:s + _BLOCK] = per_block(rows, work)
     return out
 
 
 def sample_uppers(p: int, count: int, seed: int) -> np.ndarray:
     """Upper triangles of samples 0 .. count - 1, shape (count, p(p-1)/2);
     sample i is the same for any count."""
-    return _sample_blocks(p, count, seed, _triangle(p), lambda u: u)
+    return _sample_blocks(p, count, seed, _triangle(p), lambda rows, work: rows)
 
 
 def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
@@ -161,9 +180,10 @@ def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
     return a - np.transpose(a, (0, 2, 1))
 
 
-def _skew_subdiagonal(a: np.ndarray) -> np.ndarray:
-    """Sub-diagonal magnitudes e_0..e_{p-2} of a skew tridiagonal Q'AQ, for
-    a (p, p, B) stack of skew-symmetric matrices laid out batch last.
+def _skew_subdiagonal(a: np.ndarray, work: _Workspace, e: np.ndarray) -> None:
+    """Write into ``e`` the sub-diagonal magnitudes e_0..e_{p-2} of a skew
+    tridiagonal Q'AQ, for a (p, p, B) stack of skew-symmetric matrices
+    laid out batch last.
 
     Step k of p - 2 Householder steps H = I - beta v v' takes its column
     and its matvec from A_k = A + V Z' - Z V', whose panels V, Z hold the
@@ -172,16 +192,14 @@ def _skew_subdiagonal(a: np.ndarray) -> np.ndarray:
     never written, which is what keeps the step cheap at large p.
     """
     p, _, b = a.shape
-    v_panel = np.empty((p, p - 2, b))
-    z_panel = np.empty((p, p - 2, b))
-    e = np.empty((p - 1, b))
+    v_panel, z_panel = work.cut("vz", 2, p, p - 2, b)
     for k in range(p - 1):
         r = slice(k + 1, p)
         v, z = v_panel[r, :k], z_panel[r, :k]
         x = a[r, k] + _matvec(v, z_panel[k, :k]) - _matvec(z, v_panel[k, :k])
         e[k] = np.sqrt(np.einsum("ib,ib->b", x, x))
         if k == p - 2:
-            break
+            return
         head = x[0].copy()
         x[0] += np.copysign(e[k], head)  # x is now the Householder vector
         scale = e[k] * (e[k] + np.abs(head))
@@ -191,7 +209,6 @@ def _skew_subdiagonal(a: np.ndarray) -> np.ndarray:
         ax -= _matvec(z, np.einsum("ijb,ib->jb", v, x))
         v_panel[r, k] = x
         np.multiply(beta, ax, out=z_panel[r, k])
-    return e
 
 
 def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -199,20 +216,16 @@ def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ijb,jb->ib", m, x)
 
 
-def _spectra(a: np.ndarray) -> np.ndarray:
+def _spectra(a: np.ndarray, work: _Workspace) -> np.ndarray:
     """Singular spectra, shape (B, p // 2) and descending, of a (p, p, B)
-    stack of skew-symmetric matrices laid out batch last; the stack is
-    the caller's scratch, scaled in place.
+    stack of skew-symmetric matrices laid out batch last, B != 1; the
+    stack is ``work``'s, scaled in place.
 
     The sub-diagonal of the reduced tridiagonal splits into a t x t
     (p even) or (t + 1) x t (p odd) lower bidiagonal M with diagonal e_0,
     e_2, ... and sub-diagonal e_1, e_3, ...; sigma^2 = eigvalsh(M'M).
     """
     p, _, b = a.shape
-    if b == 1:
-        # einsum drops a unit batch axis and then sums one sample in
-        # another order than a batch of them: solve it as a batch of two
-        return _spectra(np.concatenate((a, a), axis=2))[:1]
     shift = _unit_scaled(a, axis=(0, 1))
     energy = 0.5 * np.einsum("ijb,ijb->b", a, a)
     finite = np.isfinite(energy)
@@ -220,9 +233,9 @@ def _spectra(a: np.ndarray) -> np.ndarray:
         raise DomainError(f"sample {int(np.argmin(finite))}: matrix entries must be finite")
     t = p // 2
     e = np.zeros((2 * t, b))  # even p: a zero last sub-diagonal entry
-    e[:p - 1] = _skew_subdiagonal(a)
+    _skew_subdiagonal(a, work, e)
     d, f = e[0::2].T, e[1::2].T
-    mtm = np.zeros((b, t, t))
+    mtm = work.cut("mtm", b, t, t)
     i = np.arange(t)
     mtm[:, i, i] = d * d + f * f
     mtm[:, i[1:], i[:-1]] = mtm[:, i[:-1], i[1:]] = f[:, :-1] * d[:, 1:]
@@ -265,11 +278,16 @@ def spectra_of_matrices(a: np.ndarray) -> np.ndarray:
     sample is solved scaled by a power of two to max |a_ij| in [1/2, 1),
     which is exact, so every singular value is within 1e-13 * sigma_1 of
     LAPACK's SVD, also for samples whose squares would underflow or
-    overflow.  Raises :class:`DomainError` for non-finite entries and
-    :class:`PairingError` when sum(sigma^2) misses the energy
-    ||A||_F^2 / 2 by relative 1e-8, which is what a non-skew input does.
+    overflow.  Raises :class:`DomainError` for a shape other than (B, p, p)
+    or non-finite entries and :class:`PairingError` when sum(sigma^2) misses
+    the energy ||A||_F^2 / 2 by relative 1e-8, which is what a non-skew input does.
     """
-    return _spectra(np.moveaxis(np.asarray(a, dtype=float), 0, -1).copy())
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DomainError(f"expected a (B, p, p) stack, got shape {a.shape}")
+    work = _Workspace(a.shape[1], len(a))
+    work.stack(len(a))[...] = np.moveaxis(a, 0, -1)
+    return _spectra(work.stack(len(a)), work)[:len(a)]
 
 
 def spectra_from_uppers(uppers: np.ndarray, p: int) -> np.ndarray:
@@ -281,29 +299,33 @@ def spectra_from_uppers(uppers: np.ndarray, p: int) -> np.ndarray:
     u = np.atleast_2d(np.asarray(uppers, dtype=float))
     if u.ndim != 2 or u.shape[1] != _triangle(p):
         raise DomainError(f"order {p} needs rows of width {_triangle(p)}, got shape {u.shape}")
-    u = np.ascontiguousarray(u.T)
-    a = np.empty((p, p, u.shape[1]))
+    return _solve_uppers(u, _Workspace(p, len(u)))
+
+
+def _solve_uppers(uppers: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Spectra of a (B, p(p-1)/2) array of upper triangles, solved in ``work``."""
+    p, a = work.p, work.stack(len(uppers))
     start = 0
     for i in range(p):
-        row = u[start:start + p - 1 - i]
+        stop = start + p - 1 - i
         a[i, i] = 0.0
-        a[i, i + 1:] = row
-        np.negative(row, out=a[i + 1:, i])
-        start += p - 1 - i
-    return _spectra(a)
+        a[i, i + 1:] = uppers[:, start:stop].T
+        np.negative(a[i, i + 1:], out=a[i + 1:, i])
+        start = stop
+    return _spectra(a, work)[:len(uppers)]
 
 
 def sample_spectra(p: int, count: int, seed: int) -> np.ndarray:
     """Singular spectra of ``count`` seeded samples, shape (count, t); each
     block of samples is drawn and solved in one pass."""
-    return _sample_blocks(p, count, seed, p // 2, lambda u: spectra_from_uppers(u, p))
+    return _sample_blocks(p, count, seed, p // 2, _solve_uppers)
 
 
 def sample_tops(p: int, count: int, seed: int) -> np.ndarray:
     """(sigma_1, sum sigma^2) of ``count`` seeded samples, shape (count, 2): bit for bit
     column 0 and the row sums of squares of :func:`sample_spectra`, one block held at a time."""
-    def tops(uppers: np.ndarray) -> np.ndarray:
-        sigma = spectra_from_uppers(uppers, p)
+    def tops(rows: np.ndarray, work: _Workspace) -> np.ndarray:
+        sigma = _solve_uppers(rows, work)
         return np.column_stack((sigma[:, 0], np.sum(sigma**2, axis=1)))
 
     return _sample_blocks(p, count, seed, 2, tops)

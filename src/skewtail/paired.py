@@ -236,12 +236,15 @@ def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
     """
     if obs.m < 3:
         raise DomainError(f"need m >= 3 objects for an interaction space, got {obs.m}")
-    alpha = obs.y.sum(axis=1) / obs.m
-    gamma = obs.y - (alpha[:, None] - alpha[None, :])
-    noise = _ROUNDING_RESIDUAL * obs.m * np.finfo(float).eps * float(np.max(np.abs(obs.y)))
+    _, k = np.frexp(np.max(np.abs(obs.y)))  # fit y / 2^k, exactly: its row sums cannot overflow
+    y = np.ldexp(obs.y, -k)
+    alpha = y.sum(axis=1) / obs.m
+    gamma = y - (alpha[:, None] - alpha[None, :])
+    noise = _ROUNDING_RESIDUAL * obs.m * np.finfo(float).eps * float(np.max(np.abs(y)))
     if float(np.max(np.abs(gamma))) <= noise:
         gamma = np.zeros_like(gamma)
-    return ScheffeFit(m=obs.m, alpha_hat=alpha, gamma_hat=gamma)
+    with np.errstate(over="ignore"):  # an overflowing gamma is chi_square_test's DataError
+        return ScheffeFit(m=obs.m, alpha_hat=np.ldexp(alpha, k), gamma_hat=np.ldexp(gamma, k))
 
 
 def _residual_eigen(fit: ScheffeFit) -> mc.SkewEigen:

@@ -243,7 +243,7 @@ def simulate_null_largest_sv(m: int, count: int, seed: int) -> np.ndarray:
     sigma1 = np.empty(count)
     for s in range(0, count, mc._BLOCK):
         e = min(s + mc._BLOCK, count)
-        y = mc.uppers_to_full(mc._rows(key, s, e, m * (m - 1) // 2), m)
+        y = mc.uppers_to_full(mc._rows(key, s, np.empty((e - s, m * (m - 1) // 2))), m)
         alpha = y.sum(axis=2) / m
         gamma = y - (alpha[:, :, None] - alpha[:, None, :])
         sigma1[s:e] = mc.spectra_of_matrices(gamma)[:, 0]

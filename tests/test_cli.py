@@ -338,7 +338,8 @@ class TestAnalyze:
     def test_overflowing_raw_matrix_exits_4_without_warning(self, capsys, tmp_path):
         cycle = tmp_path / "cycle_1e308.txt"  # y_ij - y_ji overflows, its halves do not
         cycle.write_text("0 1e308 -1e308\n-1e308 0 1e308\n1e308 -1e308 0\n")
-        for raw in (self._league_raw(tmp_path, 1e170), cycle):
+        # max |y| = 1.3e308 at 5e307: the row sums of y itself overflow
+        for raw in (self._league_raw(tmp_path, 1e170), self._league_raw(tmp_path, 5e307), cycle):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, out, err = run_cli(capsys, "analyze", str(raw), "--raw")

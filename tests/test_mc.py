@@ -2,6 +2,9 @@
 moments, pairing, the top invariant plane, and the KS helper."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -171,6 +174,20 @@ class TestSampleLayout:
         finally:
             tracemalloc.stop()
         assert peak < whole_run / 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux page-fault counts")
+    def test_fresh_process_reuses_block_buffers(self):
+        # fresh block arrays for every block cost ~460 minor faults a block
+        # with glibc, which gave them back to the OS and faulted them in again
+        code = ("import resource; from skewtail import mc\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "mc.sample_tops(10, 64 * mc._BLOCK, 3)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        paths = [os.path.dirname(os.path.dirname(mc.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 300 * 64
 
     def test_spectra_rows_equal_single_row_solves_and_small_blocks(self, monkeypatch):
         p, seed = 10, 31
@@ -488,6 +505,12 @@ class TestBatchedSpectra:
         # width 7 once gave the spectra of the first 6 columns; 5 a bare ValueError
         with pytest.raises(DomainError, match="width 6"):
             mc.spectra_from_uppers(np.ones((3, width)), 4)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4), (1, 1, 4), (2, 4, 4, 1)])
+    def test_stack_shape_must_be_b_p_p(self, shape):
+        # (2, 3, 4) once gave zeros; (4, 4) and (1, 1, 4) a PairingError
+        with pytest.raises(DomainError, match=r"\(B, p, p\) stack"):
+            mc.spectra_of_matrices(np.zeros(shape))
 
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("batch_last", [False, True])
