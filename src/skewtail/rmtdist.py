@@ -182,18 +182,23 @@ def _cdf_complement_det(p: int, t: int, y: float) -> float | None:
     Q_ij is small, the matrix is a smooth perturbation of the identity,
     and the determinant carries none of the cancellation the direct
     route suffers there; its trace is the leading tail expansion.
-    Returns None where the perturbation is too large to trust.
+    Returns None where some |entry| >= 0.05, too large to trust; the t
+    diagonal entries are built and checked first, the other t^2 - t only
+    if all of them pass.
     """
     gram = _hankel_gram_cached(p)
     g, ginv = gram.g, gram.ginv
     q = _chi2_upper_ladder(p, t, y)
-    m = np.empty((t, t))
-    for k in range(1, t + 1):
-        for j in range(1, t + 1):
-            m[k - 1, j - 1] = 2.0 ** (k - j) * sum(
-                ginv[k - 1, i - 1] * g[i - 1, j - 1] * q[i + j - 2]
-                for i in range(1, t + 1)
-            )
+    def entry(k: int, j: int) -> float:
+        return 2.0 ** (k - j) * sum(ginv[k, i] * g[i, j] * q[i + j] for i in range(t))
+
+    m = np.diag([entry(k, k) for k in range(t)])
+    if float(np.max(np.abs(np.diagonal(m)))) >= 0.05:
+        return None
+    for k in range(t):
+        for j in range(t):
+            if k != j:
+                m[k, j] = entry(k, j)
     if float(np.max(np.abs(m))) >= 0.05:
         return None
     return float(np.linalg.det(np.eye(t) - m))
@@ -225,8 +230,10 @@ def largest_sv_cdf(p: int, x: float) -> float:
     per anti-diagonal, are formed once each in log scale, and every row
     is equilibrated by its own largest entry before the normalizer d_p
     recombines in log domain.  The complement's try costs one scalar
-    chi-square tail and the direct route one scalar lower gamma; the
-    other 2t - 2 rungs of each ladder come by recurrence.  The raw
+    chi-square tail and the t diagonal entries of C^{-1} K; the other
+    t^2 - t entries are built only when every diagonal entry is below
+    0.05.  The direct route costs one scalar lower gamma; the other
+    2t - 2 rungs of each ladder come by recurrence.  The raw
     entries span hundreds of orders of magnitude by p ~ 16, which is what
     the scaling and the log-domain normalizer absorb.  Once x^2
     overflows the value is 1.
@@ -320,13 +327,20 @@ def largest_sv_tail_asymptotic(p: int, x: float) -> float:
 
     An asymptotic approximation; it may exceed the exact tail slightly
     at moderate x but agrees to a couple of percent once the exact tail
-    is below ~1e-3.
+    is below ~1e-3.  It sums to E #{i : sigma_i > x} in [0, t], but its
+    weights alternate in sign and cancel as p grows: a sum outside [0, t]
+    raises :class:`DomainError`, and one inside can still be far off past
+    p ~ 30 (4e11 times the true value at p = 173, x = 30.31) until the
+    kernel route in ROADMAP.md replaces it.
     """
     gram = hankel_gram(p)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
     q = _chi2_upper_ladder(gram.p, gram.t, x * x)
-    return float(sum(w * qk for w, qk in zip(gram.weights, q)))
+    value = float(sum(w * qk for w, qk in zip(gram.weights, q)))
+    if not 0.0 <= value <= gram.t:
+        raise DomainError(f"tail expansion at p={p}, x={x!r} reads {value!r}, outside [0, {gram.t}]")
+    return value
 
 
 def standardized_sv_upper(p: int, x: float) -> float:

@@ -20,6 +20,12 @@ computes in closed form.
   2e-13; :func:`direct_cdf_of_log_entries` is that route's equilibrated
   determinant and normalizer, and :func:`direct_cdf_entrywise` the two
   together;
+* :func:`complement_matrix_entrywise` builds all t^2 entries of the
+  sigma_1 CDF's complement matrix C^{-1} K(y) in one double loop, and
+  :func:`complement_det_of_matrix` applies the 0.05 check to the whole
+  matrix at once: the reference for
+  :func:`skewtail.rmtdist._cdf_complement_det`, which checks the diagonal
+  before it builds the rest;
 * :func:`simulate_null_largest_sv` fits pure-noise Scheffe observations
   and returns the largest singular values of their residuals, whose law
   must be the exact one of order m - 1.
@@ -32,7 +38,7 @@ import numpy as np
 
 from skewtail import mc
 from skewtail.errors import DomainError
-from skewtail.rmtdist import _log_constants
+from skewtail.rmtdist import _chi2_upper_ladder, _hankel_gram_cached, _log_constants
 from skewtail.specfun import (
     _lower_gamma_series,
     _upper_gamma_cf,
@@ -100,6 +106,29 @@ def direct_cdf_entrywise(p: int, x: float) -> float:
     """The direct-route value of P(sigma_1 < x), unclipped, with every
     log-entry from its own scalar evaluation."""
     return direct_cdf_of_log_entries(p, direct_log_entries_entrywise(p, x))
+
+
+def complement_matrix_entrywise(p: int, t: int, y: float) -> np.ndarray:
+    """(C^{-1} K(y))_kj = sum_i 2^(k-j) g^ki g_ij Q_ij for every k, j, each
+    entry by the same products in the same order as the library's."""
+    gram = _hankel_gram_cached(p)
+    g, ginv = gram.g, gram.ginv
+    q = _chi2_upper_ladder(p, t, y)
+    m = np.empty((t, t))
+    for k in range(1, t + 1):
+        for j in range(1, t + 1):
+            m[k - 1, j - 1] = 2.0 ** (k - j) * sum(
+                ginv[k - 1, i - 1] * g[i - 1, j - 1] * q[i + j - 2]
+                for i in range(1, t + 1)
+            )
+    return m
+
+
+def complement_det_of_matrix(m: np.ndarray) -> float | None:
+    """det(I - m), or None when any |entry| of the whole matrix is 0.05 or more."""
+    if float(np.max(np.abs(m))) >= 0.05:
+        return None
+    return float(np.linalg.det(np.eye(len(m)) - m))
 
 
 def _band_factorization(delta: float, t: int):

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from skewtail.errors import DomainError, ExcludedPointError, ValidityError
+from skewtail.errors import DomainError, ExcludedPointError, SkewtailError, ValidityError
 from skewtail.specfun import beta_upper, chi2_upper, log_regularized_gamma_lower
 from skewtail.rmtdist import (
     CRITICAL_POINT,
     _cdf_log_antidiagonals,
+    _chi2_upper_ladder,
     critical_radius_objective,
     euler_characteristic,
     hankel_gram,
@@ -29,6 +30,8 @@ from skewtail.rmtdist import (
 
 from oracles import (
     _band_factorization,
+    complement_det_of_matrix,
+    complement_matrix_entrywise,
     critical_radius_search,
     direct_cdf_entrywise,
     direct_cdf_of_log_entries,
@@ -174,6 +177,17 @@ class TestJointDensity:
             joint_density([2.0, -1.0], 4)
 
 
+# x / sqrt(p) on each side of the sigma_1 CDF complement route's 0.05
+# check: a diagonal entry of C^{-1} K reaches 0.05; only an off-diagonal
+# entry does (the band runs from 1.80-1.94 at p = 5 to 2.23-3.16 at
+# p = 100, and needs t >= 2); no entry does
+COMPLEMENT_SIDES = {
+    "diagonal": lambda p: 1.2,
+    "off_diagonal": lambda p: 2.65 - 0.8 * math.exp(-(p - 5) / 10),
+    "accepted": lambda p: 3.4,
+}
+
+
 class TestLargestSvCdf:
     def test_zero_threshold(self):
         for p in (2, 3, 7, 12):
@@ -224,6 +238,45 @@ class TestLargestSvCdf:
             # sharper of the two near saturation
             assert comp == pytest.approx(direct, abs=2e-9)
         assert checked >= 5
+
+    @pytest.mark.parametrize("p, side", [
+        (p, side)
+        for p in [*range(2, 61), 100, 173]
+        for side in COMPLEMENT_SIDES
+        if (side != "off_diagonal" or p >= 5) and (p, side) != (173, "off_diagonal")
+    ])
+    def test_complement_check_matches_full_matrix_reference(self, p, side, monkeypatch):
+        # the library checks the t diagonal entries of C^{-1} K before it
+        # builds the rest; the reference builds all t^2 and checks them at
+        # once.  Both give the same None or bits, and the CDF built on
+        # each the same bits or exception type (p = 173 skips the
+        # off-diagonal side: there the reference and the library take
+        # ~0.4 s each)
+        from skewtail import rmtdist
+
+        x, t = COMPLEMENT_SIDES[side](p) * math.sqrt(p), p // 2
+        m = complement_matrix_entrywise(p, t, x * x)
+        diagonal, whole = float(np.max(np.abs(np.diagonal(m)))), float(np.max(np.abs(m)))
+        assert side == ("diagonal" if diagonal >= 0.05 else "off_diagonal" if whole >= 0.05 else "accepted")
+
+        def cdf_bits(complement):
+            # largest_sv_cdf(p, x) with `complement` as its complement
+            # route, and what that route returned
+            seen = []
+
+            def recorded(*args):
+                seen.append(complement(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(rmtdist, "_cdf_complement_det", recorded)
+            try:
+                value = largest_sv_cdf(p, x).hex()
+            except SkewtailError as exc:
+                value = type(exc)
+            return value, [None if c is None else c.hex() for c in seen]
+
+        library = cdf_bits(rmtdist._cdf_complement_det)
+        assert library == cdf_bits(lambda *args: complement_det_of_matrix(m))
 
     @pytest.mark.parametrize("p", range(2, 61))
     def test_hankel_route_is_bit_identical_to_entrywise(self, p, monkeypatch):
@@ -457,12 +510,22 @@ class TestTailAsymptotic:
     @pytest.mark.parametrize("p", range(4, 61))
     def test_ladder_matches_per_rung_sum(self, p):
         # the weights alternate in sign, so the sum may cancel: the bound is
-        # relative to sum |w_k q_k|, not to the sum itself
+        # relative to sum |w_k q_k|, not to the sum itself.  A ladder sum
+        # that cancels out of [0, t], the range of E #{i : sigma_i > x},
+        # raises; where it stays inside, it is the value.  Both sums are
+        # noise once the bound spans [0, t] (from p = 31 at small x), and
+        # there they can fall on different sides of the range
         gram = hankel_gram(p)
         for x in np.linspace(0.25, 3.0 * math.sqrt(p) + 4.0, 12):
             terms = [w * chi2_upper(2 * p - 3 - 2 * k, x * x) for k, w in enumerate(gram.weights)]
             scale = sum(abs(v) for v in terms)
-            assert abs(largest_sv_tail_asymptotic(p, x) - sum(terms)) <= 1e-13 * scale
+            ladder = float(sum(w * q for w, q in zip(gram.weights, _chi2_upper_ladder(p, gram.t, x * x))))
+            assert abs(ladder - sum(terms)) <= 1e-13 * scale
+            if 0.0 <= ladder <= gram.t:
+                assert largest_sv_tail_asymptotic(p, x) == ladder
+            else:
+                with pytest.raises(DomainError):
+                    largest_sv_tail_asymptotic(p, x)
 
     def test_matches_elementwise_double_sum(self):
         p, x = 7, 3.0
