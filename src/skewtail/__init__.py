@@ -58,6 +58,7 @@ from .rmtdist import (
     joint_density,
     largest_sv_cdf,
     largest_sv_tail_asymptotic,
+    largest_sv_upper,
     normalizing_constants,
     spectrum_law,
     standardized_sv_upper,
@@ -101,6 +102,7 @@ __all__ = [
     "largest_sv_cdf",
     "largest_sv_tail_asymptotic",
     "largest_sv_test",
+    "largest_sv_upper",
     "log_gamma",
     "lrt_standardized_test",
     "max_deadlock",

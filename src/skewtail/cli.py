@@ -27,6 +27,7 @@ from .paired import TestReport, build_report, variance_stabilize
 from .rmtdist import (
     CRITICAL_POINT,
     largest_sv_cdf,
+    largest_sv_upper,
     standardized_sv_upper,
 )
 
@@ -44,7 +45,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.kind == "cdf":
         value = largest_sv_cdf(args.p, args.x)
     elif args.kind == "tail":
-        value = 1.0 - largest_sv_cdf(args.p, args.x)
+        value = largest_sv_upper(args.p, args.x)
     else:
         value = standardized_sv_upper(args.p, args.x)
     print(_fmt_prob(value))
@@ -99,7 +100,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print("sigma1 upper tail at empirical quantiles:")
     for q in _QUANTILE_POINTS:
         x = float(np.quantile(sigma1, q))
-        exact = 1.0 - largest_sv_cdf(p, x)
+        exact = largest_sv_upper(p, x)
         emp = mc.empirical_upper(sigma1, x)
         line, ok = _validate_line(
             f"x={x:.4f}", emp, exact, mc.binomial_standard_error(exact, n)

@@ -21,7 +21,8 @@ import numpy as np
 from . import mc
 from .errors import DataError, DomainError, MultiplicityError
 from .mc import SingularSpectrum, SkewMatrix
-from .rmtdist import CRITICAL_POINT, largest_sv_cdf, standardized_sv_upper
+from .rmtdist import CRITICAL_POINT, largest_sv_upper, standardized_sv_upper
+from .rmtdist import largest_sv_cdf  # noqa: F401  unused here; bench/tracer.py wraps it by name
 from .specfun import chi2_upper
 
 _SQRT3 = math.sqrt(3.0)
@@ -309,7 +310,7 @@ def largest_sv_test(fit: ScheffeFit, sigma2: float = 1.0) -> tuple[float, float]
 
 def _largest_sv(m: int, spectrum: SingularSpectrum) -> tuple[float, float]:
     stat = float(spectrum.sigma[0])
-    return stat, 1.0 - largest_sv_cdf(m - 1, stat)
+    return stat, largest_sv_upper(m - 1, stat)
 
 
 def lrt_standardized_test(fit: ScheffeFit) -> tuple[float | None, float | None]:

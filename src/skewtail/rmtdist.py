@@ -3,29 +3,27 @@ Gaussian matrix.
 
 A p x p real skew-symmetric matrix with i.i.d. standard-normal upper
 triangle has t = floor(p/2) paired singular values.  This module
-provides, all in closed form:
+provides:
 
 * the joint density of the ordered singular values and its
   normalizing constants,
-* the exact distribution function of the largest singular value
-  (a t x t Hankel determinant of lower incomplete-gamma entries, one
-  per anti-diagonal),
+* the exact distribution function and upper tail of the largest
+  singular value and the expected count above a threshold, from one
+  Laguerre kernel (the sigma^2 / 2 form a Laguerre unitary ensemble),
 * the Hankel gram matrix Gamma(p - i - j + 1/2), its inverse, and the
   geometric weights built from the two, each rounded from exact rationals,
-* the asymptotic upper tail of sigma_1 (weighted chi-square tails) and
-  the exact tube-method upper tail of the standardized statistic
+* the exact tube-method upper tail of the standardized statistic
   sigma_1 / sqrt(sum sigma_i^2) on its validity range x >= 1/sqrt(2),
+  a weighted sum of 2t - 1 beta tails whose first parameters step by 1:
+  one scalar tail at the stable end of that ladder, the other 2t - 2
+  rungs by the recurrence in :mod:`skewtail.specfun`,
 * the 2x2 objective whose supremum (= 1) pins the critical angle pi/4
   that delimits that validity range,
 * the Euler characteristic implied by the weights, an exact identity.
 
-Both exact laws, and the tail expansion, stack or sum 2t - 1 tails
-whose degrees of freedom step by 2: each law call makes one scalar tail
-evaluation at the stable end of that ladder and climbs the other 2t - 2
-rungs by the recurrences in :mod:`skewtail.specfun`.
-
-Normalizers and CDF entries are evaluated in log domain.  All is pure
-and thread-safe; per-order gram matrices are memoized (read-only arrays).
+The kernel's quadrature rules are built on first use and cached, as
+are the per-order gram matrices (read-only arrays); all is pure and
+thread-safe.
 """
 
 from __future__ import annotations
@@ -39,18 +37,21 @@ import numpy as np
 from .errors import DomainError, ExcludedPointError, ValidityError
 from .specfun import (
     _beta_upper_rungs,
-    _log_lower_gamma_rungs,
-    _upper_gamma_rungs,
     beta_upper,
     chi2_upper,
     log_gamma,
-    log_regularized_gamma_lower,
+    log_regularized_gamma_lower,  # unused here; bench/tracer.py wraps it by name
     probability,
 )
 
 #: Exactness threshold of the standardized upper tail: cos(theta_c) with
 #: critical angle theta_c = pi/4.
 CRITICAL_POINT = 1.0 / math.sqrt(2.0)
+
+#: Largest order of the sigma_1 laws' verified envelope, where hankel_gram ends too.
+_MAX_ORDER = 173
+_LAGUERRE_NODES = 120
+_LEGENDRE_NODES = 2 * (_MAX_ORDER // 2) + 60  # 2t + 60 at the largest t serves every t
 
 # Slack on the validity boundary so thresholds supplied with ~8 correct
 # digits (e.g. 0.70710678 from a table) are not rejected.
@@ -166,104 +167,138 @@ def joint_density(sigma, p: int) -> float:
     return math.exp(logv)
 
 
-def _chi2_upper_ladder(p: int, t: int, y: float) -> list[float]:
-    """q[k] = P(chi2_nu > y) with nu = 2p - 3 - 2k for k = 0 .. 2t - 2:
-    the smallest nu by one evaluation, the rest by the upward recurrence."""
-    nu = 2 * p - 3 - 2 * (2 * t - 2)
-    return _upper_gamma_rungs(chi2_upper(nu, y), 0.5 * nu, 0.5 * y, 2 * t - 1)[::-1]
+def _newton_roots(x: np.ndarray, poly) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of poly by Newton steps from estimates x, and poly' there."""
+    for _ in range(20):
+        value, slope = poly(x)
+        step = value / slope
+        x = x - step
+        if np.all(np.abs(step) <= 1e-13 * np.abs(x)):
+            return x, poly(x)[1]
+    raise ArithmeticError("quadrature nodes failed to converge")
 
 
-def _cdf_complement_det(p: int, t: int, y: float) -> float | None:
-    """det(I - C^{-1} K(y)) with K the upper-tail remainder of the CDF's
-    integral matrix: an exact complement form of the determinantal CDF.
+@lru_cache(maxsize=None)
+def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule for int_0^inf f(u) e^-u du."""
+    def poly(x):  # L_n, L_n' by (j + 1) L_{j+1} = (2j + 1 - x) L_j - j L_{j-1}
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for j in range(n):
+            prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
+        return cur, n * (cur - prev) / x
 
-    Entrywise, (C^{-1} K)_kj = sum_i 2^{k-j} g^{ki} g_ij Q_ij with
-    Q_ij the regularized upper gamma tails.  Near saturation every
-    Q_ij is small, the matrix is a smooth perturbation of the identity,
-    and the determinant carries none of the cancellation the direct
-    route suffers there; its trace is the leading tail expansion.
-    Returns None where some |entry| >= 0.05, too large to trust; the t
-    diagonal entries are built and checked first, the other t^2 - t only
-    if all of them pass.
+    # Tricomi's estimate (4n + 2) cos^2(theta / 2), theta - sin(theta) = c
+    c = (4 * n - 4 * np.arange(1, n + 1) + 3) * math.pi / (4 * n + 2)
+    theta = np.cbrt(6.0 * c)
+    for _ in range(6):
+        theta -= (theta - np.sin(theta) - c) / (1.0 - np.cos(theta))
+    u, slope = _newton_roots((4 * n + 2) * np.cos(0.5 * theta) ** 2, poly)
+    return u, 1.0 / (u * slope * slope)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule for int_0^1 f(v) dv."""
+    def poly(z):  # P_n, P_n' by (j + 1) P_{j+1} = (2j + 1) z P_j - j P_{j-1}
+        prev, cur = np.zeros_like(z), np.ones_like(z)
+        for j in range(n):
+            prev, cur = cur, ((2 * j + 1) * z * cur - j * prev) / (j + 1)
+        return cur, n * (z * cur - prev) / (z * z - 1.0)
+
+    z, slope = _newton_roots(np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5)), poly)
+    return 0.5 * (1.0 + z), 1.0 / ((1.0 - z * z) * slope * slope)
+
+
+def _kernel(law: SpectrumLaw, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """sum_i phi(lam_i) phi(lam_i)^T over the t Laguerre functions, phi_k =
+    psi_k lam^(a/2) e^(-lam/2) with psi_k orthonormal for lam^a e^-lam,
+    a = eps - 1/2; scale_i^2 is the node's weight times what of
+    lam^a e^-lam the rule's weight function lacks, each factor rounded on
+    its own (one exp of their summed logs would be eps * lam off)."""
+    a = law.eps - 0.5
+    b = np.empty((law.t, lam.size))
+    prev, cur = np.zeros_like(lam), np.full_like(lam, math.exp(-0.5 * math.lgamma(a + 1.0)))
+    for k in range(law.t):
+        b[k] = cur
+        prev, cur = cur, (
+            (2 * k + 1 + a - lam) * cur - math.sqrt(k * (k + a)) * prev
+        ) / math.sqrt((k + 1) * (k + 1 + a))
+    b *= scale
+    return b @ b.T
+
+
+def _upper_kernel(law: SpectrumLaw, x: float) -> np.ndarray:
+    """M = int_s^inf phi phi^T, s = x^2 / 2, by Gauss-Laguerre in lam - s."""
+    u, w = _gauss_laguerre(_LAGUERRE_NODES)
+    lam = 0.5 * x * x + u
+    return _kernel(law, lam, np.sqrt(w * lam ** (law.eps - 0.5)) * math.exp(-0.25 * x * x))
+
+
+def _lower_kernel(law: SpectrumLaw, x: float) -> np.ndarray:
+    """N = int_0^s phi phi^T = I - M by Gauss-Legendre in v, lam = s v^2,
+    where lam^a d lam = 2 s^(1+a) v^(1+2a) dv is free of lam^(-1/2)."""
+    a = law.eps - 0.5
+    v, w = _gauss_legendre(_LEGENDRE_NODES)
+    lam = 0.5 * x * x * v * v
+    root_jacobian = np.sqrt(2.0 * w * v ** (1.0 + 2.0 * a)) * (x / math.sqrt(2.0)) ** (1.0 + a)
+    return _kernel(law, lam, root_jacobian * np.exp(-0.5 * lam))
+
+
+def _sigma1(p: int, x: float) -> tuple[float, float, float]:
+    """(P(sigma_1 < x), P(sigma_1 > x), E #{i : sigma_i > x}).
+
+    The lam = sigma^2 / 2 form a Laguerre unitary ensemble of t particles
+    with weight lam^(eps - 1/2) e^-lam, so with M = int_s^inf phi phi^T,
+    s = x^2 / 2, the CDF is det(I - M) and the count is tr M (Mehta,
+    *Random Matrices*, ch. 13; Bornemann, Math. Comp. 2010).  Where
+    tr M < 1/8 the CDF is the product of the pivots 1 - delta_k of I - M:
+    as the Schur complement of I - M is I - M', M' = M_22 + M_21 M_12 /
+    (1 - M_11), each deficit delta_k sums nonnegative terms and the tail
+    keeps its relative accuracy.  Elsewhere N = I - M and det N by
+    Cholesky give all three: there the Gauss-Laguerre M is off for p = 2,
+    since lam^(-1/2) is singular near the rule's endpoint (by 2.4e-10
+    where tr M = 1/2, 1e-14 at 1/4 and 5e-15 at 1/8).
     """
-    gram = _hankel_gram_cached(p)
-    g, ginv = gram.g, gram.ginv
-    q = _chi2_upper_ladder(p, t, y)
-    def entry(k: int, j: int) -> float:
-        return 2.0 ** (k - j) * sum(ginv[k, i] * g[i, j] * q[i + j] for i in range(t))
-
-    m = np.diag([entry(k, k) for k in range(t)])
-    if float(np.max(np.abs(np.diagonal(m)))) >= 0.05:
-        return None
-    for k in range(t):
-        for j in range(t):
-            if k != j:
-                m[k, j] = entry(k, j)
-    if float(np.max(np.abs(m))) >= 0.05:
-        return None
-    return float(np.linalg.det(np.eye(t) - m))
-
-
-def _cdf_log_antidiagonals(p: int, t: int, half_y: float) -> np.ndarray:
-    """ln of the direct route's Hankel entries, 2^(nu/2) Gamma(nu/2)
-    P(nu/2, y/2) with nu = 2p - 3 - 2k, one per anti-diagonal k = i + j
-    (0-based) = 0 .. 2t - 2: the largest nu by one evaluation in log
-    scale, the rest by the downward recurrence."""
-    log_p = _log_lower_gamma_rungs(
-        log_regularized_gamma_lower(p - 1.5, half_y), p - 1.5, half_y, 2 * t - 1
-    )
-    log2 = math.log(2.0)
-    return np.array([
-        (p - 1.5 - k) * log2 + log_gamma(p - 1.5 - k) + lp for k, lp in enumerate(log_p)
-    ])
+    law = spectrum_law(p)
+    if law.p > _MAX_ORDER:
+        raise DomainError(f"the sigma_1 laws are verified for p <= {_MAX_ORDER}, got p={law.p}")
+    if not math.isfinite(x) or x < 0.0:
+        raise DomainError(f"x must be finite and >= 0, got {x!r}")
+    y = float(x) * float(x)
+    # sigma_1^2 <= sum sigma_i^2 ~ chi2_n: past twice its mean (where its
+    # tail takes the continued fraction) a tail that underflows ends the
+    # law before lam^t can overflow
+    if math.isinf(y) or (y > 2 * law.n and chi2_upper(law.n, y) == 0.0):
+        return 1.0, 0.0, 0.0
+    m = _upper_kernel(law, x)
+    trace = float(np.trace(m))
+    if trace < 0.125:
+        log_cdf = 0.0
+        for k in range(law.t):
+            deficit = m[k, k]
+            log_cdf += math.log1p(-deficit)
+            m[k + 1:, k + 1:] += np.outer(m[k + 1:, k], m[k, k + 1:]) / (1.0 - deficit)
+        return math.exp(log_cdf), -math.expm1(log_cdf), trace
+    n = _lower_kernel(law, x)
+    try:
+        cdf = float(np.prod(np.diagonal(np.linalg.cholesky(n)))) ** 2
+    except np.linalg.LinAlgError:
+        cdf = 0.0
+    # sigma_1 >= max |a_ij|, so the CDF is at most erf(x / sqrt(2))^n
+    cdf = min(cdf, math.erf(x / math.sqrt(2.0)) ** law.n)
+    return cdf, 1.0 - cdf, law.t - float(np.trace(n))
 
 
 def largest_sv_cdf(p: int, x: float) -> float:
-    """P(sigma_1 < x): exact determinantal distribution function.
+    """P(sigma_1 < x), to 1e-14 absolute for 2 <= p <= 100 and 3e-14 up
+    to p = 173 against mpmath Hankel determinants; DomainError beyond."""
+    return probability(_sigma1(p, x)[0])
 
-    Two regimes: near saturation the complement determinant
-    det(I - C^{-1} K) is evaluated (smooth, cancellation-free, and it
-    keeps the deep upper tail 1 - CDF accurate to ~1e-15 absolute);
-    elsewhere the direct t x t determinant is used.  Its entry (i, j) is
-    a lower incomplete gamma with nu = 2p - 2i - 2j + 1 degrees of
-    freedom, so the matrix is Hankel: the 2t - 1 distinct entries, one
-    per anti-diagonal, are formed once each in log scale, and every row
-    is equilibrated by its own largest entry before the normalizer d_p
-    recombines in log domain.  The complement's try costs one scalar
-    chi-square tail and the t diagonal entries of C^{-1} K; the other
-    t^2 - t entries are built only when every diagonal entry is below
-    0.05.  The direct route costs one scalar lower gamma; the other
-    2t - 2 rungs of each ladder come by recurrence.  The raw
-    entries span hundreds of orders of magnitude by p ~ 16, which is what
-    the scaling and the log-domain normalizer absorb.  Once x^2
-    overflows the value is 1.
-    """
-    law = spectrum_law(p)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    t = law.t
-    y = float(x) * float(x)
-    if math.isinf(y):
-        return 1.0
-    complement = _cdf_complement_det(law.p, t, y)
-    if complement is not None:
-        return probability(complement, tol=1e-9)
-    anti = _cdf_log_antidiagonals(law.p, t, 0.5 * y)
-    i = np.arange(t)
-    log_entries = anti[i[:, None] + i]  # Hankel: entry (i, j) depends on i + j only
-    scales = log_entries.max(axis=1)
-    if not np.all(np.isfinite(scales)):
-        return 0.0
-    det = float(np.linalg.det(np.exp(log_entries - scales[:, None])))
-    if det <= 0.0:
-        return 0.0
-    _, log_dp = _log_constants(law.p)
-    value = math.exp(log_dp + float(scales.sum()) + math.log(det))
-    return min(1.0, value)
+
+def largest_sv_upper(p: int, x: float) -> float:
+    """P(sigma_1 > x) without the CDF's cancellation against 1: to 1e-12
+    relative for 2 <= p <= 173 against mpmath Hankel determinants."""
+    return probability(_sigma1(p, x)[1])
 
 
 def _exact_hankel(p: int):
@@ -323,23 +358,21 @@ def hankel_gram(p: int) -> HankelGram:
 
 
 def largest_sv_tail_asymptotic(p: int, x: float) -> float:
-    """Leading tail expansion of P(sigma_1 > x): weighted chi-square upper tails.
+    """The paper's tail expansion sum_k w_k P(chi2_{2p-3-2k} > x^2), with
+    the weights of :func:`hankel_gram`, for 4 <= p <= 173.
 
-    An asymptotic approximation; it may exceed the exact tail slightly
-    at moderate x but agrees to a couple of percent once the exact tail
-    is below ~1e-3.  It sums to E #{i : sigma_i > x} in [0, t], but its
-    weights alternate in sign and cancel as p grows: a sum outside [0, t]
-    raises :class:`DomainError`, and one inside can still be far off past
-    p ~ 30 (4e11 times the true value at p = 173, x = 30.31) until the
-    kernel route in ROADMAP.md replaces it.
+    It is E #{i : sigma_i > x}, the trace of :func:`largest_sv_cdf`'s
+    kernel M: an upper bound on the tail (Markov) that tracks it to a
+    couple of percent below ~1e-3, and, as a trace of a positive
+    semidefinite matrix, accurate to 1e-12 relative.
     """
-    gram = hankel_gram(p)
+    if spectrum_law(p).p < 4:
+        raise DomainError(f"the tail expansion requires p >= 4, got {p}")
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
-    q = _chi2_upper_ladder(gram.p, gram.t, x * x)
-    value = float(sum(w * qk for w, qk in zip(gram.weights, q)))
-    if not 0.0 <= value <= gram.t:
-        raise DomainError(f"tail expansion at p={p}, x={x!r} reads {value!r}, outside [0, {gram.t}]")
+    value = _sigma1(p, x)[2]
+    if not 0.0 <= value <= p // 2:
+        raise DomainError(f"tail expansion at p={p}, x={x!r} reads {value!r}, outside [0, {p // 2}]")
     return value
 
 

@@ -16,13 +16,12 @@ uses the standard continued fraction with the symmetry switch at
 parameter ranges used here (degrees of freedom and beta parameters up
 to a few hundred), comfortably inside the 1e-12 contract.
 
-The exact laws need whole ladders of these tails whose orders step by
-one (2t - 1 chi-square, lower-gamma or beta tails per value).  The
-private ``_*_rungs`` helpers climb such a ladder from one scalar
-evaluation with the contiguous relations of DLMF 8.8 and 8.17, run in
-the direction where each step adds a nonnegative term formed in log
-domain, which keeps them stable (Gil, Segura & Temme, *Numerical
-Methods for Special Functions*, SIAM 2007, ch. 4).
+The standardized law needs a whole ladder of beta tails whose
+parameters step by one (2t - 1 per value).  ``_beta_upper_rungs`` climbs
+it from one scalar evaluation with the contiguous relation of DLMF
+8.17, run in the direction where each step adds a nonnegative term
+formed in log domain, which keeps it stable (Gil, Segura & Temme,
+*Numerical Methods for Special Functions*, SIAM 2007, ch. 4).
 """
 
 from __future__ import annotations
@@ -105,11 +104,8 @@ def regularized_gamma_upper(s: float, x: float) -> float:
 
 
 def log_regularized_gamma_lower(s: float, x: float) -> float:
-    """ln P(s, x), finite (not underflowed) arbitrarily deep in the left tail.
-
-    The determinantal CDF needs lower-tail entries whose linear values
-    underflow long before the determinant itself becomes negligible, so
-    the series is assembled in log scale.
+    """ln P(s, x), finite (not underflowed) arbitrarily deep in the left
+    tail, where P itself underflows: the series is assembled in log scale.
     """
     if s <= 0.0 or x < 0.0 or not (math.isfinite(s) and math.isfinite(x)):
         raise DomainError(f"regularized gamma requires s > 0 and x >= 0, got ({s!r}, {x!r})")
@@ -200,40 +196,6 @@ def beta_upper(a: float, b: float, y: float) -> float:
     if not (0.0 <= y <= 1.0):
         raise DomainError(f"beta_upper requires 0 <= y <= 1, got {y!r}")
     return probability(regularized_beta(b, a, 1.0 - y))
-
-
-def _upper_gamma_rungs(q: float, s: float, x: float, count: int) -> list[float]:
-    """[Q(s, x), Q(s + 1, x), ..., Q(s + count - 1, x)] from q = Q(s, x).
-
-    Steps up by Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1).
-    """
-    rungs = [q]
-    if x == 0.0:
-        return rungs * count
-    log_x = math.log(x)
-    for k in range(count - 1):
-        q = min(1.0, q + math.exp((s + k) * log_x - x - math.lgamma(s + k + 1.0)))
-        rungs.append(q)
-    return rungs
-
-
-def _log_lower_gamma_rungs(log_p: float, s: float, x: float, count: int) -> list[float]:
-    """[ln P(s, x), ln P(s - 1, x), ..., ln P(s - count + 1, x)] from
-    log_p = ln P(s, x); requires s - count + 1 > 0.
-
-    Steps down by P(s - 1, x) = P(s, x) + x^(s-1) e^-x / Gamma(s),
-    added in log scale so that rungs whose P underflows stay finite.
-    """
-    rungs = [log_p]
-    if x == 0.0:
-        return rungs * count
-    log_x = math.log(x)
-    for k in range(1, count):
-        term = (s - k) * log_x - x - math.lgamma(s - k + 1.0)
-        hi, lo = (log_p, term) if log_p > term else (term, log_p)
-        log_p = min(0.0, hi + math.log1p(math.exp(lo - hi)))
-        rungs.append(log_p)
-    return rungs
 
 
 def _beta_upper_rungs(u: float, a: float, b: float, y: float, count: int) -> list[float]:

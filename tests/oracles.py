@@ -13,19 +13,6 @@ computes in closed form.
 * :func:`regularized_gamma_lower` and :func:`chi2_lower` are the linear
   lower tails that :func:`skewtail.specfun.log_regularized_gamma_lower`
   and :func:`skewtail.specfun.chi2_upper` are checked against;
-* :func:`direct_log_entries_entrywise` evaluates every one of the t^2
-  log-entries of :func:`skewtail.rmtdist.largest_sv_cdf`'s direct route
-  by its own scalar lower-gamma call, which the library's anti-diagonal
-  ladder (one scalar evaluation plus a recurrence) must reproduce to
-  2e-13; :func:`direct_cdf_of_log_entries` is that route's equilibrated
-  determinant and normalizer, and :func:`direct_cdf_entrywise` the two
-  together;
-* :func:`complement_matrix_entrywise` builds all t^2 entries of the
-  sigma_1 CDF's complement matrix C^{-1} K(y) in one double loop, and
-  :func:`complement_det_of_matrix` applies the 0.05 check to the whole
-  matrix at once: the reference for
-  :func:`skewtail.rmtdist._cdf_complement_det`, which checks the diagonal
-  before it builds the rest;
 * :func:`simulate_null_largest_sv` fits pure-noise Scheffe observations
   and returns the largest singular values of their residuals, whose law
   must be the exact one of order m - 1.
@@ -38,13 +25,11 @@ import numpy as np
 
 from skewtail import mc
 from skewtail.errors import DomainError
-from skewtail.rmtdist import _chi2_upper_ladder, _hankel_gram_cached, _log_constants
 from skewtail.specfun import (
     _lower_gamma_series,
     _upper_gamma_cf,
     chi2_upper,
     log_gamma,
-    log_regularized_gamma_lower,
     probability,
 )
 
@@ -64,71 +49,6 @@ def regularized_gamma_lower(s: float, x: float) -> float:
 def chi2_lower(nu: float, y: float) -> float:
     """Lower tail P(chi2_nu <= y), derived as the complement of the upper tail."""
     return probability(1.0 - chi2_upper(nu, y))
-
-
-def direct_log_entries_entrywise(p: int, x: float) -> np.ndarray:
-    """The direct route's t x t log-entries at order p and x > 0, entry
-    (i, j) = ln(2^(nu/2) Gamma(nu/2) P(nu/2, x^2/2)) with
-    nu = 2p - 2i - 2j + 1, each from its own scalar evaluation."""
-    t = p // 2
-    half_y = 0.5 * (x * x)
-    log2 = math.log(2.0)
-    log_entries = np.empty((t, t))
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            nu = 2 * p - 2 * i - 2 * j + 1
-            log_entries[i - 1, j - 1] = (
-                0.5 * nu * log2
-                + log_gamma(0.5 * nu)
-                + log_regularized_gamma_lower(0.5 * nu, half_y)
-            )
-    return log_entries
-
-
-def direct_cdf_of_log_entries(p: int, log_entries: np.ndarray) -> float:
-    """The direct-route value of P(sigma_1 < x) from its t x t log-entries:
-    rows equilibrated, recombined with the normalizer d_p in log domain.
-
-    The value is not clipped to 1, so an overshoot of the direct formula
-    near saturation stays visible; 0.0 stands for a non-positive
-    equilibrated determinant."""
-    scales = log_entries.max(axis=1)
-    if not np.all(np.isfinite(scales)):
-        return 0.0
-    det = float(np.linalg.det(np.exp(log_entries - scales[:, None])))
-    if det <= 0.0:
-        return 0.0
-    _, log_dp = _log_constants(p)
-    return math.exp(log_dp + float(scales.sum()) + math.log(det))
-
-
-def direct_cdf_entrywise(p: int, x: float) -> float:
-    """The direct-route value of P(sigma_1 < x), unclipped, with every
-    log-entry from its own scalar evaluation."""
-    return direct_cdf_of_log_entries(p, direct_log_entries_entrywise(p, x))
-
-
-def complement_matrix_entrywise(p: int, t: int, y: float) -> np.ndarray:
-    """(C^{-1} K(y))_kj = sum_i 2^(k-j) g^ki g_ij Q_ij for every k, j, each
-    entry by the same products in the same order as the library's."""
-    gram = _hankel_gram_cached(p)
-    g, ginv = gram.g, gram.ginv
-    q = _chi2_upper_ladder(p, t, y)
-    m = np.empty((t, t))
-    for k in range(1, t + 1):
-        for j in range(1, t + 1):
-            m[k - 1, j - 1] = 2.0 ** (k - j) * sum(
-                ginv[k - 1, i - 1] * g[i - 1, j - 1] * q[i + j - 2]
-                for i in range(1, t + 1)
-            )
-    return m
-
-
-def complement_det_of_matrix(m: np.ndarray) -> float | None:
-    """det(I - m), or None when any |entry| of the whole matrix is 0.05 or more."""
-    if float(np.max(np.abs(m))) >= 0.05:
-        return None
-    return float(np.linalg.det(np.eye(len(m)) - m))
 
 
 def _band_factorization(delta: float, t: int):

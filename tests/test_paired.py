@@ -300,6 +300,18 @@ class TestLargestSvTest:
         assert stat == pytest.approx(0.0, abs=1e-12)
         assert p == 1.0
 
+    @pytest.mark.parametrize("m", range(3, 62))
+    def test_null_p_values_inside_the_unit_interval_and_falling(self, m):
+        # under the null, sv_p lies strictly inside (0, 1); scaling the
+        # residual up raises sigma_1 and must lower sv_p
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            obs = observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2))
+            ps = [largest_sv_test(scheffe_fit(SkewObservations(m=m, y=c * obs.y)))[1]
+                  for c in (1.0, 1.1, 1.25, 1.5)]
+            assert 0.0 < ps[0] < 1.0 - 1e-9
+            assert all(b < a for a, b in zip(ps, ps[1:]))
+
     def test_null_law_matches_order_m_minus_1(self):
         # the Monte-Carlo form of the reduced-order equivalence
         from skewtail.mc import ks_distance

@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from skewtail.errors import DomainError, ExcludedPointError, SkewtailError, ValidityError
-from skewtail.specfun import beta_upper, chi2_upper, log_regularized_gamma_lower
+from skewtail import rmtdist
+from skewtail.errors import DomainError, ExcludedPointError, ValidityError
+from skewtail.specfun import beta_upper, chi2_upper
 from skewtail.rmtdist import (
     CRITICAL_POINT,
-    _cdf_log_antidiagonals,
-    _chi2_upper_ladder,
     critical_radius_objective,
     euler_characteristic,
     hankel_gram,
     joint_density,
     largest_sv_cdf,
     largest_sv_tail_asymptotic,
+    largest_sv_upper,
     normalizing_constants,
     spectrum_law,
     standardized_sv_upper,
@@ -30,12 +30,7 @@ from skewtail.rmtdist import (
 
 from oracles import (
     _band_factorization,
-    complement_det_of_matrix,
-    complement_matrix_entrywise,
     critical_radius_search,
-    direct_cdf_entrywise,
-    direct_cdf_of_log_entries,
-    direct_log_entries_entrywise,
     hankel_inverse_exact,
     hankel_inverse_oracle,
 )
@@ -46,6 +41,9 @@ SQRT_PI = math.sqrt(math.pi)
 STANDARDIZED_REFS = json.loads(
     Path(__file__).with_name("standardized_refs.json").read_text()
 )["references"]
+SIGMA1_REFS = json.loads(Path(__file__).with_name("sigma1_refs.json").read_text())
+HANKEL_REFS, TRACE_REFS = SIGMA1_REFS["hankel"], SIGMA1_REFS["trace"]
+EPS = float(np.finfo(float).eps)
 
 
 def sphere_area(n: int) -> float:
@@ -61,21 +59,6 @@ def volume_U_recurrence(p: int) -> float:
         return 2.0
     grass = 2.0 * sphere_area(p) * sphere_area(p - 1) / (sphere_area(2) * sphere_area(1))
     return grass * volume_U_recurrence(p - 2)
-
-
-def count_gamma_loops(monkeypatch) -> list:
-    """Record the order s of every incomplete-gamma series or continued
-    fraction specfun runs: one entry per scalar evaluation."""
-    from skewtail import specfun
-
-    loops = []
-    for name in ("_lower_gamma_series", "_upper_gamma_cf"):
-        def counted(s, x, loop=getattr(specfun, name)):
-            loops.append(s)
-            return loop(s, x)
-
-        monkeypatch.setattr(specfun, name, counted)
-    return loops
 
 
 def chi3_cdf(x: float) -> float:
@@ -177,17 +160,6 @@ class TestJointDensity:
             joint_density([2.0, -1.0], 4)
 
 
-# x / sqrt(p) on each side of the sigma_1 CDF complement route's 0.05
-# check: a diagonal entry of C^{-1} K reaches 0.05; only an off-diagonal
-# entry does (the band runs from 1.80-1.94 at p = 5 to 2.23-3.16 at
-# p = 100, and needs t >= 2); no entry does
-COMPLEMENT_SIDES = {
-    "diagonal": lambda p: 1.2,
-    "off_diagonal": lambda p: 2.65 - 0.8 * math.exp(-(p - 5) / 10),
-    "accepted": lambda p: 3.4,
-}
-
-
 class TestLargestSvCdf:
     def test_zero_threshold(self):
         for p in (2, 3, 7, 12):
@@ -205,8 +177,8 @@ class TestLargestSvCdf:
         assert 1.0 - largest_sv_cdf(5, 3.932) == pytest.approx(0.0543, abs=5e-5)
 
     # saturation at 3 sqrt(p): exactly 1 - erf(3) = 2.21e-5 for p=2 and
-    # 5.9e-6 / 1.35e-6 for p=3/4 (chi-square reductions and both
-    # determinant routes agree), so the 1e-6 band only applies from p=5 up
+    # 5.9e-6 / 1.35e-6 for p=3/4 (chi-square reductions and the kernel
+    # agree), so the 1e-6 band only applies from p=5 up
     _SATURATION_TAIL = {2: 3e-5, 3: 6e-6, 4: 1.4e-6}
 
     @pytest.mark.parametrize("p", range(2, 17))
@@ -217,138 +189,14 @@ class TestLargestSvCdf:
         assert vals[-1] > 1.0 - self._SATURATION_TAIL.get(p, 1e-6)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
-    @pytest.mark.parametrize("p", [4, 7, 12, 16])
-    def test_complement_and_direct_routes_agree(self, p):
-        # the near-saturation complement determinant and the direct
-        # equilibrated determinant overlap over a band of x; they are
-        # independent evaluations of the same determinant identity
-        from skewtail.rmtdist import _cdf_complement_det, spectrum_law
-
-        t = spectrum_law(p).t
-        checked = 0
-        for x in np.linspace(1.6 * math.sqrt(p), 3.2 * math.sqrt(p), 40):
-            comp = _cdf_complement_det(p, t, x * x)
-            if comp is None:
-                continue
-            checked += 1
-            assert largest_sv_cdf(p, x) == pytest.approx(comp, abs=5e-10)
-            direct = direct_cdf_entrywise(p, x)
-            # agreement is limited by the direct route's Hankel
-            # conditioning (~1e-9 by p=16); the complement route is the
-            # sharper of the two near saturation
-            assert comp == pytest.approx(direct, abs=2e-9)
-        assert checked >= 5
-
-    @pytest.mark.parametrize("p, side", [
-        (p, side)
-        for p in [*range(2, 61), 100, 173]
-        for side in COMPLEMENT_SIDES
-        if (side != "off_diagonal" or p >= 5) and (p, side) != (173, "off_diagonal")
-    ])
-    def test_complement_check_matches_full_matrix_reference(self, p, side, monkeypatch):
-        # the library checks the t diagonal entries of C^{-1} K before it
-        # builds the rest; the reference builds all t^2 and checks them at
-        # once.  Both give the same None or bits, and the CDF built on
-        # each the same bits or exception type (p = 173 skips the
-        # off-diagonal side: there the reference and the library take
-        # ~0.4 s each)
-        from skewtail import rmtdist
-
-        x, t = COMPLEMENT_SIDES[side](p) * math.sqrt(p), p // 2
-        m = complement_matrix_entrywise(p, t, x * x)
-        diagonal, whole = float(np.max(np.abs(np.diagonal(m)))), float(np.max(np.abs(m)))
-        assert side == ("diagonal" if diagonal >= 0.05 else "off_diagonal" if whole >= 0.05 else "accepted")
-
-        def cdf_bits(complement):
-            # largest_sv_cdf(p, x) with `complement` as its complement
-            # route, and what that route returned
-            seen = []
-
-            def recorded(*args):
-                seen.append(complement(*args))
-                return seen[-1]
-
-            monkeypatch.setattr(rmtdist, "_cdf_complement_det", recorded)
-            try:
-                value = largest_sv_cdf(p, x).hex()
-            except SkewtailError as exc:
-                value = type(exc)
-            return value, [None if c is None else c.hex() for c in seen]
-
-        library = cdf_bits(rmtdist._cdf_complement_det)
-        assert library == cdf_bits(lambda *args: complement_det_of_matrix(m))
-
-    @pytest.mark.parametrize("p", range(2, 61))
-    def test_hankel_route_is_bit_identical_to_entrywise(self, p, monkeypatch):
-        # the 2t - 1 anti-diagonal log-entries come from one scalar lower
-        # gamma and a recurrence, so they match the t^2 entries evaluated
-        # one by one to 2e-13, not bit for bit.  The CDF value cannot carry
-        # a tolerance (the Hankel determinant is ill-conditioned), so the
-        # entrywise determinant of the library's own entries (entry (i, j)
-        # has nu = 2p - 2i - 2j + 1, anti-diagonal i + j - 2) must reproduce
-        # it bit for bit.  The complement route is switched off, so every x
-        # takes the direct one, which clips its value at 1.
-        from skewtail import rmtdist
-
-        monkeypatch.setattr(rmtdist, "_cdf_complement_det", lambda *args: None)
-        t = p // 2
-        for x in np.linspace(0.0, 2.0 * math.sqrt(p) + 4.0, 10)[1:]:
-            anti = _cdf_log_antidiagonals(p, t, 0.5 * x * x)
-            placed = np.array([[anti[i + j - 2] for j in range(1, t + 1)] for i in range(1, t + 1)])
-            assert np.max(np.abs(placed - direct_log_entries_entrywise(p, x))) <= 2e-13
-            assert largest_sv_cdf(p, x) == min(1.0, direct_cdf_of_log_entries(p, placed))
-
-    @pytest.mark.parametrize("p, x", [(4, 1.0), (5, 2.0), (10, 3.0), (33, 10.0), (59, 8.0)])
-    def test_one_incomplete_gamma_per_anti_diagonal(self, p, x, monkeypatch):
-        # one lower-gamma value per anti-diagonal, and of those only the
-        # largest order, s = p - 3/2, is a scalar evaluation (one series or
-        # continued fraction); the other 2t - 2 come from the recurrence.
-        # Before it, the complement route's try costs one chi-square tail.
-        from skewtail import rmtdist
-
-        calls = []
-
-        def counted(s, y):
-            calls.append(s)
-            return log_regularized_gamma_lower(s, y)
-
-        monkeypatch.setattr(rmtdist, "log_regularized_gamma_lower", counted)
-        t = p // 2
-        assert rmtdist._cdf_complement_det(p, t, x * x) is None
-        loops = count_gamma_loops(monkeypatch)
-        assert 0.0 <= largest_sv_cdf(p, x) <= 1.0
-        assert calls == [p - 1.5]
-        assert loops == [p - 1.5 - (2 * t - 2), p - 1.5]
-        assert len(rmtdist._cdf_log_antidiagonals(p, t, 0.5 * x * x)) == 2 * t - 1
-
-    @pytest.mark.parametrize("p, x", [(4, 3.0), (5, 4.0), (10, 6.0), (16, 8.0), (33, 12.0), (59, 15.0)])
-    @pytest.mark.parametrize("law", ["complement", "tail_asymptotic"])
-    def test_one_chi2_tail_per_call(self, p, x, law, monkeypatch):
-        # the complement route and the tail expansion climb their 2t - 1
-        # chi-square tails from the smallest nu, the only scalar evaluation
-        from skewtail import rmtdist
-
-        calls = []
-
-        def counted(nu, y):
-            calls.append(nu)
-            return chi2_upper(nu, y)
-
-        monkeypatch.setattr(rmtdist, "chi2_upper", counted)
-        loops = count_gamma_loops(monkeypatch)
-        if law == "complement":
-            rmtdist._cdf_complement_det(p, p // 2, x * x)
-        else:
-            largest_sv_tail_asymptotic(p, x)
-        smallest = 2 * p - 3 - 2 * (2 * (p // 2) - 2)
-        assert calls == [smallest]
-        assert loops == [smallest / 2]
-
     def test_overflowing_square_gives_one(self):
         assert largest_sv_cdf(10, 1e154) == 1.0  # x^2 = 1e308 is still finite
+        assert largest_sv_upper(10, 1e154) == 0.0
+        assert largest_sv_upper(60, 7e16) == 0.0  # e^(-x^2/2) far below the double range
         for p in (2, 10, 59):
             for x in (1e155, 1e170, float(np.finfo(float).max)):
                 assert largest_sv_cdf(p, x) == 1.0
+                assert largest_sv_upper(p, x) == 0.0
 
     def test_deep_left_tail_is_zero_not_garbage(self):
         assert largest_sv_cdf(16, 1e-12) == 0.0
@@ -360,6 +208,85 @@ class TestLargestSvCdf:
             largest_sv_cdf(4, -0.5)
         with pytest.raises(DomainError):
             largest_sv_cdf(4, math.inf)
+
+
+def ref_id(ref: dict) -> str:
+    return f"p{ref['p']}-x{ref['x']}"
+
+
+class TestSigma1Kernel:
+    """The one Laguerre kernel behind largest_sv_cdf, largest_sv_upper and
+    largest_sv_tail_asymptotic, against mpmath references (stored, see
+    tests/make_standardized_refs.py) and its own identities."""
+
+    @pytest.mark.parametrize("ref", HANKEL_REFS, ids=[ref_id(r) for r in HANKEL_REFS])
+    def test_matches_hankel_determinant(self, ref):
+        # the envelope: the CDF to 1e-14 absolute up to p = 100 and 3e-14 up
+        # to p = 173 (a t x t determinant of kernel entries each a few ulps
+        # off), the upper tail to 1e-12 relative
+        cdf, tail = float(ref["cdf"]), float(ref["tail"])
+        assert abs(largest_sv_cdf(ref["p"], ref["x"]) - cdf) <= (1e-14 if ref["p"] <= 100 else 3e-14)
+        assert abs(largest_sv_upper(ref["p"], ref["x"]) - tail) <= 1e-12 * tail
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_chi_reductions_on_a_fine_grid(self, p):
+        # p = 2: |N(0, 1)|; p = 3: the length of a 3-D normal; on both
+        # sides of the switch between the two pieces of the kernel
+        from scipy.special import gammainc, gammaincc
+
+        for x in np.linspace(0.001, 9.0, 600):
+            assert abs(largest_sv_cdf(p, x) - gammainc(p - 1.5, x * x / 2)) <= 1e-14
+            assert abs(largest_sv_upper(p, x) / gammaincc(p - 1.5, x * x / 2) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p", [*range(2, 61), 80, 100, 140, 173])
+    def test_bonferroni_bracket(self, p):
+        # tr M - ((tr M)^2 - tr M^2) / 2 <= P(sigma_1 > x) <= tr M, within 4 ulps,
+        # with M from the piece the library uses at each x
+        law = spectrum_law(p)
+        for x in np.linspace(0.05, 3.0 * math.sqrt(p) + 6.0, 40):
+            tail, trace = largest_sv_upper(p, x), rmtdist._sigma1(p, x)[2]
+            if trace < 0.125:
+                m = rmtdist._upper_kernel(law, x)
+            else:
+                m = np.eye(law.t) - rmtdist._lower_kernel(law, x)
+            lower = trace - 0.5 * (trace * trace - float(np.sum(m * m)))
+            assert lower <= tail * (1.0 + 4.0 * EPS)
+            assert tail <= trace * (1.0 + 4.0 * EPS)
+
+    @pytest.mark.parametrize("p", range(2, 61))
+    def test_tails_nonincreasing(self, p):
+        xs = np.linspace(0.0, 3.0 * math.sqrt(p) + 6.0, 300)
+        upper = np.array([largest_sv_upper(p, x) for x in xs])
+        assert upper[0] == 1.0 and np.all(np.diff(upper) <= 0.0)
+        if p >= 4:
+            expansion = np.array([largest_sv_tail_asymptotic(p, x) for x in xs[1:]])
+            assert np.all(np.diff(expansion) <= 0.0)
+
+    def test_quadrature_rules_match_numpy(self):
+        from numpy.polynomial.laguerre import laggauss
+        from numpy.polynomial.legendre import leggauss
+
+        u, w = rmtdist._gauss_laguerre(rmtdist._LAGUERRE_NODES)
+        nodes, weights = laggauss(rmtdist._LAGUERRE_NODES)
+        assert np.max(np.abs(u - nodes) / nodes) <= 1e-13
+        assert np.max(np.abs(w - weights) / weights) <= 1e-11
+        v, w = rmtdist._gauss_legendre(rmtdist._LEGENDRE_NODES)
+        nodes, weights = leggauss(rmtdist._LEGENDRE_NODES)
+        order = np.argsort(v)
+        assert np.max(np.abs(2.0 * v[order] - 1.0 - nodes)) <= 1e-15
+        assert np.max(np.abs(2.0 * w[order] - weights) / weights) <= 1e-10
+
+    def test_order_past_the_envelope_raises(self):
+        for law in (largest_sv_cdf, largest_sv_upper, largest_sv_tail_asymptotic):
+            assert 0.0 <= law(173, 26.0) <= 1.0
+            with pytest.raises(DomainError, match="p=174"):
+                law(174, 26.0)
+
+    def test_upper_domain_errors(self):
+        assert largest_sv_upper(7, 0.0) == 1.0
+        for x in (-0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                largest_sv_upper(7, x)
 
 
 class TestHankelGram:
@@ -507,25 +434,11 @@ class TestTailAsymptotic:
             if 1e-8 <= exact <= 1e-3:
                 assert largest_sv_tail_asymptotic(p, x) == pytest.approx(exact, rel=0.02)
 
-    @pytest.mark.parametrize("p", range(4, 61))
-    def test_ladder_matches_per_rung_sum(self, p):
-        # the weights alternate in sign, so the sum may cancel: the bound is
-        # relative to sum |w_k q_k|, not to the sum itself.  A ladder sum
-        # that cancels out of [0, t], the range of E #{i : sigma_i > x},
-        # raises; where it stays inside, it is the value.  Both sums are
-        # noise once the bound spans [0, t] (from p = 31 at small x), and
-        # there they can fall on different sides of the range
-        gram = hankel_gram(p)
-        for x in np.linspace(0.25, 3.0 * math.sqrt(p) + 4.0, 12):
-            terms = [w * chi2_upper(2 * p - 3 - 2 * k, x * x) for k, w in enumerate(gram.weights)]
-            scale = sum(abs(v) for v in terms)
-            ladder = float(sum(w * q for w, q in zip(gram.weights, _chi2_upper_ladder(p, gram.t, x * x))))
-            assert abs(ladder - sum(terms)) <= 1e-13 * scale
-            if 0.0 <= ladder <= gram.t:
-                assert largest_sv_tail_asymptotic(p, x) == ladder
-            else:
-                with pytest.raises(DomainError):
-                    largest_sv_tail_asymptotic(p, x)
+    @pytest.mark.parametrize("ref", TRACE_REFS, ids=[ref_id(r) for r in TRACE_REFS])
+    def test_matches_exact_weight_sum(self, ref):
+        # the kernel's trace against the paper's sum with exact tube weights
+        value = float(ref["value"])
+        assert abs(largest_sv_tail_asymptotic(ref["p"], ref["x"]) - value) <= 1e-12 * value
 
     def test_matches_elementwise_double_sum(self):
         p, x = 7, 3.0

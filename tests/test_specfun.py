@@ -13,15 +13,12 @@ from scipy import integrate, special
 from skewtail.errors import DomainError
 from skewtail.specfun import (
     _beta_upper_rungs,
-    _log_lower_gamma_rungs,
-    _upper_gamma_rungs,
     beta_upper,
     chi2_upper,
     log_gamma,
     log_regularized_gamma_lower,
     probability,
     regularized_beta,
-    regularized_gamma_upper,
 )
 
 from oracles import chi2_lower, regularized_gamma_lower
@@ -201,43 +198,16 @@ class TestBetaTails:
 
 
 def ladder(p: int) -> tuple[int, float]:
-    """(2t - 1, p - 3/2 - (2t - 2)): the rung count of order p's laws and
-    the smallest half degree of freedom on its ladder."""
+    """(2t - 1, p - 3/2 - (2t - 2)): the rung count of order p's
+    standardized law and the smallest first beta parameter on its ladder."""
     count = 2 * (p // 2) - 1
     return count, p - 1.5 - (count - 1)
 
 
 class TestRungs:
-    """The ladders of 2t - 1 tails the exact laws use, for every order
-    p = 2..60: one scalar evaluation, then the recurrence, against scipy
-    and against the scalar routine at each rung."""
-
-    @pytest.mark.parametrize("p", range(2, 61))
-    def test_upper_gamma(self, p):
-        count, s0 = ladder(p)
-        s = s0 + np.arange(count)
-        for x in np.geomspace(1e-3, 8.0 * p + 40.0, 15):
-            rungs = np.array(_upper_gamma_rungs(regularized_gamma_upper(s0, x), s0, x, count))
-            scalar = np.array([regularized_gamma_upper(si, x) for si in s])
-            keep = scalar > 1e-290
-            assert np.all(np.abs(rungs - scalar)[keep] <= 2e-13 * scalar[keep])
-            reference = special.gammaincc(s, x)
-            keep = reference > 1e-290
-            assert np.all(np.abs(rungs - reference)[keep] <= 3e-13 * reference[keep])
-
-    @pytest.mark.parametrize("p", range(2, 61))
-    def test_log_lower_gamma(self, p):
-        count, _ = ladder(p)
-        top = p - 1.5
-        s = top - np.arange(count)
-        for x in np.geomspace(1e-3, 8.0 * p + 40.0, 15):
-            rungs = np.array(_log_lower_gamma_rungs(log_regularized_gamma_lower(top, x), top, x, count))
-            scalar = np.array([log_regularized_gamma_lower(si, x) for si in s])
-            assert np.max(np.abs(rungs - scalar)) <= 2e-13
-            with np.errstate(divide="ignore"):
-                reference = np.log(special.gammainc(s, x))
-            keep = np.isfinite(reference)
-            assert np.all(np.abs(rungs - reference)[keep] <= 2e-13)
+    """The ladders of 2t - 1 beta tails the standardized law uses, for
+    every order p = 4..60: one scalar evaluation, then the recurrence,
+    against scipy and against the scalar routine at each rung."""
 
     @pytest.mark.parametrize("p", range(4, 61))
     def test_beta_upper(self, p):
@@ -255,36 +225,11 @@ class TestRungs:
             keep = reference > 1e-250
             assert np.all(np.abs(rungs - reference)[keep] <= 5e-12 * reference[keep])
 
-    def test_zero_threshold(self):
-        count, s0 = ladder(11)
-        assert _upper_gamma_rungs(regularized_gamma_upper(s0, 0.0), s0, 0.0, count) == [1.0] * count
-        top = 11 - 1.5
-        assert _log_lower_gamma_rungs(
-            log_regularized_gamma_lower(top, 0.0), top, 0.0, count
-        ) == [-math.inf] * count
-
     def test_beta_endpoints(self):
         count, a0 = ladder(11)
         b0 = 11 * 10 / 4 - a0
         for y, tail in ((0.0, 1.0), (1.0, 0.0)):
             assert _beta_upper_rungs(beta_upper(a0, b0, y), a0, b0, y, count) == [tail] * count
-
-    def test_underflowed_half_square(self):
-        # x = 1e-170 squares to 0: every rung of ln P is -inf, the lowest
-        # rung of Q is 1; a subnormal x keeps every ln P finite and exact
-        count, s0 = ladder(59)
-        top = 59 - 1.5
-        half_y = 0.5 * (1e-170 * 1e-170)
-        assert half_y == 0.0
-        assert _log_lower_gamma_rungs(
-            log_regularized_gamma_lower(top, half_y), top, half_y, count
-        ) == [-math.inf] * count
-        assert _upper_gamma_rungs(chi2_upper(2 * s0, 2 * half_y), s0, half_y, count) == [1.0] * count
-        for x in (1e-320, 1e-300):
-            rungs = _log_lower_gamma_rungs(log_regularized_gamma_lower(top, x), top, x, count)
-            scalar = [log_regularized_gamma_lower(top - k, x) for k in range(count)]
-            assert all(math.isfinite(r) for r in rungs)
-            assert max(abs(r - v) for r, v in zip(rungs, scalar)) <= 1e-12 * abs(scalar[0])
 
 
 class TestProbabilityGuard:
