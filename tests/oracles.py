@@ -10,6 +10,10 @@ computes in closed form.
 * :func:`critical_radius_search` is a vectorized random search for the
   supremum of :func:`skewtail.rmtdist.critical_radius_objective`, which
   pins the critical angle pi/4;
+* :func:`laguerre_kernel_entrywise` builds every entry of the sigma_1
+  laws' kernel sum_i phi(lam_i) phi(lam_i)^T by its own sum over the
+  nodes, with the orthonormal Laguerre functions from scipy's generalized
+  Laguerre polynomials instead of the library's recurrence;
 * :func:`regularized_gamma_lower` and :func:`chi2_lower` are the linear
   lower tails that :func:`skewtail.specfun.log_regularized_gamma_lower`
   and :func:`skewtail.specfun.chi2_upper` are checked against;
@@ -49,6 +53,24 @@ def regularized_gamma_lower(s: float, x: float) -> float:
 def chi2_lower(nu: float, y: float) -> float:
     """Lower tail P(chi2_nu <= y), derived as the complement of the upper tail."""
     return probability(1.0 - chi2_upper(nu, y))
+
+
+def laguerre_kernel_entrywise(t: int, a: float, lam: np.ndarray, scale: np.ndarray):
+    """(entries, magnitudes) of sum_i (scale_i psi_j(lam_i)) (scale_i psi_k(lam_i))
+    for j, k < t, with psi_k = L_k^(a) sqrt(k! / Gamma(k + a + 1)) orthonormal
+    for lam^a e^-lam; magnitudes sums the absolute values of the same terms."""
+    from scipy.special import eval_genlaguerre
+
+    psi = [
+        scale * eval_genlaguerre(k, a, lam) * math.exp(0.5 * (math.lgamma(k + 1) - math.lgamma(k + a + 1)))
+        for k in range(t)
+    ]
+    entries, magnitudes = np.empty((t, t)), np.empty((t, t))
+    for j in range(t):
+        for k in range(t):
+            terms = psi[j] * psi[k]
+            entries[j, k], magnitudes[j, k] = float(terms.sum()), float(np.abs(terms).sum())
+    return entries, magnitudes
 
 
 def _band_factorization(delta: float, t: int):

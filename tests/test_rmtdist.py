@@ -33,6 +33,7 @@ from oracles import (
     critical_radius_search,
     hankel_inverse_exact,
     hankel_inverse_oracle,
+    laguerre_kernel_entrywise,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -59,6 +60,35 @@ def volume_U_recurrence(p: int) -> float:
         return 2.0
     grass = 2.0 * sphere_area(p) * sphere_area(p - 1) / (sphere_area(2) * sphere_area(1))
     return grass * volume_U_recurrence(p - 2)
+
+
+def count_gamma_loops(monkeypatch) -> list:
+    """Record the order s of every incomplete-gamma series or continued
+    fraction specfun runs: one entry per scalar evaluation."""
+    from skewtail import specfun
+
+    loops = []
+    for name in ("_lower_gamma_series", "_upper_gamma_cf"):
+        def counted(s, x, loop=getattr(specfun, name)):
+            loops.append(s)
+            return loop(s, x)
+
+        monkeypatch.setattr(specfun, name, counted)
+    return loops
+
+
+def record_kernels(monkeypatch) -> list:
+    """Record (lam, scale, matrix) of every kernel the sigma_1 laws build;
+    the matrix is copied before the Schur recursion works on it in place."""
+    kernels = []
+
+    def recorded(law, lam, scale, kernel=rmtdist._kernel):
+        matrix = kernel(law, lam, scale)
+        kernels.append((lam, scale, matrix.copy()))
+        return matrix
+
+    monkeypatch.setattr(rmtdist, "_kernel", recorded)
+    return kernels
 
 
 def chi3_cdf(x: float) -> float:
@@ -160,6 +190,18 @@ class TestJointDensity:
             joint_density([2.0, -1.0], 4)
 
 
+# x / sqrt(p) in three bands of the sigma_1 law.  "diagonal": the bulk,
+# where the trace of M (its diagonal) reaches 1/8 from p = 3 up, so the
+# CDF is det N; "off_diagonal": the shoulder (1.85 sqrt(p) at p = 5 to
+# 2.65 sqrt(p) at p = 100), where tr M < 1/8 and the Schur recursion's
+# off-diagonal updates still count; "accepted": the far tail
+COMPLEMENT_SIDES = {
+    "diagonal": lambda p: 1.2,
+    "off_diagonal": lambda p: 2.65 - 0.8 * math.exp(-(p - 5) / 10),
+    "accepted": lambda p: 3.4,
+}
+
+
 class TestLargestSvCdf:
     def test_zero_threshold(self):
         for p in (2, 3, 7, 12):
@@ -188,6 +230,114 @@ class TestLargestSvCdf:
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[-1] > 1.0 - self._SATURATION_TAIL.get(p, 1e-6)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+    @pytest.mark.parametrize("p", [4, 7, 12, 16])
+    def test_complement_and_direct_routes_agree(self, p):
+        # from the bulk to the tail both pieces of the kernel are accurate:
+        # the complement det(I - M), M = int_s^inf phi phi^T by
+        # Gauss-Laguerre, and the direct det N, N = int_0^s phi phi^T by
+        # Gauss-Legendre.  They share no nodes, so they are independent
+        # evaluations of the CDF; the library's value is whichever its
+        # trace check picks.  Each determinant by LU agrees with it to
+        # 2e-14, twice the CDF's envelope (the Gauss-Laguerre M is the
+        # less accurate of the two in the bulk at p = 4, 1.2e-14)
+        law = spectrum_law(p)
+        checked = {True: 0, False: 0}
+        for x in np.linspace(1.0 * math.sqrt(p), 3.2 * math.sqrt(p), 40):
+            cdf, _, trace = rmtdist._sigma1(p, x)
+            checked[trace < 0.125] += 1
+            complement = float(np.linalg.det(np.eye(law.t) - rmtdist._upper_kernel(law, x)))
+            direct = float(np.linalg.det(rmtdist._lower_kernel(law, x)))
+            assert largest_sv_cdf(p, x) == cdf
+            assert complement == pytest.approx(cdf, abs=2e-14)
+            assert direct == pytest.approx(cdf, abs=2e-14)
+        assert checked[True] >= 5 and checked[False] >= 5
+
+    @pytest.mark.parametrize("p, side", [
+        (p, side)
+        for p in [*range(2, 61), 100, 173]
+        for side in COMPLEMENT_SIDES
+        if (side != "off_diagonal" or p >= 5) and (p, side) != (173, "off_diagonal")
+    ])
+    def test_complement_check_matches_full_matrix_reference(self, p, side):
+        # the library checks the trace of M, the sum of its diagonal, to
+        # pick the complement piece; the reference takes the eigenvalues
+        # mu of the whole M (or nu of the whole N) and forms det(I - M) =
+        # prod(1 - mu) and det N = prod(nu) from them.  Both pick the same
+        # piece, and give the CDF to 1e-14 and the upper tail to 1e-14
+        # relative, which the deficit product keeps in the far tail
+        law = spectrum_law(p)
+        x = COMPLEMENT_SIDES[side](p) * math.sqrt(p)
+        mu = np.linalg.eigvalsh(rmtdist._upper_kernel(law, x))
+        complement = float(mu.sum()) < 0.125
+        assert complement == (side != "diagonal" or p == 2)
+        assert complement == (rmtdist._sigma1(p, x)[2] < 0.125)
+        if complement:
+            log_cdf = float(np.sum(np.log1p(-mu)))
+            assert abs(largest_sv_cdf(p, x) - math.exp(log_cdf)) <= 1e-14
+            assert abs(largest_sv_upper(p, x) / -math.expm1(log_cdf) - 1.0) <= 1e-14
+        else:
+            nu = np.linalg.eigvalsh(rmtdist._lower_kernel(law, x))
+            assert abs(largest_sv_cdf(p, x) - float(np.prod(nu))) <= 1e-14
+
+    @pytest.mark.parametrize("p", range(2, 61))
+    def test_hankel_route_is_bit_identical_to_entrywise(self, p, monkeypatch):
+        # every kernel the laws build, M or N, matches its t^2 entries
+        # summed one by one over the same nodes from scipy's Laguerre
+        # polynomials to 2e-13 of the sum of |terms|, not bit for bit (the
+        # recurrence and the matrix product round differently).  The three
+        # public laws cannot carry a tolerance against each other: each is
+        # the bits of one kernel evaluation
+        kernels = record_kernels(monkeypatch)
+        law = spectrum_law(p)
+        for x in np.linspace(0.0, 2.0 * math.sqrt(p) + 4.0, 10)[1:]:
+            kernels.clear()
+            cdf, tail, trace = rmtdist._sigma1(p, x)
+            assert len(kernels) == (1 if trace < 0.125 else 2)
+            for lam, scale, matrix in kernels:
+                entries, magnitudes = laguerre_kernel_entrywise(law.t, law.eps - 0.5, lam, scale)
+                assert np.all(np.abs(matrix - entries) <= 2e-13 * magnitudes)
+            assert largest_sv_cdf(p, x) == cdf
+            assert largest_sv_upper(p, x) == tail
+            if p >= 4:
+                assert largest_sv_tail_asymptotic(p, x) == trace
+
+    @pytest.mark.parametrize("p, x", [(4, 1.0), (5, 2.0), (10, 3.0), (33, 10.0), (59, 8.0)])
+    def test_one_incomplete_gamma_per_anti_diagonal(self, p, x, monkeypatch):
+        # the Hankel determinant has 2t - 1 anti-diagonals of incomplete
+        # gammas; the kernel has none: below twice the mean of chi2_n it
+        # evaluates no incomplete gamma at all, and builds one Gauss-Laguerre
+        # kernel, plus one Gauss-Legendre kernel where tr M >= 1/8
+        law = spectrum_law(p)
+        trace = float(np.trace(rmtdist._upper_kernel(law, x)))
+        kernels = record_kernels(monkeypatch)
+        loops = count_gamma_loops(monkeypatch)
+        assert 0.0 <= largest_sv_cdf(p, x) <= 1.0
+        assert loops == []
+        expected = [rmtdist._LAGUERRE_NODES] + ([rmtdist._LEGENDRE_NODES] if trace >= 0.125 else [])
+        assert [lam.size for lam, _, _ in kernels] == expected
+
+    @pytest.mark.parametrize("p, x", [(4, 3.0), (5, 4.0), (10, 6.0), (16, 8.0), (33, 12.0), (59, 15.0)])
+    @pytest.mark.parametrize("law", ["complement", "tail_asymptotic"])
+    def test_one_chi2_tail_per_call(self, p, x, law, monkeypatch):
+        # the only chi-square tail a sigma_1 law evaluates is P(chi2_n > x^2),
+        # n = p (p - 1) / 2, past twice its mean (sigma_1^2 <= sum sigma_i^2
+        # ~ chi2_n): one continued fraction there, nothing below
+        calls = []
+
+        def counted(nu, y):
+            calls.append(nu)
+            return chi2_upper(nu, y)
+
+        monkeypatch.setattr(rmtdist, "chi2_upper", counted)
+        loops = count_gamma_loops(monkeypatch)
+        evaluate = largest_sv_upper if law == "complement" else largest_sv_tail_asymptotic
+        n = p * (p - 1) // 2
+        assert 0.0 <= evaluate(p, x) <= p // 2
+        assert calls == [] and loops == []
+        assert 0.0 <= evaluate(p, math.sqrt(4.0 * n)) <= p // 2
+        assert calls == [n]
+        assert loops == [n / 2]
 
     def test_overflowing_square_gives_one(self):
         assert largest_sv_cdf(10, 1e154) == 1.0  # x^2 = 1e308 is still finite
@@ -439,6 +589,21 @@ class TestTailAsymptotic:
         # the kernel's trace against the paper's sum with exact tube weights
         value = float(ref["value"])
         assert abs(largest_sv_tail_asymptotic(ref["p"], ref["x"]) - value) <= 1e-12 * value
+
+    @pytest.mark.parametrize("p", range(4, 61))
+    def test_ladder_matches_per_rung_sum(self, p):
+        # the paper's sum of 2t - 1 weighted chi-square tails, one scalar
+        # tail per rung: its weights alternate in sign, so it may cancel and
+        # the bound is relative to sum |w_k q_k|, not to the sum itself.
+        # The kernel's trace never cancels, so it stays in [0, t], the
+        # range of E #{i : sigma_i > x}, at every x
+        gram = hankel_gram(p)
+        for x in np.linspace(0.25, 3.0 * math.sqrt(p) + 4.0, 12):
+            terms = [w * chi2_upper(2 * p - 3 - 2 * k, x * x) for k, w in enumerate(gram.weights)]
+            scale = sum(abs(v) for v in terms)
+            value = largest_sv_tail_asymptotic(p, x)
+            assert abs(value - sum(terms)) <= 1e-13 * scale
+            assert 0.0 <= value <= gram.t
 
     def test_matches_elementwise_double_sum(self):
         p, x = 7, 3.0

@@ -19,6 +19,7 @@ from skewtail.specfun import (
     log_regularized_gamma_lower,
     probability,
     regularized_beta,
+    regularized_gamma_upper,
 )
 
 from oracles import chi2_lower, regularized_gamma_lower
@@ -198,16 +199,42 @@ class TestBetaTails:
 
 
 def ladder(p: int) -> tuple[int, float]:
-    """(2t - 1, p - 3/2 - (2t - 2)): the rung count of order p's
-    standardized law and the smallest first beta parameter on its ladder."""
+    """(2t - 1, p - 3/2 - (2t - 2)): the rung count of order p's tube
+    sums and the smallest half degree of freedom (or first beta parameter)
+    on its ladder."""
     count = 2 * (p // 2) - 1
     return count, p - 1.5 - (count - 1)
 
 
 class TestRungs:
-    """The ladders of 2t - 1 beta tails the standardized law uses, for
-    every order p = 4..60: one scalar evaluation, then the recurrence,
-    against scipy and against the scalar routine at each rung."""
+    """The ladders of 2t - 1 tails of the tube sums, for every order
+    p = 2..60: the gamma tails by the scalar routines at each rung, and
+    the beta tails the standardized law uses (p = 4..60) by one scalar
+    evaluation and the recurrence, against scipy and against the scalar
+    routine at each rung."""
+
+    @pytest.mark.parametrize("p", range(2, 61))
+    def test_upper_gamma(self, p):
+        count, s0 = ladder(p)
+        s = s0 + np.arange(count)
+        for x in np.geomspace(1e-3, 8.0 * p + 40.0, 15):
+            scalar = np.array([regularized_gamma_upper(si, x) for si in s])
+            reference = special.gammaincc(s, x)
+            keep = reference > 1e-290
+            assert np.all(np.abs(scalar - reference)[keep] <= 3e-13 * reference[keep])
+            assert np.all(scalar[~keep] <= 1e-289)
+
+    @pytest.mark.parametrize("p", range(2, 61))
+    def test_log_lower_gamma(self, p):
+        count, _ = ladder(p)
+        s = p - 1.5 - np.arange(count)
+        for x in np.geomspace(1e-3, 8.0 * p + 40.0, 15):
+            scalar = np.array([log_regularized_gamma_lower(si, x) for si in s])
+            assert np.all(np.isfinite(scalar))
+            with np.errstate(divide="ignore"):
+                reference = np.log(special.gammainc(s, x))
+            keep = np.isfinite(reference)
+            assert np.all(np.abs(scalar - reference)[keep] <= 2e-13)
 
     @pytest.mark.parametrize("p", range(4, 61))
     def test_beta_upper(self, p):
@@ -225,11 +252,34 @@ class TestRungs:
             keep = reference > 1e-250
             assert np.all(np.abs(rungs - reference)[keep] <= 5e-12 * reference[keep])
 
+    def test_zero_threshold(self):
+        count, s0 = ladder(11)
+        assert [regularized_gamma_upper(s0 + k, 0.0) for k in range(count)] == [1.0] * count
+        top = 11 - 1.5
+        assert [log_regularized_gamma_lower(top - k, 0.0) for k in range(count)] == [-math.inf] * count
+
     def test_beta_endpoints(self):
         count, a0 = ladder(11)
         b0 = 11 * 10 / 4 - a0
         for y, tail in ((0.0, 1.0), (1.0, 0.0)):
             assert _beta_upper_rungs(beta_upper(a0, b0, y), a0, b0, y, count) == [tail] * count
+
+    def test_underflowed_half_square(self):
+        # x = 1e-170 squares to 0: ln P is -inf and Q is 1 on every rung; a
+        # subnormal x keeps every ln P finite, s ln x - x - ln Gamma(s + 1)
+        # up to the series' next term, x / (s + 1)
+        count, s0 = ladder(59)
+        top = 59 - 1.5
+        half_y = 0.5 * (1e-170 * 1e-170)
+        assert half_y == 0.0
+        assert [log_regularized_gamma_lower(top - k, half_y) for k in range(count)] == [-math.inf] * count
+        assert [chi2_upper(2 * (s0 + k), 2 * half_y) for k in range(count)] == [1.0] * count
+        for x in (1e-320, 1e-300):
+            for s in top - np.arange(count):
+                value = log_regularized_gamma_lower(s, x)
+                leading = s * math.log(x) - x - math.lgamma(s + 1.0)
+                assert math.isfinite(value)
+                assert abs(value - leading) <= 1e-12 * abs(leading)
 
 
 class TestProbabilityGuard:
