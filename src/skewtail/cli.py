@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage/domain error, 3 validity-range error
 (standardized threshold below 1/sqrt(2)), 4 data error.  ``validate``
-checks its arguments and the order's Hankel gram before it draws a sample.
+checks its arguments and the order's envelope before it draws a sample.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.samples < 1000:
         raise DomainError(f"validation needs at least 1000 samples, got {args.samples}")
     p = args.p
-    rmtdist._hankel_gram_cached(p)  # raises for an order the laws cannot evaluate
+    rmtdist.spectrum_law(p)  # raises past the laws' envelope
     sigma1, energy = mc.sample_tops(p, args.samples, args.seed).T
     n = sigma1.size
     all_ok = True

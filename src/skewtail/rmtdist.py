@@ -48,7 +48,7 @@ from .specfun import (
 #: critical angle theta_c = pi/4.
 CRITICAL_POINT = 1.0 / math.sqrt(2.0)
 
-#: Largest order of the sigma_1 laws' verified envelope, where hankel_gram ends too.
+#: Largest order of every law's verified envelope (the next one's g_11 overflows).
 _MAX_ORDER = 173
 _LAGUERRE_NODES = 120
 _LEGENDRE_NODES = 2 * (_MAX_ORDER // 2) + 60  # 2t + 60 at the largest t serves every t
@@ -76,10 +76,13 @@ class SpectrumLaw:
 
 
 def spectrum_law(p: int) -> SpectrumLaw:
-    """Derive (p, t, eps, n, d) for matrix order p >= 2."""
+    """Derive (p, t, eps, n, d) for matrix order 2 <= p <= 173; every law
+    calls this first, so past p = 173 each raises its DomainError."""
     if not isinstance(p, (int, np.integer)) or p < 2:
         raise DomainError(f"matrix order must be an integer >= 2, got {p!r}")
     p = int(p)
+    if p > _MAX_ORDER:
+        raise DomainError(f"the laws are verified for matrix orders p <= {_MAX_ORDER}, got p={p}")
     t = p // 2
     return SpectrumLaw(p=p, t=t, eps=p - 2 * t, n=p * (p - 1) // 2, d=2 * (p - 2))
 
@@ -260,8 +263,6 @@ def _sigma1(p: int, x: float) -> tuple[float, float, float]:
     where tr M = 1/2, 1e-14 at 1/4 and 5e-15 at 1/8).
     """
     law = spectrum_law(p)
-    if law.p > _MAX_ORDER:
-        raise DomainError(f"the sigma_1 laws are verified for p <= {_MAX_ORDER}, got p={law.p}")
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
     y = float(x) * float(x)
@@ -291,7 +292,7 @@ def _sigma1(p: int, x: float) -> tuple[float, float, float]:
 
 def largest_sv_cdf(p: int, x: float) -> float:
     """P(sigma_1 < x), to 1e-14 absolute for 2 <= p <= 100 and 3e-14 up
-    to p = 173 against mpmath Hankel determinants; DomainError beyond."""
+    to p = 173 against mpmath Hankel determinants."""
     return probability(_sigma1(p, x)[0])
 
 
@@ -301,10 +302,9 @@ def largest_sv_upper(p: int, x: float) -> float:
     return probability(_sigma1(p, x)[1])
 
 
-def _exact_hankel(p: int):
-    """Yield g / sqrt(pi), sqrt(pi) * ginv and the weights of order p as
-    exact rationals; g comes first, so an order whose g overflows fails
-    before the O(t^3) integer sums s_ij behind the inverse.
+def _exact_hankel(p: int) -> tuple[list, list, list]:
+    """g / sqrt(pi), sqrt(pi) * ginv and the weights of order p as exact
+    rationals.
 
     h(n) = Gamma(n + 1/2) / sqrt(pi) = X(n) / 4^n with X(n) = (2n)!/n!, and
     sqrt(pi) ginv_ij = (-1)^(i+j) 4^(e-i-j) s_ij / (d_i d_j) with e = t + eps
@@ -318,7 +318,6 @@ def _exact_hankel(p: int):
     f = [math.factorial(n) for n in range(2 * p)]
     x = [f[2 * n] // f[n] for n in range(p)]
     h = [Fraction(x[n], 4**n) for n in range(p - 1)]
-    yield [[h[p - i - j] for j in range(1, t + 1)] for i in range(1, t + 1)]
     a = [f[t - k] * x[e - k] * 4**k for k in range(t + 1)]
     falling = [[f[i - 1] // f[i - k] for k in range(i + 1)] for i in range(1, t + 1)]
     d = [f[i - 1] * f[t - i] * x[e - i] for i in range(1, t + 1)]
@@ -328,29 +327,26 @@ def _exact_hankel(p: int):
             s = sum(a[k] * falling[i - 1][k] * falling[j - 1][k] for k in range(1, i + 1))
             entry = Fraction((-1) ** (i + j) * s * 4 ** (2 * e - i - j), d[i - 1] * d[j - 1] * 4**e)
             inv[i - 1][j - 1] = inv[j - 1][i - 1] = entry
-    yield inv
-    yield [
+    g = [[h[p - i - j] for j in range(1, t + 1)] for i in range(1, t + 1)]
+    weights = [
         h[p - k - 2] * sum(inv[i][k - i] for i in range(max(0, k - t + 1), min(k, t - 1) + 1))
         for k in range(2 * t - 1)
     ]
+    return g, inv, weights
 
 
 @lru_cache(maxsize=None)
 def _hankel_gram_cached(p: int) -> HankelGram:
     law, root_pi = spectrum_law(p), math.sqrt(math.pi)
     pieces = []
-    try:
-        with np.errstate(over="raise"):
-            for exact, scale in zip(_exact_hankel(law.p), (root_pi, 1.0 / root_pi, 1.0)):
-                pieces.append(np.array(exact, dtype=float) * scale)
-                pieces[-1].flags.writeable = False
-    except (OverflowError, FloatingPointError):
-        raise DomainError(f"the Hankel gram of order p={law.p} leaves the double range") from None
+    for exact, scale in zip(_exact_hankel(law.p), (root_pi, 1.0 / root_pi, 1.0)):
+        pieces.append(np.array(exact, dtype=float) * scale)
+        pieces[-1].flags.writeable = False
     return HankelGram(law.p, law.t, law.eps, *pieces)
 
 
 def hankel_gram(p: int) -> HankelGram:
-    """Gram matrix, inverse and tail weights for 4 <= p <= 173 (g_11 overflows beyond)."""
+    """Gram matrix, inverse and tail weights for p >= 4 (the tube formula's range)."""
     law = spectrum_law(p)
     if law.p < 4:
         raise DomainError(f"hankel_gram requires p >= 4 (tube formula range), got {p}")
@@ -359,7 +355,7 @@ def hankel_gram(p: int) -> HankelGram:
 
 def largest_sv_tail_asymptotic(p: int, x: float) -> float:
     """The paper's tail expansion sum_k w_k P(chi2_{2p-3-2k} > x^2), with
-    the weights of :func:`hankel_gram`, for 4 <= p <= 173.
+    the weights of :func:`hankel_gram`, for p >= 4.
 
     It is E #{i : sigma_i > x}, the trace of :func:`largest_sv_cdf`'s
     kernel M: an upper bound on the tail (Markov) that tracks it to a
@@ -383,9 +379,10 @@ def standardized_sv_upper(p: int, x: float) -> float:
     critical point 1/sqrt(2); below it a :class:`ValidityError` is
     raised rather than returning a silently wrong number.
 
-    Accuracy for p <= 60, against 600-digit references at p = 24 .. 59:
-    1e-10 relative where the value is above 1e-280, else 1e-290 absolute
-    (terms near the double floor lose relative accuracy or underflow).
+    Accuracy for 4 <= p <= 173, against 600-digit references at
+    p = 24 .. 173: 1e-10 relative where the value is above 1e-280, else
+    1e-290 absolute (terms near the double floor lose relative accuracy
+    or underflow; from p = 79 on the value at 1/sqrt(2) is below 1e-300).
     """
     gram = hankel_gram(p)
     if not math.isfinite(x):
@@ -405,7 +402,7 @@ def standardized_sv_upper(p: int, x: float) -> float:
     b = 0.5 * n - a
     tails = _beta_upper_rungs(beta_upper(a, b, y), a, b, y, 2 * gram.t - 1)
     raw = sum(w * u for w, u in zip(gram.weights, tails[::-1]))
-    return probability(float(raw), tol=1e-10)
+    return probability(float(raw))
 
 
 def euler_characteristic(p: int) -> int:

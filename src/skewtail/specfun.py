@@ -10,11 +10,15 @@ oracles.
 
 The incomplete-gamma evaluation follows the classic split: a power
 series for the lower tail when ``x < s + 1`` and a continued fraction
-(modified Lentz) for the upper tail otherwise.  The incomplete beta
-uses the standard continued fraction with the symmetry switch at
-``x = (a + 1)/(a + b + 2)``.  Absolute accuracy is ~1e-14 over the
-parameter ranges used here (degrees of freedom and beta parameters up
-to a few hundred), comfortably inside the 1e-12 contract.
+(modified Lentz) for the upper tail otherwise.  Near ``x = s`` the
+series needs about 8.3 sqrt(s) terms, so the iteration bound grows with
+``s``; both share the front factor x^s e^-x / Gamma(s), formed through
+a Stirling remainder so that it does not cancel at large ``s``.  The
+incomplete beta uses the standard continued fraction with the symmetry
+switch at ``x = (a + 1)/(a + b + 2)``.  Absolute accuracy is ~1e-14 for
+chi-square df up to 14878, the most a report of 174 teams reaches
+(6e-15 against scipy over the mean +- 8 sd), comfortably inside the
+1e-12 contract.
 
 The standardized law needs a whole ladder of beta tails whose
 parameters step by one (2t - 1 per value).  ``_beta_upper_rungs`` climbs
@@ -33,17 +37,19 @@ from .errors import DomainError
 _EPS = 1e-15
 _ITMAX = 600
 _FPMIN = 1e-300
+_PROBABILITY_TOL = 1e-10
+_STIRLING_FROM = 20.0
 
 
-def probability(value: float, tol: float = 1e-10) -> float:
+def probability(value: float) -> float:
     """Clamp a computed probability into [0, 1].
 
-    Values outside ``[-tol, 1 + tol]`` indicate a numerical defect in
+    Values outside ``[-1e-10, 1 + 1e-10]`` indicate a numerical defect in
     the caller, not roundoff, and raise :class:`DomainError` instead of
     being clamped silently.
     """
-    if not math.isfinite(value) or value < -tol or value > 1.0 + tol:
-        raise DomainError(f"value {value!r} is not a probability (tol={tol})")
+    if not math.isfinite(value) or value < -_PROBABILITY_TOL or value > 1.0 + _PROBABILITY_TOL:
+        raise DomainError(f"value {value!r} is not a probability (tol={_PROBABILITY_TOL})")
     return min(1.0, max(0.0, value))
 
 
@@ -54,12 +60,33 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _log_gamma_front(s: float, x: float) -> float:
+    """ln(x^s e^-x / Gamma(s)), the front factor of both incomplete-gamma
+    tails.  From s = 20 on it is s ln(x/s) - (x - s) + ln(s / 2pi) / 2
+    minus the Stirling remainder of ln Gamma(s): the direct form's three
+    terms each reach s ln s and cancel near x = s (the tail was 5e-12 off
+    at s = 4192).
+    For x > s/2, ln(x/s) is log1p((x - s) / s), whose x - s is exact near s."""
+    if s < _STIRLING_FROM:
+        return -x + s * math.log(x) - math.lgamma(s)
+    r = 1.0 / (s * s)
+    remainder = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / s
+    log_ratio = math.log1p((x - s) / s) if x > 0.5 * s else math.log(x) - math.log(s)
+    return s * log_ratio - (x - s) + 0.5 * math.log(s / (2.0 * math.pi)) - remainder
+
+
+def _iterations(s: float) -> int:
+    """Terms enough for either expansion near x = s, where the series'
+    terms fall like exp(-k^2 / 2s): 1e-15 takes about 8.3 sqrt(s) of them."""
+    return _ITMAX + int(9.0 * math.sqrt(s))
+
+
 def _lower_gamma_series(s: float, x: float) -> float:
     """Sum of the lower-tail power series, sans the x^s e^-x / Gamma(s) front."""
     ap = s
     total = 1.0 / s
     term = total
-    for _ in range(_ITMAX):
+    for _ in range(_iterations(s)):
         ap += 1.0
         term *= x / ap
         total += term
@@ -74,7 +101,7 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, _ITMAX + 1):
+    for i in range(1, _iterations(s) + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -87,7 +114,7 @@ def _upper_gamma_cf(s: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return math.exp(-x + s * math.log(x) - math.lgamma(s)) * h
+            return math.exp(_log_gamma_front(s, x)) * h
     raise ArithmeticError(f"incomplete gamma continued fraction failed (s={s}, x={x})")
 
 
@@ -98,8 +125,7 @@ def regularized_gamma_upper(s: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     if x < s + 1.0:
-        front = math.exp(-x + s * math.log(x) - math.lgamma(s))
-        return max(0.0, 1.0 - front * _lower_gamma_series(s, x))
+        return max(0.0, 1.0 - math.exp(_log_gamma_front(s, x)) * _lower_gamma_series(s, x))
     return min(1.0, _upper_gamma_cf(s, x))
 
 
@@ -112,7 +138,7 @@ def log_regularized_gamma_lower(s: float, x: float) -> float:
     if x == 0.0:
         return -math.inf
     if x < s + 1.0:
-        return -x + s * math.log(x) - math.lgamma(s) + math.log(_lower_gamma_series(s, x))
+        return _log_gamma_front(s, x) + math.log(_lower_gamma_series(s, x))
     p = 1.0 - _upper_gamma_cf(s, x)
     return math.log(p) if p > 0.0 else -math.inf
 

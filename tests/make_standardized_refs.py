@@ -4,16 +4,15 @@ tests/standardized_refs.json holds the standardized upper tail
 P(sigma_1 / sqrt(sum sigma_i^2) > x).  Each value is
 sum_k w_k * (1 - I_{x^2}(a_k, b_k)) with the exact rational tube
 weights w_k of tests/oracles.py (Gauss-Jordan, not the library's
-builder) and mpmath's regularized ``betainc`` at 600 digits.
-The weights alternate in sign and reach 1e25 at p = 59, so the sum
-cancels deeply: at 120 digits it goes negative from p = 32 at x = 0.9,
-at 200 digits it is wrong from p = 40, and at 400 digits it reads
-4.7e-380 at p = 59, x = 0.9, where the value is 1.6e-476.  Each value
-is therefore recomputed 100 digits finer and must agree to 30 digits.
-Nearer x = 1 the value shrinks faster than the terms: at p = 59 and
-60, x = 0.99 it lies below 1e-1200 and 600 digits leave only the
-cancellation noise, so a point that fails the check is recomputed at
-the next precision in DIGITS.
+builder) and mpmath's regularized ``betainc`` at 600 digits.  Each
+tail is taken as I_{1-x^2}(b_k, a_k), a series with no subtraction.
+The form ``betainc(a, b, x^2, 1)`` subtracts two values near B(a, b)
+instead: with it the sum went negative at 120 digits from p = 32 at
+x = 0.9 and needed 1600 digits at p = 59, x = 0.99, while the reflected
+form already gives the x = 0.9 values of p = 32 and 59 at 60 digits.
+Each value is recomputed 100 digits finer and must agree to 30 digits;
+a point that fails the check is recomputed at the next precision in
+DIGITS.
 The x values are the doubles the library is called with, and x^2 is
 taken exactly.
 
@@ -44,6 +43,10 @@ from oracles import hankel_inverse_exact
 
 ORDERS = (24, 27, 32, 40, 45, 48, 59, 60)
 POINTS = (1.0 / math.sqrt(2.0), 0.8, 0.9, 0.95, 0.99)
+#: orders above 60, up to the laws' bound p = 173, at the thresholds where
+#: the value crosses the double floor (below 1e-300 from p = 79 on)
+HIGH_ORDERS = (64, 70, 79, 80, 100, 140, 173)
+HIGH_POINTS = (1.0 / math.sqrt(2.0), 0.75, 0.8)
 DIGITS = (600, 1000, 1600, 2400)
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "standardized_refs.json")
@@ -76,7 +79,7 @@ def reference(weights: list, p: int, x: float) -> mpmath.mpf:
     for k, w in enumerate(weights):
         a = mpmath.mpf(2 * p - 3 - 2 * k) / 2
         b = mpmath.mpf(n - 2 * p + 3 + 2 * k) / 2
-        tail = mpmath.betainc(a, b, y, 1, regularized=True)
+        tail = mpmath.betainc(b, a, 0, 1 - y, regularized=True)  # = 1 - I_y(a, b)
         total += mpmath.mpf(w.numerator) / w.denominator * tail
     return total
 
@@ -163,11 +166,12 @@ def sigma1_refs() -> dict:
 
 def standardized_refs() -> dict:
     rows = []
-    for p in ORDERS:
-        _, _, weights = hankel_inverse_exact(p)
-        for x in POINTS:
-            value, digits = converged(weights, p, x)
-            rows.append({"p": p, "x": x, "value": text(value), "digits": digits})
+    for orders, points in ((ORDERS, POINTS), (HIGH_ORDERS, HIGH_POINTS)):
+        for p in orders:
+            _, _, weights = hankel_inverse_exact(p)
+            for x in points:
+                value, digits = converged(weights, p, x)
+                rows.append({"p": p, "x": x, "value": text(value), "digits": digits})
     return {
         "about": "P(sigma_1 / sqrt(sum sigma_i^2) > x): exact tube weights times "
                  "mpmath betainc at the stated digits (confirmed 100 digits finer); "

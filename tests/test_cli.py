@@ -169,7 +169,7 @@ class TestValidate:
         monkeypatch.setattr(cli.mc, "sample_tops", no_sampling)
         code, out, err = run_cli(capsys, "validate", "--p", "174", "--samples", "1000")
         assert code == 2 and out == ""
-        assert "p=174 leaves the double range" in err
+        assert "the laws are verified for matrix orders p <= 173, got p=174" in err
 
     def test_sigma1_cdf_call_budget(self, capsys, monkeypatch):
         # 129 Chebyshev points for the KS check plus the 3 quantile points
@@ -235,6 +235,21 @@ class TestAnalyze:
         assert code == 0
         assert out == ""
         assert "15.765" in out_path.read_text()
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_null_league_at_the_largest_order_exits_0(self, capsys, tmp_path, seed):
+        # 174 teams, the most the laws serve (p = 173): these null matrices
+        # put the chi-square statistic just below its 14878 df, where the
+        # incomplete-gamma series needs about 8 sqrt(7439) = 700 terms
+        m = 174
+        y = np.zeros((m, m))
+        y[np.triu_indices(m, 1)] = np.random.default_rng(seed).standard_normal(m * (m - 1) // 2)
+        raw = tmp_path / "null.txt"
+        np.savetxt(raw, y - y.T)
+        code, out, err = run_cli(capsys, "analyze", str(raw), "--raw", "--format", "json")
+        assert code == 0 and err == ""
+        chi2 = json.loads(out)["chi2"]
+        assert chi2["df"] == 14878 and chi2["stat"] < 14880 and 0.0 < chi2["p"] < 1.0
 
     def test_raw_matrix_mode_matches_pipeline(self, capsys, tmp_path):
         from skewtail.io import read_score_sheet_csv

@@ -4,6 +4,7 @@ critical-radius objective."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,18 @@ STANDARDIZED_REFS = json.loads(
 SIGMA1_REFS = json.loads(Path(__file__).with_name("sigma1_refs.json").read_text())
 HANKEL_REFS, TRACE_REFS = SIGMA1_REFS["hankel"], SIGMA1_REFS["trace"]
 EPS = float(np.finfo(float).eps)
+
+
+#: Every law at order p, each at a point where it answers inside the envelope.
+LAWS_AT_ORDER = {
+    "largest_sv_cdf": lambda p: largest_sv_cdf(p, 26.0),
+    "largest_sv_upper": lambda p: largest_sv_upper(p, 26.0),
+    "largest_sv_tail_asymptotic": lambda p: largest_sv_tail_asymptotic(p, 26.0),
+    "standardized_sv_upper": lambda p: standardized_sv_upper(p, CRITICAL_POINT),
+    "hankel_gram": hankel_gram,
+    "euler_characteristic": euler_characteristic,
+    "joint_density": lambda p: joint_density(np.arange(p // 2, 0, -1.0), p),
+}
 
 
 def sphere_area(n: int) -> float:
@@ -111,6 +124,23 @@ class TestSpectrumLaw:
         for bad in (1, 0, -3, 2.5, "4"):
             with pytest.raises(DomainError):
                 spectrum_law(bad)
+
+    @pytest.mark.parametrize("law", LAWS_AT_ORDER)
+    def test_every_law_ends_at_the_one_bound(self, law):
+        bound = rmtdist._MAX_ORDER
+        value = LAWS_AT_ORDER[law](bound)
+        if isinstance(value, float):
+            assert math.isfinite(value) and value >= 0.0
+        with pytest.raises(DomainError) as past:
+            LAWS_AT_ORDER[law](bound + 1)
+        assert str(past.value) == (
+            f"the laws are verified for matrix orders p <= {bound}, got p={bound + 1}"
+        )
+
+    def test_readme_envelope_names_the_bound(self):
+        readme = Path(__file__).parents[1].joinpath("README.md").read_text()
+        envelope = re.search(r"\*\*Verified envelope\.\*\*(.*?)\n\n", readme, re.S).group(1)
+        assert re.findall(r"`p <= (\d+)`", envelope) == [str(rmtdist._MAX_ORDER)]
 
 
 class TestVolumeU:

@@ -119,6 +119,16 @@ class TestChi2Tails:
                     float(scipy_special.gammaincc(nu / 2, y / 2)), abs=1e-13
                 )
 
+    @pytest.mark.parametrize("m", range(3, 175))
+    def test_against_scipy_at_every_league_df(self, m):
+        # the df (m - 1)(m - 2) / 2 of an m-team report's chi-square test,
+        # over its mean +- 8 sd: the series runs to 8 sqrt(df / 2) terms there
+        df = (m - 1) * (m - 2) // 2
+        sd = math.sqrt(2.0 * df)
+        ys = np.linspace(max(0.0, df - 8.0 * sd), df + 8.0 * sd, 33)
+        got = np.array([chi2_upper(df, float(y)) for y in ys])
+        assert np.max(np.abs(got - special.chdtrc(df, ys))) <= 1e-12
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             chi2_upper(0.0, 1.0)
