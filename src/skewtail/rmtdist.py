@@ -120,8 +120,11 @@ def log_volume_U(p: int) -> float:
 
 
 def volume_U(p: int) -> float:
-    """Volume of U(p); 1 for p=1, 2 for p=2, 4*pi for p=3."""
-    return math.exp(log_volume_U(p))
+    """Volume of U(p), p <= 60 (past it DomainError: it underflows); 1, 2, 4*pi at p = 1, 2, 3."""
+    value = math.exp(log_volume_U(p))
+    if value < np.finfo(float).tiny:
+        raise DomainError(f"volume_U({p}) underflows the normal doubles; use log_volume_U")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -134,9 +137,11 @@ def _log_constants(p: int) -> tuple[float, float]:
 
 
 def normalizing_constants(p: int) -> tuple[float, float]:
-    """(c_p, d_p): the density normalizer and its determinant companion d_p = c_p / 2^t."""
-    log_cp, log_dp = _log_constants(int(spectrum_law(p).p))
-    return math.exp(log_cp), math.exp(log_dp)
+    """(c_p, d_p = c_p / 2^t): density and determinant normalizers, p <= 36 (then DomainError)."""
+    c_p, d_p = (math.exp(v) for v in _log_constants(int(spectrum_law(p).p)))
+    if d_p < np.finfo(float).tiny:
+        raise DomainError(f"normalizing_constants({p}) underflow the normal doubles")
+    return c_p, d_p
 
 
 def joint_density(sigma, p: int) -> float:
@@ -212,20 +217,29 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 + z), 1.0 / ((1.0 - z * z) * slope * slope)
 
 
+@lru_cache(maxsize=None)
+def _recurrence(t: int, a: float) -> tuple[float, list]:
+    """psi_0 and, for k < t - 1, (2k + 1 + a, sqrt(k (k + a)), sqrt((k + 1) (k + 1 + a)))."""
+    return math.exp(-0.5 * math.lgamma(a + 1.0)), [
+        (2 * k + 1 + a, math.sqrt(k * (k + a)), math.sqrt((k + 1) * (k + 1 + a))) for k in range(t - 1)]
+
+
 def _kernel(law: SpectrumLaw, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """sum_i phi(lam_i) phi(lam_i)^T over the t Laguerre functions, phi_k =
     psi_k lam^(a/2) e^(-lam/2) with psi_k orthonormal for lam^a e^-lam,
     a = eps - 1/2; scale_i^2 is the node's weight times what of
     lam^a e^-lam the rule's weight function lacks, each factor rounded on
-    its own (one exp of their summed logs would be eps * lam off)."""
-    a = law.eps - 0.5
-    b = np.empty((law.t, lam.size))
-    prev, cur = np.zeros_like(lam), np.full_like(lam, math.exp(-0.5 * math.lgamma(a + 1.0)))
-    for k in range(law.t):
-        b[k] = cur
-        prev, cur = cur, (
-            (2 * k + 1 + a - lam) * cur - math.sqrt(k * (k + a)) * prev
-        ) / math.sqrt((k + 1) * (k + 1 + a))
+    its own (one exp of their summed logs would be eps * lam off).  Row k
+    takes psi_k in place, in the plain recurrence's order of operations."""
+    first, steps = _recurrence(law.t, law.eps - 0.5)
+    b, scratch = np.empty((law.t, lam.size)), np.empty_like(lam)
+    b[0] = first
+    for k, (shift, back, norm) in enumerate(steps):
+        row = np.subtract(shift, lam, out=b[k + 1])
+        row *= b[k]
+        if k:
+            row -= np.multiply(back, b[k - 1], out=scratch)
+        row /= norm
     b *= scale
     return b @ b.T
 
@@ -237,13 +251,19 @@ def _upper_kernel(law: SpectrumLaw, x: float) -> np.ndarray:
     return _kernel(law, lam, np.sqrt(w * lam ** (law.eps - 0.5)) * math.exp(-0.25 * x * x))
 
 
+@lru_cache(maxsize=None)
+def _legendre_root_weights(eps: int) -> np.ndarray:
+    """sqrt(2 w v^(1 + 2a)) = sqrt(2 w v^(2 eps)) of the Gauss-Legendre rule."""
+    v, w = _gauss_legendre(_LEGENDRE_NODES)
+    return np.sqrt(2.0 * w * v ** (2.0 * eps))
+
+
 def _lower_kernel(law: SpectrumLaw, x: float) -> np.ndarray:
     """N = int_0^s phi phi^T = I - M by Gauss-Legendre in v, lam = s v^2,
     where lam^a d lam = 2 s^(1+a) v^(1+2a) dv is free of lam^(-1/2)."""
-    a = law.eps - 0.5
-    v, w = _gauss_legendre(_LEGENDRE_NODES)
+    v = _gauss_legendre(_LEGENDRE_NODES)[0]
     lam = 0.5 * x * x * v * v
-    root_jacobian = np.sqrt(2.0 * w * v ** (1.0 + 2.0 * a)) * (x / math.sqrt(2.0)) ** (1.0 + a)
+    root_jacobian = _legendre_root_weights(law.eps) * (x / math.sqrt(2.0)) ** (law.eps + 0.5)
     return _kernel(law, lam, root_jacobian * np.exp(-0.5 * lam))
 
 
@@ -254,13 +274,13 @@ def _sigma1(p: int, x: float) -> tuple[float, float, float]:
     with weight lam^(eps - 1/2) e^-lam, so with M = int_s^inf phi phi^T,
     s = x^2 / 2, the CDF is det(I - M) and the count is tr M (Mehta,
     *Random Matrices*, ch. 13; Bornemann, Math. Comp. 2010).  Where
-    tr M < 1/8 the CDF is the product of the pivots 1 - delta_k of I - M:
-    as the Schur complement of I - M is I - M', M' = M_22 + M_21 M_12 /
-    (1 - M_11), each deficit delta_k sums nonnegative terms and the tail
-    keeps its relative accuracy.  Elsewhere N = I - M and det N by
-    Cholesky give all three: there the Gauss-Laguerre M is off for p = 2,
-    since lam^(-1/2) is singular near the rule's endpoint (by 2.4e-10
-    where tr M = 1/2, 1e-14 at 1/4 and 5e-15 at 1/8).
+    tr M < 1/8 the CDF is exp(-S), S = -log det(I - M) = sum_j tr(M^j) / j:
+    no term is negative, so the tail 1 - exp(-S) keeps its relative accuracy,
+    and as rho(M) <= tr M, by the 18th term one is at most 2^-54 tr M and
+    ends the sum.  Elsewhere N = I - M and det N by Cholesky give all three:
+    there the Gauss-Laguerre M is off for p = 2, since lam^(-1/2) is
+    singular near the rule's endpoint (by 2.4e-10 where tr M = 1/2, 1e-14
+    at 1/4 and 5e-15 at 1/8).
     """
     law = spectrum_law(p)
     if not math.isfinite(x) or x < 0.0:
@@ -274,12 +294,12 @@ def _sigma1(p: int, x: float) -> tuple[float, float, float]:
     m = _upper_kernel(law, x)
     trace = float(np.trace(m))
     if trace < 0.125:
-        log_cdf = 0.0
-        for k in range(law.t):
-            deficit = m[k, k]
-            log_cdf += math.log1p(-deficit)
-            m[k + 1:, k + 1:] += np.outer(m[k + 1:, k], m[k, k + 1:]) / (1.0 - deficit)
-        return math.exp(log_cdf), -math.expm1(log_cdf), trace
+        total, term, power, j = trace, trace, m, 1
+        while term > 2.0 ** -54 * trace:
+            power, j = power @ m, j + 1
+            term = float(np.trace(power)) / j
+            total += term
+        return math.exp(-total), -math.expm1(-total), trace
     n = _lower_kernel(law, x)
     try:
         cdf = float(np.prod(np.diagonal(np.linalg.cholesky(n)))) ** 2

@@ -14,6 +14,11 @@ computes in closed form.
   laws' kernel sum_i phi(lam_i) phi(lam_i)^T by its own sum over the
   nodes, with the orthonormal Laguerre functions from scipy's generalized
   Laguerre polynomials instead of the library's recurrence;
+* :func:`sigma1_kernels_recurrence` builds M and N with
+  :func:`laguerre_kernel_recurrence`, the plain three-term recurrence (a
+  fresh array per step), and :func:`schur_deficit_log_cdf` takes
+  log det(I - M) by the product of the pivots of I - M: the routes the
+  library's in-place recurrence and trace series replaced;
 * :func:`regularized_gamma_lower` and :func:`chi2_lower` are the linear
   lower tails that :func:`skewtail.specfun.log_regularized_gamma_lower`
   and :func:`skewtail.specfun.chi2_upper` are checked against;
@@ -27,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from skewtail import mc
+from skewtail import mc, rmtdist
 from skewtail.errors import DomainError
 from skewtail.specfun import (
     _lower_gamma_series,
@@ -71,6 +76,49 @@ def laguerre_kernel_entrywise(t: int, a: float, lam: np.ndarray, scale: np.ndarr
             terms = psi[j] * psi[k]
             entries[j, k], magnitudes[j, k] = float(terms.sum()), float(np.abs(terms).sum())
     return entries, magnitudes
+
+
+def laguerre_kernel_recurrence(law, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """sum_i phi(lam_i) phi(lam_i)^T as :func:`skewtail.rmtdist._kernel`
+    takes it, with psi_k by the three-term recurrence in a fresh array per
+    step; the library's in-place recurrence must match it bit for bit."""
+    a = law.eps - 0.5
+    b = np.empty((law.t, lam.size))
+    prev, cur = np.zeros_like(lam), np.full_like(lam, math.exp(-0.5 * math.lgamma(a + 1.0)))
+    for k in range(law.t):
+        b[k] = cur
+        prev, cur = cur, (
+            (2 * k + 1 + a - lam) * cur - math.sqrt(k * (k + a)) * prev
+        ) / math.sqrt((k + 1) * (k + 1 + a))
+    b *= scale
+    return b @ b.T
+
+
+def sigma1_kernels_recurrence(law, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M, N) of :func:`skewtail.rmtdist._upper_kernel` and ``_lower_kernel``
+    on the library's quadrature rules, every factor formed per call and
+    the kernels by :func:`laguerre_kernel_recurrence`."""
+    a = law.eps - 0.5
+    u, w = rmtdist._gauss_laguerre(rmtdist._LAGUERRE_NODES)
+    lam = 0.5 * x * x + u
+    upper = laguerre_kernel_recurrence(law, lam, np.sqrt(w * lam ** a) * math.exp(-0.25 * x * x))
+    v, w = rmtdist._gauss_legendre(rmtdist._LEGENDRE_NODES)
+    lam = 0.5 * x * x * v * v
+    root_jacobian = np.sqrt(2.0 * w * v ** (1.0 + 2.0 * a)) * (x / math.sqrt(2.0)) ** (1.0 + a)
+    return upper, laguerre_kernel_recurrence(law, lam, root_jacobian * np.exp(-0.5 * lam))
+
+
+def schur_deficit_log_cdf(m: np.ndarray) -> float:
+    """log det(I - M) as sum_k log1p(-delta_k) over the pivot deficits of
+    I - M: the Schur complement of I - M is I - M', M' = M_22 + M_21 M_12 /
+    (1 - M_11), so each delta_k sums nonnegative terms.  M is not changed."""
+    m = np.array(m, dtype=float)
+    log_cdf = 0.0
+    for k in range(m.shape[0]):
+        deficit = m[k, k]
+        log_cdf += math.log1p(-deficit)
+        m[k + 1:, k + 1:] += np.outer(m[k + 1:, k], m[k, k + 1:]) / (1.0 - deficit)
+    return log_cdf
 
 
 def _band_factorization(delta: float, t: int):

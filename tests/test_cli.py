@@ -619,8 +619,14 @@ class TestFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "input.txt"
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analyze", str(path)] + args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["analyze", str(path)] + args)
+        # the one warning analyze may give: a sheet with 0-or-all sweeps
+        assert all(
+            w.category is UserWarning and "boundary sweeps" in str(w.message) for w in caught
+        ), [str(w.message) for w in caught]
         assert code in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if code == 0:

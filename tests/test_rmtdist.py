@@ -35,6 +35,8 @@ from oracles import (
     hankel_inverse_exact,
     hankel_inverse_oracle,
     laguerre_kernel_entrywise,
+    schur_deficit_log_cdf,
+    sigma1_kernels_recurrence,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -47,6 +49,9 @@ SIGMA1_REFS = json.loads(Path(__file__).with_name("sigma1_refs.json").read_text(
 HANKEL_REFS, TRACE_REFS = SIGMA1_REFS["hankel"], SIGMA1_REFS["trace"]
 EPS = float(np.finfo(float).eps)
 
+
+#: Orders at which the sigma_1 kernel's routes are checked against references.
+KERNEL_ORDERS = [*range(2, 61), 80, 100, 140, 173]
 
 #: Every law at order p, each at a point where it answers inside the envelope.
 LAWS_AT_ORDER = {
@@ -92,7 +97,7 @@ def count_gamma_loops(monkeypatch) -> list:
 
 def record_kernels(monkeypatch) -> list:
     """Record (lam, scale, matrix) of every kernel the sigma_1 laws build;
-    the matrix is copied before the Schur recursion works on it in place."""
+    the matrix is copied, so nothing done with it later changes the record."""
     kernels = []
 
     def recorded(law, lam, scale, kernel=rmtdist._kernel):
@@ -157,6 +162,12 @@ class TestVolumeU:
         with pytest.raises(DomainError):
             volume_U(0)
 
+    def test_last_normal_order(self):
+        # Vol(U(61)) = 1.8e-319 is subnormal and Vol(U(62)) underflows to 0
+        assert volume_U(60) == math.exp(rmtdist.log_volume_U(60))
+        with pytest.raises(DomainError, match=r"volume_U\(61\)"):
+            volume_U(61)
+
 
 class TestNormalizingConstants:
     def test_even_anchor(self):
@@ -185,6 +196,12 @@ class TestNormalizingConstants:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             normalizing_constants(1)
+
+    def test_last_normal_order(self):
+        # c_37 = 6.4e-313 is subnormal and c_p underflows to 0 from p = 38
+        assert normalizing_constants(36) == tuple(map(math.exp, rmtdist._log_constants(36)))
+        with pytest.raises(DomainError, match=r"normalizing_constants\(37\)"):
+            normalizing_constants(37)
 
 
 class TestJointDensity:
@@ -223,8 +240,9 @@ class TestJointDensity:
 # x / sqrt(p) in three bands of the sigma_1 law.  "diagonal": the bulk,
 # where the trace of M (its diagonal) reaches 1/8 from p = 3 up, so the
 # CDF is det N; "off_diagonal": the shoulder (1.85 sqrt(p) at p = 5 to
-# 2.65 sqrt(p) at p = 100), where tr M < 1/8 and the Schur recursion's
-# off-diagonal updates still count; "accepted": the far tail
+# 2.65 sqrt(p) at p = 100), where tr M < 1/8 and the series' terms
+# tr(M^j), j >= 2, which take in M's off-diagonal entries, still count;
+# "accepted": the far tail
 COMPLEMENT_SIDES = {
     "diagonal": lambda p: 1.2,
     "off_diagonal": lambda p: 2.65 - 0.8 * math.exp(-(p - 5) / 10),
@@ -295,7 +313,7 @@ class TestLargestSvCdf:
         # mu of the whole M (or nu of the whole N) and forms det(I - M) =
         # prod(1 - mu) and det N = prod(nu) from them.  Both pick the same
         # piece, and give the CDF to 1e-14 and the upper tail to 1e-14
-        # relative, which the deficit product keeps in the far tail
+        # relative, which the trace series keeps in the far tail
         law = spectrum_law(p)
         x = COMPLEMENT_SIDES[side](p) * math.sqrt(p)
         mu = np.linalg.eigvalsh(rmtdist._upper_kernel(law, x))
@@ -418,7 +436,7 @@ class TestSigma1Kernel:
             assert abs(largest_sv_cdf(p, x) - gammainc(p - 1.5, x * x / 2)) <= 1e-14
             assert abs(largest_sv_upper(p, x) / gammaincc(p - 1.5, x * x / 2) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("p", [*range(2, 61), 80, 100, 140, 173])
+    @pytest.mark.parametrize("p", KERNEL_ORDERS)
     def test_bonferroni_bracket(self, p):
         # tr M - ((tr M)^2 - tr M^2) / 2 <= P(sigma_1 > x) <= tr M, within 4 ulps,
         # with M from the piece the library uses at each x
@@ -432,6 +450,61 @@ class TestSigma1Kernel:
             lower = trace - 0.5 * (trace * trace - float(np.sum(m * m)))
             assert lower <= tail * (1.0 + 4.0 * EPS)
             assert tail <= trace * (1.0 + 4.0 * EPS)
+
+    @pytest.mark.parametrize("p", KERNEL_ORDERS)
+    def test_kernels_match_plain_recurrence_bit_for_bit(self, p):
+        # the in-place recurrence with cached coefficients, and the cached
+        # Gauss-Legendre factor, round each operation as the plain
+        # recurrence does, so M and N keep every bit
+        law = spectrum_law(p)
+        for x in np.linspace(0.0, 3.4 * math.sqrt(p) + 8.0, 16)[1:]:
+            upper, lower = sigma1_kernels_recurrence(law, x)
+            assert np.array_equal(rmtdist._upper_kernel(law, x), upper)
+            assert np.array_equal(rmtdist._lower_kernel(law, x), lower)
+
+    @pytest.mark.parametrize("p", KERNEL_ORDERS)
+    def test_trace_series_matches_schur_deficit_product(self, p):
+        # where tr M < 1/8, exp(-S) with S = sum_j tr(M^j) / j against the
+        # product of the pivots 1 - delta_k of I - M, whose deficits also
+        # sum nonnegative terms: the tails agree to 2e-15 relative
+        law = spectrum_law(p)
+        checked = 0
+        for x in np.linspace(1.8 * math.sqrt(p), 3.4 * math.sqrt(p) + 8.0, 24):
+            m = rmtdist._upper_kernel(law, x)
+            if np.trace(m) >= 0.125:
+                continue
+            log_cdf = schur_deficit_log_cdf(m)
+            cdf, tail, _ = rmtdist._sigma1(p, x)
+            assert abs(tail + math.expm1(log_cdf)) <= 2e-15 * -math.expm1(log_cdf)
+            assert abs(cdf - math.exp(log_cdf)) <= 2e-15 * math.exp(log_cdf)
+            checked += 1
+        assert checked >= 16
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 32, 60, 100, 173])
+    def test_series_length(self, p, monkeypatch):
+        # the series ends at its first term <= 2^-54 tr M, and rho(M) <= tr M:
+        # at most 18 products M^j where tr M is just under 1/8, and 2 below
+        # 1e-8.  M counts the products taken from it
+        law, products, upper_kernel = spectrum_law(p), [], rmtdist._upper_kernel
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.ndarray.__matmul__(self, other)
+
+        def trace(x):
+            return float(np.trace(upper_kernel(law, x)))
+
+        monkeypatch.setattr(rmtdist, "_upper_kernel", lambda law, x: upper_kernel(law, x).view(Counted))
+        for target, most in ((0.125, 18), (1e-8, 2)):
+            lo, hi = 0.0, 3.4 * math.sqrt(p) + 20.0  # trace(lo) >= target > trace(hi)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if trace(mid) < target else (mid, hi)
+            products.clear()
+            count = rmtdist._sigma1(p, hi)[2]
+            assert 0.999 * target < count < target
+            assert 1 <= len(products) <= most
 
     @pytest.mark.parametrize("p", range(2, 61))
     def test_tails_nonincreasing(self, p):
