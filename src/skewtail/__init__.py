@@ -27,8 +27,6 @@ from .mc import (
     ks_distance,
     sample_spectra,
     sample_tops,
-    singular_values,
-    top_plane,
 )
 from .paired import (
     ContrastPair,
@@ -112,10 +110,8 @@ __all__ = [
     "sample_tops",
     "scheffe_fit",
     "signed_area",
-    "singular_values",
     "spectrum_law",
     "standardized_sv_upper",
-    "top_plane",
     "variance_stabilize",
     "volume_U",
 ]

@@ -133,15 +133,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _load_report(args: argparse.Namespace) -> TestReport:
     if args.raw:
-        obs = io.read_skew_matrix(args.input)
-        names = tuple(str(i + 1) for i in range(obs.m))
-    else:
-        if args.n_games is None:
-            raise DataError("score-sheet input requires --n-games (use --raw for matrices)")
-        sheet = io.read_score_sheet_csv(args.input, args.n_games)
-        obs = variance_stabilize(sheet)
-        names = sheet.names
-    return build_report(obs, sigma2=args.sigma2, names=names)
+        return build_report(io.read_skew_matrix(args.input), sigma2=args.sigma2)
+    if args.n_games is None:
+        raise DataError("score-sheet input requires --n-games (use --raw for matrices)")
+    sheet = io.read_score_sheet_csv(args.input, args.n_games)
+    return build_report(variance_stabilize(sheet), sigma2=args.sigma2, names=sheet.names)
 
 
 def _residual_svg(report: TestReport) -> str:

@@ -86,7 +86,7 @@ def read_score_sheet_csv(path, n_games: int) -> ScoreSheet:
 
 
 def read_skew_matrix(path) -> SkewObservations:
-    """Parse a whitespace-separated square matrix of pre-stabilized scores."""
+    """Parse a whitespace-separated square matrix of pre-stabilized scores, m >= 3."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -108,6 +108,8 @@ def read_skew_matrix(path) -> SkewObservations:
     y = np.array(rows)
     if y.shape[0] != y.shape[1]:
         raise DataError(f"{path}: matrix is {y.shape[0]}x{y.shape[1]}, expected square")
+    if y.shape[0] < 3:
+        raise DataError(f"{path}: need at least 3 objects, got a {y.shape[0]}x{y.shape[0]} matrix")
     if not np.all(np.isfinite(y)):
         i, j = np.unravel_index(int(np.argmin(np.isfinite(y))), y.shape)
         raise DataError(f"{path}: row {i + 1}, column {j + 1}: {float(y[i, j])} is not finite")

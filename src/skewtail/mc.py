@@ -61,7 +61,9 @@ class SkewMatrix:
 
     def to_full(self) -> np.ndarray:
         """Materialize the full matrix; a_ji = -a_ij and a_ii = 0 by construction."""
-        return uppers_to_full(self.upper, self.p)[0]
+        a = np.zeros((self.p, self.p))
+        a[np.triu_indices(self.p, 1)] = self.upper
+        return a - a.T
 
     @classmethod
     def from_full(cls, a, tol: float = 1e-9) -> "SkewMatrix":
@@ -169,15 +171,6 @@ def sample_uppers(p: int, count: int, seed: int) -> np.ndarray:
     """Upper triangles of samples 0 .. count - 1, shape (count, p(p-1)/2);
     sample i is the same for any count."""
     return _sample_blocks(p, count, seed, _triangle(p), lambda rows, work: rows)
-
-
-def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
-    """Stack of full skew matrices from a (B, p(p-1)/2) array of upper triangles."""
-    u = np.atleast_2d(np.asarray(uppers, dtype=float))
-    a = np.zeros((u.shape[0], p, p))
-    iu = np.triu_indices(p, 1)
-    a[:, iu[0], iu[1]] = u
-    return a - np.transpose(a, (0, 2, 1))
 
 
 def _skew_subdiagonal(a: np.ndarray, work: _Workspace, e: np.ndarray) -> None:
@@ -352,7 +345,12 @@ class SkewEigen:
         self.top_vector = vecs[:, -1]
 
     def top_plane(self) -> TopPlane:
-        """The oriented leading 2-plane; see :func:`top_plane`."""
+        """Leading singular value and its oriented invariant 2-plane.
+
+        Requires the top pair to be simple: sigma1 > 0 and separated from
+        sigma2 by relative 1e-8, otherwise the plane is not well defined and
+        a :class:`MultiplicityError` is raised.
+        """
         sigma = self.spectrum.sigma
         sigma1 = float(sigma[0])
         sigma2 = float(sigma[1]) if sigma.size > 1 else 0.0
@@ -368,21 +366,6 @@ class SkewEigen:
         z = z * (1j * np.conj(z[istar]))
         u, v = (w / float(np.linalg.norm(w)) for w in (z.imag, z.real))
         return TopPlane(sigma1=sigma1, u=u, v=v)
-
-
-def singular_values(a: SkewMatrix) -> SingularSpectrum:
-    """Paired singular values of one matrix, descending."""
-    return SkewEigen(a).spectrum
-
-
-def top_plane(a: SkewMatrix) -> TopPlane:
-    """Leading singular value and its oriented invariant 2-plane.
-
-    Requires the top pair to be simple: sigma1 > 0 and separated from
-    sigma2 by relative 1e-8, otherwise the plane is not well defined and
-    a :class:`MultiplicityError` is raised.
-    """
-    return SkewEigen(a).top_plane()
 
 
 def empirical_upper(samples, x: float) -> float:

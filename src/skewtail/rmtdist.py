@@ -358,8 +358,11 @@ def _exact_hankel(p: int) -> tuple[list, list, list]:
 @lru_cache(maxsize=None)
 def _hankel_gram_cached(p: int) -> HankelGram:
     law, root_pi = spectrum_law(p), math.sqrt(math.pi)
+    g, ginv, weights = _exact_hankel(law.p)
+    if sum(weights) != law.t:  # the Euler identity, on the exact weights
+        raise ArithmeticError(f"Euler characteristic check failed for p={p}: sum(w) != {law.t}")
     pieces = []
-    for exact, scale in zip(_exact_hankel(law.p), (root_pi, 1.0 / root_pi, 1.0)):
+    for exact, scale in zip((g, ginv, weights), (root_pi, 1.0 / root_pi, 1.0)):
         pieces.append(np.array(exact, dtype=float) * scale)
         pieces[-1].flags.writeable = False
     return HankelGram(law.p, law.t, law.eps, *pieces)
@@ -427,12 +430,9 @@ def standardized_sv_upper(p: int, x: float) -> float:
 
 def euler_characteristic(p: int) -> int:
     """Euler characteristic of the rank-2 frame manifold, 2 * floor(p/2),
-    checked against the exact rational sum of the tube weights."""
-    gram = hankel_gram(p)
-    *_, weights = _exact_hankel(gram.p)
-    if sum(weights) != gram.t:
-        raise ArithmeticError(f"Euler characteristic check failed for p={p}: sum(w) != {gram.t}")
-    return 2 * gram.t
+    checked against the exact rational sum of the tube weights when
+    :func:`hankel_gram` builds them."""
+    return 2 * hankel_gram(p).t
 
 
 def critical_radius_objective(R) -> float:

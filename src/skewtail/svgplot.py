@@ -12,6 +12,7 @@ import numpy as np
 
 _SIZE = 480
 _MARGIN = 48
+_TITLE = "Residual plot (rank-2 approximation)"
 #: xml.sax.saxutils.escape's replacements; xml.sax itself imports email and ssl.
 _ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
@@ -27,12 +28,7 @@ def _scaler(points: np.ndarray):
     return to_screen
 
 
-def residual_plot_svg(
-    embedding,
-    names,
-    deadlock_triple: tuple[int, int, int] | None = None,
-    title: str = "Residual plot (rank-2 approximation)",
-) -> str:
+def residual_plot_svg(embedding, names, deadlock_triple: tuple[int, int, int] | None = None) -> str:
     """SVG document with one labeled point per object.
 
     ``deadlock_triple`` uses the same 1-based numbering as the report.
@@ -45,7 +41,7 @@ def residual_plot_svg(
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
         f'<text x="{_SIZE / 2}" y="24" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title.translate(_ESCAPE)}</text>',
+        f'font-family="sans-serif">{_TITLE}</text>',
         # axes through the origin
         f'<line x1="{_MARGIN / 2}" y1="{_SIZE / 2}" x2="{_SIZE - _MARGIN / 2}" '
         f'y2="{_SIZE / 2}" stroke="#999" stroke-width="1"/>',

@@ -24,7 +24,9 @@ computes in closed form.
   and :func:`skewtail.specfun.chi2_upper` are checked against;
 * :func:`simulate_null_largest_sv` fits pure-noise Scheffe observations
   and returns the largest singular values of their residuals, whose law
-  must be the exact one of order m - 1.
+  must be the exact one of order m - 1;
+* :func:`uppers_to_full` stacks full skew matrices from upper triangles,
+  for the batched solve's checks against the single one.
 """
 
 import math
@@ -262,8 +264,17 @@ def simulate_null_largest_sv(m: int, count: int, seed: int) -> np.ndarray:
     sigma1 = np.empty(count)
     for s in range(0, count, mc._BLOCK):
         e = min(s + mc._BLOCK, count)
-        y = mc.uppers_to_full(mc._rows(key, s, np.empty((e - s, m * (m - 1) // 2))), m)
+        y = uppers_to_full(mc._rows(key, s, np.empty((e - s, m * (m - 1) // 2))), m)
         alpha = y.sum(axis=2) / m
         gamma = y - (alpha[:, :, None] - alpha[:, None, :])
         sigma1[s:e] = mc.spectra_of_matrices(gamma)[:, 0]
     return sigma1
+
+
+def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
+    """Stack of full skew matrices from a (B, p(p-1)/2) array of upper triangles."""
+    u = np.atleast_2d(np.asarray(uppers, dtype=float))
+    a = np.zeros((u.shape[0], p, p))
+    iu = np.triu_indices(p, 1)
+    a[:, iu[0], iu[1]] = u
+    return a - np.transpose(a, (0, 2, 1))

@@ -41,6 +41,7 @@ from skewtail.rmtdist import (
     joint_density,
     largest_sv_cdf,
     largest_sv_tail_asymptotic,
+    largest_sv_upper,
     standardized_sv_upper,
 )
 
@@ -192,6 +193,37 @@ class TestCriterion4ReductionIdentities:
             worst = max(worst, abs(largest_sv_cdf(3, x) - float(gammainc(1.5, x * x / 2))))
         assert worst < 1e-10
         report(f"4: PASS (p=2 half-normal and p=3 chi_3 reductions, worst |diff| {worst:.2e})")
+
+    def test_p4_sigma1_is_a_scaled_sum_of_two_chi3(self):
+        # so(4) = so(3) + so(3): sigma_1 = (r1 + r2) / sqrt(2), r1, r2 i.i.d. chi_3
+        import mpmath as mp
+
+        def chi3_upper(u):
+            return mp.erfc(u / mp.sqrt(2)) + mp.sqrt(2 / mp.pi) * u * mp.exp(-u * u / 2)
+
+        def chi3_density(r):
+            return mp.sqrt(2 / mp.pi) * r * r * mp.exp(-r * r / 2)
+
+        def tail(x):  # P(r1 + r2 > s) = Q(s) + int_0^s f(r) Q(s - r) dr, s = sqrt(2) x
+            with mp.workdps(40):
+                s = mp.sqrt(2) * x
+                return float(chi3_upper(s) + mp.quad(
+                    lambda r: chi3_density(r) * chi3_upper(s - r), [0, s / 2, s]))
+
+        worst = max(abs(largest_sv_upper(4, x) / tail(x) - 1.0) for x in (2.0, 4.0, 6.0, 7.5))
+        assert worst < 1e-12
+        report(f"4: PASS (p=4 sigma_1 tail vs (chi_3 + chi_3)/sqrt(2) at tails 0.63 .. 1e-10, "
+               f"worst rel {worst:.2e})")
+
+    def test_p4_standardized_closed_form(self):
+        # P(sigma_1 / sqrt(sum sigma^2) > x) = (pi - 2a + sin 2a) / pi, a = arcsin(2x^2 - 1)
+        worst = 0.0
+        for x in np.linspace(0.72, 0.999, 32):
+            a = math.asin(2.0 * x * x - 1.0)
+            exact = (math.pi - 2.0 * a + math.sin(2.0 * a)) / math.pi
+            worst = max(worst, abs(standardized_sv_upper(4, x) / exact - 1.0))
+        assert worst < 1e-10
+        report(f"4: PASS (p=4 standardized closed form on [0.72, 0.999], worst rel {worst:.2e})")
 
 
 class TestCriterion5MonteCarloAgreement:

@@ -1,7 +1,9 @@
 """Command-line surface tests: flags, exit codes, format equivalence,
 determinism, and the SVG plot."""
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skewtail
-from skewtail import cli
+from skewtail import cli, paired, rmtdist
 from skewtail.cli import _table1_cell, main
 from skewtail.io import central_league_1997_path
 from skewtail.svgplot import residual_plot_svg
@@ -312,6 +314,14 @@ class TestAnalyze:
         assert code == 4
         assert "row 3" in err and "column 2" in err and "2^63" in err
 
+    @pytest.mark.parametrize("matrix", ["0\n", "0 1\n-1 0\n"], ids=["1x1", "2x2"])
+    def test_raw_matrix_below_three_objects_exits_4(self, capsys, tmp_path, matrix):
+        small = tmp_path / "small.txt"
+        small.write_text(matrix)
+        code, _, err = run_cli(capsys, "analyze", str(small), "--raw")
+        assert code == 4
+        assert str(small) in err and "at least 3 objects" in err
+
     def test_non_skew_raw_matrix_exits_4(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 2\n-1 0 3\n-2 -3 1\n")
@@ -495,8 +505,7 @@ class TestPlot:
     def test_title_and_labels_are_escaped(self):
         names = ["A&B", "<x>", "q\"'", "plain"]
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        svg = residual_plot_svg(pts, names, title="a < b & c > d")
-        assert '>a &lt; b &amp; c &gt; d</text>' in svg
+        svg = residual_plot_svg(pts, names)
         for label in ("A&amp;B", "&lt;x&gt;", "q\"'", "plain"):
             assert f'font-family="sans-serif">{label}</text></g>' in svg
         root = ET.fromstring(svg)
@@ -536,6 +545,41 @@ class TestEntryPoint:
         assert 2.0 * 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0))) - 1.0 == pytest.approx(
             0.68268949, abs=1e-8
         )
+
+
+#: Exports that no program module reads: the paper's tests, criteria and
+#: quantities that only a caller asks for, and the types and errors a caller
+#: meets.  Every other export must be read by cli, paired, io or rmtdist.
+PAPER_CRITERION_EXPORTS = (
+    "contrast_value", "critical_radius_objective", "deadlock_contrast_pair",
+    "euler_characteristic", "joint_density", "largest_sv_tail_asymptotic", "largest_sv_test",
+    "lrt_standardized_test", "normalizing_constants", "residual_embedding", "sample_spectra",
+    "volume_U",
+)
+TYPES_AND_ERRORS = ("PairingError", "TopPlane")
+
+
+def objects_read_by(module) -> list:
+    """Every object ``module``'s code reads: the globals its names load and
+    the attributes it takes of the modules it holds."""
+    found = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append(vars(module).get(node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = vars(module).get(node.value.id)
+            if inspect.ismodule(owner):
+                found.append(getattr(owner, node.attr, None))
+    return found
+
+
+class TestPublicSurface:
+    def test_every_export_is_read_by_the_program_or_listed(self):
+        read = [obj for module in (cli, paired, skewtail.io, rmtdist) for obj in objects_read_by(module)]
+        unread = {name for name in skewtail.__all__
+                  if not any(getattr(skewtail, name) is obj for obj in read)}
+        assert sorted(unread - set(PAPER_CRITERION_EXPORTS + TYPES_AND_ERRORS)) == []
+        assert set(PAPER_CRITERION_EXPORTS + TYPES_AND_ERRORS) <= set(skewtail.__all__)
 
 
 @st.composite

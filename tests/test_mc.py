@@ -13,6 +13,7 @@ import pytest
 from skewtail import mc
 from skewtail.errors import DomainError, MultiplicityError, PairingError
 from skewtail.mc import (
+    SkewEigen,
     SkewMatrix,
     binomial_standard_error,
     empirical_upper,
@@ -20,10 +21,9 @@ from skewtail.mc import (
     sample_spectra,
     sample_tops,
     sample_uppers,
-    singular_values,
-    top_plane,
-    uppers_to_full,
 )
+
+from oracles import uppers_to_full
 
 
 #: Rows per Philox block of the sample layout; a different value is a
@@ -228,24 +228,24 @@ class TestMoments:
 class TestSingularValues:
     def test_p2_absolute_value(self):
         m = SkewMatrix(p=2, upper=np.array([-1.7]))
-        assert singular_values(m).sigma == pytest.approx([1.7])
+        assert SkewEigen(m).spectrum.sigma == pytest.approx([1.7])
 
     def test_p3_frobenius_radius(self):
         m = SkewMatrix(p=3, upper=np.array([0.3, -1.2, 2.0]))
         expect = math.sqrt(0.3**2 + 1.2**2 + 2.0**2)
-        assert singular_values(m).sigma == pytest.approx([expect], rel=1e-12)
+        assert SkewEigen(m).spectrum.sigma == pytest.approx([expect], rel=1e-12)
 
     def test_rank2_construction(self):
         a, b = np.zeros(6), np.zeros(6)
         a[0], b[1] = 1.0, 1.0
-        spec = singular_values(rank2_matrix(6, 2.5, a, b))
+        spec = SkewEigen(rank2_matrix(6, 2.5, a, b)).spectrum
         assert spec.sigma == pytest.approx([2.5, 0.0, 0.0], abs=1e-12)
 
     def test_descending_and_energy_identity(self):
         for seed in range(5):
             for p in (4, 5, 7, 8):
                 m = sample_matrix(p, seed + 100)
-                sigma = singular_values(m).sigma
+                sigma = SkewEigen(m).spectrum.sigma
                 assert np.all(np.diff(sigma) <= 0.0)
                 assert np.all(sigma >= 0.0)
                 energy = float(np.sum(m.upper**2))
@@ -261,19 +261,19 @@ class TestSingularValues:
 
         monkeypatch.setattr(np.linalg, "eigh", off_energy)
         with pytest.raises(PairingError, match="misses"):
-            singular_values(sample_matrix(p, 11))
+            SkewEigen(sample_matrix(p, 11))
 
     def test_zero_matrix(self):
-        spec = singular_values(SkewMatrix(p=4, upper=np.zeros(6)))
+        spec = SkewEigen(SkewMatrix(p=4, upper=np.zeros(6))).spectrum
         assert np.array_equal(spec.sigma, np.zeros(2))
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170])
     def test_squares_out_of_range(self, scale):
         m = sample_matrix(7, 3)
-        expect = singular_values(m).sigma
-        eigen = mc.SkewEigen(SkewMatrix(p=7, upper=scale * m.upper))
+        expect = SkewEigen(m).spectrum.sigma
+        eigen = SkewEigen(SkewMatrix(p=7, upper=scale * m.upper))
         assert np.all(np.abs(eigen.spectrum.sigma / scale - expect) <= 1e-13 * expect[0])
-        plane, ref = eigen.top_plane(), top_plane(m)
+        plane, ref = eigen.top_plane(), SkewEigen(m).top_plane()
         assert plane.sigma1 / scale == pytest.approx(ref.sigma1, rel=1e-13)
         assert np.allclose(plane.u, ref.u, atol=1e-12) and np.allclose(plane.v, ref.v, atol=1e-12)
 
@@ -282,7 +282,7 @@ class TestSingularValues:
         upper = np.ones(6)
         upper[2] = bad
         with pytest.raises(DomainError, match="finite"):
-            singular_values(SkewMatrix(p=4, upper=upper))
+            SkewEigen(SkewMatrix(p=4, upper=upper))
 
 
 class TestTopPlane:
@@ -290,7 +290,7 @@ class TestTopPlane:
         rng = np.random.default_rng(5)
         basis, _ = np.linalg.qr(rng.standard_normal((7, 2)))
         a, b = basis[:, 0], basis[:, 1]
-        plane = top_plane(rank2_matrix(7, 3.0, a, b))
+        plane = SkewEigen(rank2_matrix(7, 3.0, a, b)).top_plane()
         assert plane.sigma1 == pytest.approx(3.0, rel=1e-12)
         # u, v span the same plane as a, b
         proj = np.outer(a, a) + np.outer(b, b)
@@ -301,7 +301,7 @@ class TestTopPlane:
     def test_plane_relations(self, seed):
         m = sample_matrix(6, seed + 50)
         full = m.to_full()
-        plane = top_plane(m)
+        plane = SkewEigen(m).top_plane()
         assert np.linalg.norm(plane.u) == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(plane.v) == pytest.approx(1.0, abs=1e-10)
         assert abs(float(plane.u @ plane.v)) < 1e-10
@@ -310,7 +310,7 @@ class TestTopPlane:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gauge_alignment(self, seed):
-        plane = top_plane(sample_matrix(5, seed + 70))
+        plane = SkewEigen(sample_matrix(5, seed + 70)).top_plane()
         amp = np.sqrt(plane.u**2 + plane.v**2)
         istar = int(np.argmax(amp))
         assert plane.u[istar] > 0.0
@@ -322,10 +322,10 @@ class TestTopPlane:
         m = sample_matrix(6, seed + 30)
         residual = m.to_full()
         for _ in range(3):
-            spec = singular_values(SkewMatrix.from_full(residual, tol=1e-6))
-            if spec.sigma[0] < 1e-9:
+            eigen = SkewEigen(SkewMatrix.from_full(residual, tol=1e-6))
+            if eigen.spectrum.sigma[0] < 1e-9:
                 break
-            plane = top_plane(SkewMatrix.from_full(residual, tol=1e-6))
+            plane = eigen.top_plane()
             residual = residual - plane.sigma1 * (
                 np.outer(plane.u, plane.v) - np.outer(plane.v, plane.u)
             )
@@ -336,7 +336,7 @@ class TestTopPlane:
         full = m.to_full()
         eigs, vecs = np.linalg.eigh(full.T @ full)
         kernel = vecs[:, 0]
-        plane = top_plane(m)
+        plane = SkewEigen(m).top_plane()
         assert abs(float(kernel @ plane.u)) < 1e-8
         assert abs(float(kernel @ plane.v)) < 1e-8
 
@@ -346,11 +346,11 @@ class TestTopPlane:
         full = 2.0 * (np.outer(basis[:, 0], basis[:, 1]) - np.outer(basis[:, 1], basis[:, 0]))
         full += 2.0 * (np.outer(basis[:, 2], basis[:, 3]) - np.outer(basis[:, 3], basis[:, 2]))
         with pytest.raises(MultiplicityError):
-            top_plane(SkewMatrix.from_full(full))
+            SkewEigen(SkewMatrix.from_full(full)).top_plane()
 
     def test_multiplicity_error_on_zero(self):
         with pytest.raises(MultiplicityError):
-            top_plane(SkewMatrix(p=4, upper=np.zeros(6)))
+            SkewEigen(SkewMatrix(p=4, upper=np.zeros(6))).top_plane()
 
 
 class TestEmpiricalHelpers:
@@ -560,10 +560,11 @@ class TestUppersToFull:
     def test_stack_spectra_match_per_matrix(self):
         stack = uppers_to_full(sample_uppers(5, 6, seed=8), 5)
         for a, sigma in zip(stack, mc.spectra_of_matrices(stack)):
-            assert np.allclose(sigma, singular_values(SkewMatrix.from_full(a)).sigma, rtol=1e-12)
+            assert np.allclose(sigma, SkewEigen(SkewMatrix.from_full(a)).spectrum.sigma, rtol=1e-12)
 
     def test_batch_shape_and_skewness(self):
         uppers = sample_uppers(4, 7, seed=2)
         stack = uppers_to_full(uppers, 4)
         assert stack.shape == (7, 4, 4)
         assert np.array_equal(stack, -np.transpose(stack, (0, 2, 1)))
+        assert all(np.array_equal(a, SkewMatrix(4, u).to_full()) for a, u in zip(stack, uppers))

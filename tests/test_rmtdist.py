@@ -2,9 +2,11 @@
 reductions, Hankel inverse cross-checks, tail expansions, and the
 critical-radius objective."""
 
+import functools
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -846,3 +848,31 @@ class TestEulerCharacteristic:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             euler_characteristic(3)
+
+
+def fresh_gram_cache(monkeypatch, exact_hankel):
+    """Route rmtdist's gram builds through ``exact_hankel`` and an empty cache."""
+    monkeypatch.setattr(rmtdist, "_exact_hankel", exact_hankel)
+    uncached = rmtdist._hankel_gram_cached.__wrapped__
+    monkeypatch.setattr(rmtdist, "_hankel_gram_cached", functools.lru_cache(maxsize=None)(uncached))
+
+
+class TestExactHankelBuilds:
+    def test_built_once_per_order(self, monkeypatch):
+        builds, exact = [], rmtdist._exact_hankel
+        fresh_gram_cache(monkeypatch, lambda p: builds.append(p) or exact(p))
+        assert euler_characteristic(41) == 40
+        hankel_gram(41)
+        standardized_sv_upper(41, 0.8)
+        assert builds == [41]
+
+    def test_euler_identity_checked_on_the_exact_weights(self, monkeypatch):
+        exact = rmtdist._exact_hankel
+
+        def off_by_a_hair(p):
+            g, ginv, weights = exact(p)
+            return g, ginv, [*weights[:-1], weights[-1] + Fraction(1, 10**40)]
+
+        fresh_gram_cache(monkeypatch, off_by_a_hair)
+        with pytest.raises(ArithmeticError, match="Euler characteristic check failed for p=8"):
+            euler_characteristic(8)
