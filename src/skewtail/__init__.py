@@ -20,7 +20,6 @@ from .errors import (
     ValidityError,
 )
 from .mc import (
-    SingularSpectrum,
     SkewMatrix,
     TopPlane,
     empirical_upper,
@@ -76,7 +75,6 @@ __all__ = [
     "PairingError",
     "ScheffeFit",
     "ScoreSheet",
-    "SingularSpectrum",
     "SkewMatrix",
     "SkewObservations",
     "SkewtailError",

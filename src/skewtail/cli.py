@@ -154,12 +154,12 @@ def _residual_svg(report: TestReport) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     report = _load_report(args)
     svg = _residual_svg(report) if args.plot else None
-    rendering = io.render_json(report) if args.format == "json" else io.render_text(report)
+    rendering = io.render_json(report) + "\n" if args.format == "json" else io.render_text(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendering if rendering.endswith("\n") else rendering + "\n")
+            fh.write(rendering)
     else:
-        sys.stdout.write(rendering if rendering.endswith("\n") else rendering + "\n")
+        sys.stdout.write(rendering)
     if args.plot:
         with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(svg)

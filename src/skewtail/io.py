@@ -145,7 +145,7 @@ def report_to_dict(report: TestReport) -> dict:
             "stat": report.std_stat,
             "p": std_p,
         },
-        "spectrum": [float(s) for s in report.spectrum.sigma],
+        "spectrum": [float(s) for s in report.spectrum],
         "deadlock": {
             "triple": list(report.deadlock_triple),
             "value": report.deadlock_value,
@@ -168,6 +168,8 @@ def render_text(report: TestReport) -> str:
     cycle = " > ".join(report.names[i - 1] for i in report.deadlock_triple)
     if report.std_stat is None:
         std = "undefined (zero interaction residual)"
+    elif len(report.names) < 5:  # order m - 1 <= 3 has one singular pair: the stat is 1
+        std = f"stat = {report.std_stat:.3f}   no exact law below m = 5"
     elif report.std_p is None:
         std = f"stat = {report.std_stat:.3f}   outside validity range (< 1/sqrt(2))"
     else:
@@ -178,7 +180,7 @@ def render_text(report: TestReport) -> str:
         f"  chi-square      stat = {report.chi2_stat:.3f}   df = {report.chi2_df}   p = {report.chi2_p:.4f}",
         f"  largest sv      stat = {report.sv_stat:.3f}   p = {report.sv_p:.4f}",
         f"  standardized    {std}",
-        "  spectrum        " + ", ".join(f"{s:.3f}" for s in report.spectrum.sigma),
+        "  spectrum        " + ", ".join(f"{s:.3f}" for s in report.spectrum),
         f"  deadlock        ({triple})   value = {report.deadlock_value:.3f}   [{cycle} > ...]",
     ]
     if report.embedding is None:

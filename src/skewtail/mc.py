@@ -86,14 +86,6 @@ class SkewMatrix:
 
 
 @dataclass(frozen=True)
-class SingularSpectrum:
-    """One representative per singular-value pair, in descending order."""
-
-    p: int
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
 class TopPlane:
     """The invariant 2-plane of the leading singular value.
 
@@ -326,8 +318,8 @@ def sample_tops(p: int, count: int, seed: int) -> np.ndarray:
 
 class SkewEigen:
     """One Hermitian eigen-solve of iA for a skew-symmetric A: the t
-    largest of its eigenvalues +-sigma_k (and 0 for odd order) are the
-    paired spectrum, and the eigenvector of sigma_1 spans the top plane.
+    largest of its eigenvalues +-sigma_k (and 0 for odd order), descending,
+    are ``spectrum``, and the eigenvector of sigma_1 spans the top plane.
     A is solved scaled by a power of two to max |a_ij| in [1/2, 1), which
     is exact.  Raises :class:`DomainError` for non-finite entries and
     :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2."""
@@ -341,7 +333,7 @@ class SkewEigen:
         eigs, vecs = np.linalg.eigh(1j * scaled)
         sigma = np.maximum(eigs[::-1][:a.p // 2], 0.0)
         _check_energy((sigma * sigma)[None, :], np.array([energy]))
-        self.spectrum = SingularSpectrum(p=a.p, sigma=np.ldexp(sigma, shift))
+        self.spectrum = np.ldexp(sigma, shift)
         self.top_vector = vecs[:, -1]
 
     def top_plane(self) -> TopPlane:
@@ -351,7 +343,7 @@ class SkewEigen:
         sigma2 by relative 1e-8, otherwise the plane is not well defined and
         a :class:`MultiplicityError` is raised.
         """
-        sigma = self.spectrum.sigma
+        sigma = self.spectrum
         sigma1 = float(sigma[0])
         sigma2 = float(sigma[1]) if sigma.size > 1 else 0.0
         if sigma1 <= 0.0 or (sigma1 - sigma2) <= _PAIR_RTOL * sigma1:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mc
 from .errors import DataError, DomainError, MultiplicityError
-from .mc import SingularSpectrum, SkewMatrix
+from .mc import SkewMatrix
 from .rmtdist import CRITICAL_POINT, largest_sv_upper, standardized_sv_upper
 from .rmtdist import largest_sv_cdf  # noqa: F401  unused here; bench/tracer.py wraps it by name
 from .specfun import chi2_upper
@@ -174,10 +174,11 @@ class TestReport:
     """All subtractivity statistics for one dataset.
 
     The spectrum is reported in error-standard-deviation units (divided
-    by sqrt(sigma2)), so ``sv_stat == spectrum.sigma[0]`` and the sum of
+    by sqrt(sigma2)), so ``sv_stat == spectrum[0]`` and the sum of
     squared spectrum entries equals ``chi2_stat``.  ``std_p`` is None
     when the standardized statistic falls below the critical point
-    1/sqrt(2), outside the exact range of the tube formula.  Perfectly
+    1/sqrt(2), outside the exact range of the tube formula, and for m < 5,
+    where the residual has one singular pair and no exact law.  Perfectly
     subtractive data (a zero interaction residual, see scheffe_fit) leave the
     standardized statistic a 0/0 form and the top plane undefined:
     ``std_stat``, ``std_p`` and ``embedding`` are then all None.  The
@@ -194,7 +195,7 @@ class TestReport:
     sv_p: float
     std_stat: float | None
     std_p: float | None
-    spectrum: SingularSpectrum
+    spectrum: np.ndarray
     deadlock_triple: tuple[int, int, int]
     deadlock_value: float
     embedding: np.ndarray | None
@@ -254,12 +255,12 @@ def _residual_eigen(fit: ScheffeFit) -> mc.SkewEigen:
     return mc.SkewEigen(SkewMatrix.from_full(fit.gamma_hat, tol=1e-8))
 
 
-def _in_sigma_units(spectrum: SingularSpectrum, sigma2: float) -> SingularSpectrum:
+def _in_sigma_units(spectrum: np.ndarray, sigma2: float) -> np.ndarray:
     _check_sigma2(sigma2)
-    return SingularSpectrum(p=spectrum.p, sigma=spectrum.sigma / math.sqrt(sigma2))
+    return spectrum / math.sqrt(sigma2)
 
 
-def interaction_spectrum(fit: ScheffeFit, sigma2: float = 1.0) -> SingularSpectrum:
+def interaction_spectrum(fit: ScheffeFit, sigma2: float = 1.0) -> np.ndarray:
     """Paired singular values of gamma_hat / sqrt(sigma2), descending."""
     return _in_sigma_units(_residual_eigen(fit).spectrum, sigma2)
 
@@ -308,8 +309,8 @@ def largest_sv_test(fit: ScheffeFit, sigma2: float = 1.0) -> tuple[float, float]
     return _largest_sv(fit.m, interaction_spectrum(fit, sigma2))
 
 
-def _largest_sv(m: int, spectrum: SingularSpectrum) -> tuple[float, float]:
-    stat = float(spectrum.sigma[0])
+def _largest_sv(m: int, spectrum: np.ndarray) -> tuple[float, float]:
+    stat = float(spectrum[0])
     return stat, largest_sv_upper(m - 1, stat)
 
 
@@ -328,13 +329,13 @@ def lrt_standardized_test(fit: ScheffeFit) -> tuple[float | None, float | None]:
     return _standardized(fit.m, _residual_eigen(fit).spectrum)
 
 
-def _standardized(m: int, spectrum: SingularSpectrum) -> tuple[float | None, float | None]:
+def _standardized(m: int, spectrum: np.ndarray) -> tuple[float | None, float | None]:
     """The statistic for any m >= 3; its p-value is None for m < 5, where
     no exact law is available, and below the critical point.  Both are
     None when the residual is exactly zero.  The spectrum is first scaled
     by a power of two near 1 / sigma_1, which is exact, so the sum of
     squares neither underflows nor overflows."""
-    sigma = np.ldexp(spectrum.sigma, -math.frexp(float(spectrum.sigma[0]))[1])
+    sigma = np.ldexp(spectrum, -math.frexp(float(spectrum[0]))[1])
     energy = float(np.sum(sigma**2))
     if energy <= 0.0:
         return None, None

@@ -1,9 +1,9 @@
 """Hand-rolled SVG residual plot.
 
 Draws the rank-2 embedding points with their labels, axes through the
-origin, and (optionally) the outline of the maximizing deadlock
-triangle.  The y axis points up, so a counterclockwise triangle in the
-data is counterclockwise on screen.
+origin, and the outline of the maximizing deadlock triangle.  The y axis
+points up, so a counterclockwise triangle in the data is counterclockwise
+on screen.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ def _scaler(points: np.ndarray):
     return to_screen
 
 
-def residual_plot_svg(embedding, names, deadlock_triple: tuple[int, int, int] | None = None) -> str:
+def residual_plot_svg(embedding, names, deadlock_triple: tuple[int, int, int]) -> str:
     """SVG document with one labeled point per object.
 
     ``deadlock_triple`` uses the same 1-based numbering as the report.
     """
     pts = np.asarray(embedding, dtype=float)
     to_screen = _scaler(pts)
+    corners = " ".join("{:.2f},{:.2f}".format(*to_screen(*pts[i - 1])) for i in deadlock_triple)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
@@ -47,15 +48,9 @@ def residual_plot_svg(embedding, names, deadlock_triple: tuple[int, int, int] | 
         f'y2="{_SIZE / 2}" stroke="#999" stroke-width="1"/>',
         f'<line x1="{_SIZE / 2}" y1="{_MARGIN / 2}" x2="{_SIZE / 2}" '
         f'y2="{_SIZE - _MARGIN / 2}" stroke="#999" stroke-width="1"/>',
+        f'<polygon points="{corners}" fill="none" stroke="#c33" '
+        'stroke-width="1.5" stroke-dasharray="5,3"/>',
     ]
-    if deadlock_triple is not None:
-        corners = " ".join(
-            "{:.2f},{:.2f}".format(*to_screen(*pts[i - 1])) for i in deadlock_triple
-        )
-        parts.append(
-            f'<polygon points="{corners}" fill="none" stroke="#c33" '
-            'stroke-width="1.5" stroke-dasharray="5,3"/>'
-        )
     for name, (x, y) in zip(names, pts):
         sx, sy = to_screen(x, y)
         parts.append(

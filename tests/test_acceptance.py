@@ -138,7 +138,7 @@ class TestCriterion2BaseballReproduction:
         assert rep.chi2_p == pytest.approx(0.1066, abs=0.0001)
         assert rep.sv_stat == pytest.approx(3.932, abs=0.001)
         assert rep.sv_p == pytest.approx(0.0543, abs=0.0001)
-        assert rep.spectrum.sigma[1] == pytest.approx(0.553, abs=0.001)
+        assert rep.spectrum[1] == pytest.approx(0.553, abs=0.001)
         assert rep.std_stat == pytest.approx(0.990, abs=0.001)
         assert rep.std_p == pytest.approx(0.0348, abs=0.0001)
         assert rep.deadlock_triple == (6, 5, 2)

@@ -322,6 +322,22 @@ class TestAnalyze:
         assert code == 4
         assert str(small) in err and "at least 3 objects" in err
 
+    @pytest.mark.parametrize("m", [3, 4], ids=["3x3", "4x4"])
+    def test_raw_matrix_below_five_objects_has_no_standardized_law(self, capsys, tmp_path, m):
+        # order m - 1 <= 3 has one singular pair, so the statistic is exactly 1,
+        # and the tube law of the standardized test starts at order 4
+        y = np.zeros((m, m))
+        y[np.triu_indices(m, 1)] = np.random.default_rng(m).standard_normal(m * (m - 1) // 2)
+        raw = tmp_path / f"m{m}.txt"
+        np.savetxt(raw, y - y.T)
+        code, out, _ = run_cli(capsys, "analyze", str(raw), "--raw")
+        assert code == 0
+        assert "  standardized    stat = 1.000   no exact law below m = 5\n" in out
+        assert "1/sqrt(2)" not in out
+        code, out, _ = run_cli(capsys, "analyze", str(raw), "--raw", "--format", "json")
+        std = json.loads(out)["standardized"]
+        assert std["stat"] == pytest.approx(1.0, abs=1e-12) and std["p"] == "outside_validity"
+
     def test_non_skew_raw_matrix_exits_4(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 2\n-1 0 3\n-2 -3 1\n")
@@ -505,7 +521,7 @@ class TestPlot:
     def test_title_and_labels_are_escaped(self):
         names = ["A&B", "<x>", "q\"'", "plain"]
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        svg = residual_plot_svg(pts, names)
+        svg = residual_plot_svg(pts, names, (1, 2, 3))
         for label in ("A&amp;B", "&lt;x&gt;", "q\"'", "plain"):
             assert f'font-family="sans-serif">{label}</text></g>' in svg
         root = ET.fromstring(svg)

@@ -228,24 +228,24 @@ class TestMoments:
 class TestSingularValues:
     def test_p2_absolute_value(self):
         m = SkewMatrix(p=2, upper=np.array([-1.7]))
-        assert SkewEigen(m).spectrum.sigma == pytest.approx([1.7])
+        assert SkewEigen(m).spectrum == pytest.approx([1.7])
 
     def test_p3_frobenius_radius(self):
         m = SkewMatrix(p=3, upper=np.array([0.3, -1.2, 2.0]))
         expect = math.sqrt(0.3**2 + 1.2**2 + 2.0**2)
-        assert SkewEigen(m).spectrum.sigma == pytest.approx([expect], rel=1e-12)
+        assert SkewEigen(m).spectrum == pytest.approx([expect], rel=1e-12)
 
     def test_rank2_construction(self):
         a, b = np.zeros(6), np.zeros(6)
         a[0], b[1] = 1.0, 1.0
         spec = SkewEigen(rank2_matrix(6, 2.5, a, b)).spectrum
-        assert spec.sigma == pytest.approx([2.5, 0.0, 0.0], abs=1e-12)
+        assert spec == pytest.approx([2.5, 0.0, 0.0], abs=1e-12)
 
     def test_descending_and_energy_identity(self):
         for seed in range(5):
             for p in (4, 5, 7, 8):
                 m = sample_matrix(p, seed + 100)
-                sigma = SkewEigen(m).spectrum.sigma
+                sigma = SkewEigen(m).spectrum
                 assert np.all(np.diff(sigma) <= 0.0)
                 assert np.all(sigma >= 0.0)
                 energy = float(np.sum(m.upper**2))
@@ -265,14 +265,14 @@ class TestSingularValues:
 
     def test_zero_matrix(self):
         spec = SkewEigen(SkewMatrix(p=4, upper=np.zeros(6))).spectrum
-        assert np.array_equal(spec.sigma, np.zeros(2))
+        assert np.array_equal(spec, np.zeros(2))
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170])
     def test_squares_out_of_range(self, scale):
         m = sample_matrix(7, 3)
-        expect = SkewEigen(m).spectrum.sigma
+        expect = SkewEigen(m).spectrum
         eigen = SkewEigen(SkewMatrix(p=7, upper=scale * m.upper))
-        assert np.all(np.abs(eigen.spectrum.sigma / scale - expect) <= 1e-13 * expect[0])
+        assert np.all(np.abs(eigen.spectrum / scale - expect) <= 1e-13 * expect[0])
         plane, ref = eigen.top_plane(), SkewEigen(m).top_plane()
         assert plane.sigma1 / scale == pytest.approx(ref.sigma1, rel=1e-13)
         assert np.allclose(plane.u, ref.u, atol=1e-12) and np.allclose(plane.v, ref.v, atol=1e-12)
@@ -323,7 +323,7 @@ class TestTopPlane:
         residual = m.to_full()
         for _ in range(3):
             eigen = SkewEigen(SkewMatrix.from_full(residual, tol=1e-6))
-            if eigen.spectrum.sigma[0] < 1e-9:
+            if eigen.spectrum[0] < 1e-9:
                 break
             plane = eigen.top_plane()
             residual = residual - plane.sigma1 * (
@@ -560,7 +560,7 @@ class TestUppersToFull:
     def test_stack_spectra_match_per_matrix(self):
         stack = uppers_to_full(sample_uppers(5, 6, seed=8), 5)
         for a, sigma in zip(stack, mc.spectra_of_matrices(stack)):
-            assert np.allclose(sigma, SkewEigen(SkewMatrix.from_full(a)).spectrum.sigma, rtol=1e-12)
+            assert np.allclose(sigma, SkewEigen(SkewMatrix.from_full(a)).spectrum, rtol=1e-12)
 
     def test_batch_shape_and_skewness(self):
         uppers = sample_uppers(4, 7, seed=2)

@@ -245,7 +245,7 @@ class TestScheffeFit:
     def test_league_spectrum(self, league_fit):
         from skewtail.paired import interaction_spectrum
 
-        sigma = interaction_spectrum(league_fit).sigma
+        sigma = interaction_spectrum(league_fit)
         assert sigma[0] == pytest.approx(3.932, abs=5e-4)
         assert sigma[1] == pytest.approx(0.553, abs=5e-4)
 
@@ -455,7 +455,7 @@ class TestMaxDeadlock:
             obs = observations_from_vector(6, rng.standard_normal(15))
             fit = scheffe_fit(obs)
             _, value = max_deadlock(fit)
-            sigma1 = float(interaction_spectrum(fit).sigma[0])
+            sigma1 = float(interaction_spectrum(fit)[0])
             assert value <= SQRT3 * sigma1 + 1e-12
 
 
@@ -482,7 +482,7 @@ class TestContrastPair:
     def test_any_pair_bounded_by_sigma1(self, league_fit):
         from skewtail.paired import ContrastPair, contrast_value, interaction_spectrum
 
-        sigma1 = float(interaction_spectrum(league_fit).sigma[0])
+        sigma1 = float(interaction_spectrum(league_fit)[0])
         rng = np.random.default_rng(33)
         ones = np.ones(6)
         for _ in range(50):
@@ -496,7 +496,7 @@ class TestContrastPair:
         # the deadlock subclass cannot beat the unconstrained maximum
         from skewtail.paired import contrast_value, deadlock_contrast_pair, interaction_spectrum
 
-        sigma1 = float(interaction_spectrum(league_fit).sigma[0])
+        sigma1 = float(interaction_spectrum(league_fit)[0])
         _, best = max_deadlock(league_fit)
         assert best <= sigma1 + 1e-10
         pair = deadlock_contrast_pair(6, 5, 4, 1)
@@ -513,7 +513,7 @@ class TestResidualEmbedding:
         from skewtail.paired import interaction_spectrum
 
         pts = residual_embedding(league_fit)
-        sigma1 = float(interaction_spectrum(league_fit).sigma[0])
+        sigma1 = float(interaction_spectrum(league_fit)[0])
         assert abs(pts[:, 0].sum()) < 1e-8
         assert abs(pts[:, 1].sum()) < 1e-8
         assert float(np.sum(pts[:, 0] ** 2)) == pytest.approx(sigma1, abs=1e-8)
@@ -596,7 +596,7 @@ class TestInvariances:
     def test_spectrum_energy_consistency(self, league_fit):
         from skewtail.paired import interaction_spectrum
 
-        sigma = interaction_spectrum(league_fit).sigma
+        sigma = interaction_spectrum(league_fit)
         stat, _, _ = chi_square_test(league_fit)
         assert float(np.sum(sigma**2)) == pytest.approx(stat, rel=1e-10)
         # at the printed precision: 3.932^2 + 0.553^2 ~ 15.77 vs 15.765
@@ -623,8 +623,25 @@ class TestBuildReport:
         rng = np.random.default_rng(m)
         obs = observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2))
         expect = np.linalg.svd(scheffe_fit(obs).gamma_hat, compute_uv=False)[::2][:m // 2]
-        sigma = build_report(obs).spectrum.sigma
+        sigma = build_report(obs).spectrum
         assert np.all(np.abs(sigma - expect) <= 1e-13 * expect[0])
+
+    @pytest.mark.parametrize("m", [5, 6, 20])
+    def test_every_spectrum_is_a_row_of_the_batched_solve(self, m):
+        # one representation of a singular spectrum: a descending 1-D float
+        # array of length t = m // 2, as one row of spectra_of_matrices is
+        from skewtail.paired import interaction_spectrum
+
+        rng = np.random.default_rng(m)
+        obs = observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2))
+        fit = scheffe_fit(obs)
+        row = mc.spectra_of_matrices(fit.gamma_hat[None])[0]
+        eigen = mc.SkewEigen(mc.SkewMatrix.from_full(fit.gamma_hat))
+        for spectrum in (eigen.spectrum, interaction_spectrum(fit), build_report(obs).spectrum):
+            assert type(spectrum) is type(row) is np.ndarray
+            assert spectrum.dtype == row.dtype == np.float64
+            assert spectrum.shape == row.shape == (m // 2,)
+            assert np.all(np.abs(spectrum - row) <= 1e-13 * row[0])
 
     def test_perfectly_subtractive_data_give_a_report(self):
         report = build_report(subtractive_observations([2.0, 1.0, 0.0, -1.0, -2.0]))
@@ -659,7 +676,7 @@ class TestBuildReport:
         assert report.chi2_df == 10
         assert report.deadlock_triple == (6, 5, 2)
         assert report.std_stat == pytest.approx(
-            report.sv_stat / math.sqrt(float(np.sum(report.spectrum.sigma**2))), abs=1e-10
+            report.sv_stat / math.sqrt(float(np.sum(report.spectrum**2))), abs=1e-10
         )
         assert deadlock_area_ratio(report) == pytest.approx(2.839, abs=5e-4)
 
@@ -675,5 +692,5 @@ class TestBuildReport:
         r1 = build_report(obs, sigma2=1.0, names=league_sheet.names)
         r4 = build_report(obs, sigma2=4.0, names=league_sheet.names)
         assert r4.sv_stat == pytest.approx(r1.sv_stat / 2.0, rel=1e-12)
-        assert np.allclose(r4.spectrum.sigma, r1.spectrum.sigma / 2.0)
+        assert np.allclose(r4.spectrum, r1.spectrum / 2.0)
         assert r4.std_stat == pytest.approx(r1.std_stat, rel=1e-12)
