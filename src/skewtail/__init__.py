@@ -20,7 +20,6 @@ from .errors import (
     ValidityError,
 )
 from .mc import (
-    SkewMatrix,
     TopPlane,
     empirical_upper,
     ks_distance,
@@ -75,7 +74,6 @@ __all__ = [
     "PairingError",
     "ScheffeFit",
     "ScoreSheet",
-    "SkewMatrix",
     "SkewObservations",
     "SkewtailError",
     "SpectrumLaw",

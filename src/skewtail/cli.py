@@ -8,8 +8,8 @@ Subcommands:
 * ``analyze``   full paired-comparison subtractivity report (text/JSON)
 * ``plot``      just the SVG residual plot for a dataset
 
-Exit codes: 0 success, 2 usage/domain error, 3 validity-range error
-(standardized threshold below 1/sqrt(2)), 4 data error.  ``validate``
+Exit codes: 0 success, 2 usage/domain error or an unwritable output path,
+3 validity-range error (standardized threshold below 1/sqrt(2)), 4 data error.  ``validate``
 checks its arguments and the order's envelope before it draws a sample.
 """
 
@@ -151,25 +151,29 @@ def _residual_svg(report: TestReport) -> str:
     return svgplot.residual_plot_svg(report.embedding, report.names, report.deadlock_triple)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     report = _load_report(args)
     svg = _residual_svg(report) if args.plot else None
     rendering = io.render_json(report) + "\n" if args.format == "json" else io.render_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendering)
+        _write(args.out, rendering)
     else:
         sys.stdout.write(rendering)
     if args.plot:
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write(args.plot, svg)
     return 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    svg = _residual_svg(_load_report(args))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(args.out, _residual_svg(_load_report(args)))
     return 0
 
 

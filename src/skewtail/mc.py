@@ -12,8 +12,8 @@ batched solve (:func:`spectra_of_matrices`, :func:`spectra_from_uppers`)
 is a skew Householder tridiagonalization with delayed updates over a
 (p, p, B) stack with the batch last, then one t x t eigen-solve per
 sample; :class:`SkewEigen`, the single solve that also keeps the top
-plane, is one Hermitian eigen-solve of iA.  Both are within
-1e-13 * sigma_1 of LAPACK's SVD.
+plane, checks that a (p, p) array is skew and is one Hermitian
+eigen-solve of iA.  Both are within 1e-13 * sigma_1 of LAPACK's SVD.
 
 The samplers draw and solve one block of samples at a time, serially, in
 buffers allocated once per call: fresh ones per block made a cold run fault
@@ -35,6 +35,8 @@ import numpy as np
 from .errors import DomainError, MultiplicityError, PairingError
 
 _PAIR_RTOL = 1e-8
+#: Largest max |a_ij + a_ji| / max |a_ij| that :class:`SkewEigen` accepts as skew.
+_SKEW_RTOL = 1e-9
 #: Samples per Philox block; changing it changes every draw of every seed.
 _STREAM_BLOCK = 256
 #: Samples per solve batch; a multiple of _STREAM_BLOCK, so no Philox block is drawn twice.
@@ -43,46 +45,6 @@ _BLOCK = 1024
 _KS_DEGREE = 128
 #: Samples per chunk of :func:`ks_distance`'s CDF evaluation and gaps.
 _KS_CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class SkewMatrix:
-    """Upper-triangle storage of a p x p real skew-symmetric matrix."""
-
-    p: int
-    upper: np.ndarray
-
-    def __post_init__(self):
-        n = _triangle(self.p)
-        u = np.asarray(self.upper, dtype=float)
-        if u.shape != (n,):
-            raise DomainError(f"upper triangle must have length {n}, got shape {u.shape}")
-        object.__setattr__(self, "upper", u)
-
-    def to_full(self) -> np.ndarray:
-        """Materialize the full matrix; a_ji = -a_ij and a_ii = 0 by construction."""
-        a = np.zeros((self.p, self.p))
-        a[np.triu_indices(self.p, 1)] = self.upper
-        return a - a.T
-
-    @classmethod
-    def from_full(cls, a, tol: float = 1e-9) -> "SkewMatrix":
-        """Extract upper-triangle storage from a full matrix, validating
-        skew-symmetry: max |a_ij + a_ji| may be at most ``tol`` times
-        max |a_ij| (a relative tolerance, so the check is scale-free)."""
-        m = np.asarray(a, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix entries must be finite")
-        with np.errstate(over="ignore"):
-            resid = float(np.max(np.abs(m + m.T)))
-        if resid > tol * float(np.max(np.abs(m))):
-            raise DomainError(
-                f"matrix is not skew-symmetric (max |a_ij + a_ji| = {resid:.3e}, "
-                f"above {tol:g} max |a_ij|)"
-            )
-        return cls(p=m.shape[0], upper=m[np.triu_indices(m.shape[0], 1)])
 
 
 @dataclass(frozen=True)
@@ -317,21 +279,30 @@ def sample_tops(p: int, count: int, seed: int) -> np.ndarray:
 
 
 class SkewEigen:
-    """One Hermitian eigen-solve of iA for a skew-symmetric A: the t
-    largest of its eigenvalues +-sigma_k (and 0 for odd order), descending,
-    are ``spectrum``, and the eigenvector of sigma_1 spans the top plane.
-    A is solved scaled by a power of two to max |a_ij| in [1/2, 1), which
-    is exact.  Raises :class:`DomainError` for non-finite entries and
-    :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2."""
+    """One Hermitian eigen-solve of iA for a (p, p) array A: the t largest of
+    its eigenvalues +-sigma_k (and 0 for odd order), descending, are
+    ``spectrum``, and the eigenvector of sigma_1 spans the top plane.  Raises
+    :class:`DomainError` unless A is square, p >= 2, finite and skew to relative
+    ``_SKEW_RTOL``; the solve is of the skew completion of A's strict upper
+    triangle, scaled by a power of two to max |a_ij| in [1/2, 1), which is exact.
+    Raises :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2."""
 
-    def __init__(self, a: SkewMatrix):
-        scaled = a.to_full()
+    def __init__(self, a: np.ndarray):
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or len(a) < 2:
+            raise DomainError(f"expected a square matrix of order >= 2, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise DomainError("matrix entries must be finite")
+        with np.errstate(over="ignore"):
+            resid = float(np.max(np.abs(a + a.T)))
+        if resid > _SKEW_RTOL * float(np.max(np.abs(a))):
+            raise DomainError(f"matrix is not skew-symmetric: max |a_ij + a_ji| = {resid:.3e}")
+        upper = np.triu(a, 1)
+        scaled = upper - upper.T
         shift = int(_unit_scaled(scaled, axis=None)[0])
         energy = 0.5 * np.sum(scaled * scaled)
-        if not math.isfinite(energy):
-            raise DomainError("matrix entries must be finite")
         eigs, vecs = np.linalg.eigh(1j * scaled)
-        sigma = np.maximum(eigs[::-1][:a.p // 2], 0.0)
+        sigma = np.maximum(eigs[::-1][:len(a) // 2], 0.0)
         _check_energy((sigma * sigma)[None, :], np.array([energy]))
         self.spectrum = np.ldexp(sigma, shift)
         self.top_vector = vecs[:, -1]

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import mc
 from .errors import DataError, DomainError, MultiplicityError
-from .mc import SkewMatrix
 from .rmtdist import CRITICAL_POINT, largest_sv_upper, standardized_sv_upper
 from .rmtdist import largest_sv_cdf  # noqa: F401  unused here; bench/tracer.py wraps it by name
 from .specfun import chi2_upper
@@ -252,7 +251,7 @@ def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
 def _residual_eigen(fit: ScheffeFit) -> mc.SkewEigen:
     """The one eigen-solve of i gamma_hat that a report's spectrum,
     spectral statistics and embedding are all read from."""
-    return mc.SkewEigen(SkewMatrix.from_full(fit.gamma_hat, tol=1e-8))
+    return mc.SkewEigen(fit.gamma_hat)
 
 
 def _in_sigma_units(spectrum: np.ndarray, sigma2: float) -> np.ndarray:

@@ -27,6 +27,7 @@ from skewtail.io import central_league_1997_path
 from skewtail.svgplot import residual_plot_svg
 
 FIXTURE = str(central_league_1997_path())
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 #: The orders up to 61 of Paley tournaments: the primes m = 3 (mod 4).
@@ -237,6 +238,18 @@ class TestAnalyze:
         assert code == 0
         assert out == ""
         assert "15.765" in out_path.read_text()
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        bad = str(tmp_path / "missing" / "r.txt")
+        code, out, err = run_cli(capsys, "analyze", FIXTURE, "--n-games", "27", "--out", bad)
+        assert code == 2 and out == ""
+        assert f"cannot write {bad}" in err
+
+    def test_unwritable_plot_exits_2_after_the_report(self, capsys, tmp_path):
+        bad = str(tmp_path / "missing" / "r.svg")
+        code, out, err = run_cli(capsys, "analyze", FIXTURE, "--n-games", "27", "--plot", bad)
+        assert code == 2 and "15.765" in out
+        assert f"cannot write {bad}" in err
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_null_league_at_the_largest_order_exits_0(self, capsys, tmp_path, seed):
@@ -495,6 +508,11 @@ class TestPlot:
         assert labels == ["Yakult", "Yokohama", "Hiroshima", "Yomiuri", "Hanshin", "Chunichi"]
         assert len(root.findall(".//svg:polygon", ns)) == 1
 
+    def test_out_naming_a_directory_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "plot", FIXTURE, "--n-games", "27", "--out", str(tmp_path))
+        assert code == 2
+        assert f"cannot write {tmp_path}" in err
+
     def test_analyze_plot_flag_writes_same_svg(self, capsys, tmp_path):
         via_plot = tmp_path / "a.svg"
         via_analyze = tmp_path / "b.svg"
@@ -537,6 +555,22 @@ def loaded_by_cli_import(modules) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def readme_library_block() -> str:
+    """The python block under README's "Library entry points" heading."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Library entry points", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadme:
+    def test_library_entry_points_run(self):
+        names: dict = {}
+        exec(compile(readme_library_block(), README, "exec"), names)
+        report, eig = names["report"], names["eig"]
+        assert report.sv_stat == report.spectrum[0]
+        assert eig.spectrum.shape == (3,) and np.all(np.diff(eig.spectrum) <= 0.0)
 
 
 class TestEntryPoint:

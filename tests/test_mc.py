@@ -14,7 +14,6 @@ from skewtail import mc
 from skewtail.errors import DomainError, MultiplicityError, PairingError
 from skewtail.mc import (
     SkewEigen,
-    SkewMatrix,
     binomial_standard_error,
     empirical_upper,
     ks_distance,
@@ -44,9 +43,9 @@ def oracle_rows(seed: int, n: int, indices) -> np.ndarray:
     return np.array(rows)
 
 
-def sample_matrix(p: int, seed: int) -> SkewMatrix:
-    """Sample 0 of order p under ``seed``."""
-    return SkewMatrix(p, sample_uppers(p, 1, seed)[0])
+def sample_matrix(p: int, seed: int) -> np.ndarray:
+    """Sample 0 of order p under ``seed``, as a full (p, p) array."""
+    return uppers_to_full(sample_uppers(p, 1, seed)[0], p)[0]
 
 
 def ks_at_every_sample(samples, cdf) -> float:
@@ -58,51 +57,64 @@ def ks_at_every_sample(samples, cdf) -> float:
     return float(max(np.max(i / s.size - f), np.max(f - (i - 1) / s.size)))
 
 
-def rank2_matrix(p: int, s: float, a: np.ndarray, b: np.ndarray) -> SkewMatrix:
-    """s (a b' - b a') for orthonormal a, b."""
-    return SkewMatrix.from_full(s * (np.outer(a, b) - np.outer(b, a)))
+def rank2_matrix(p: int, s: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """s (a b' - b a') for orthonormal a, b, completed from its upper triangle."""
+    return uppers_to_full((s * (np.outer(a, b) - np.outer(b, a)))[np.triu_indices(p, 1)], p)[0]
 
 
 class TestSkewMatrix:
+    """SkewEigen's input contract: a full (p, p) array, checked once for
+    shape, finiteness and skewness, and solved as the skew completion of
+    its strict upper triangle."""
+
     def test_full_matrix_is_exactly_skew(self):
-        m = sample_matrix(5, 1).to_full()
+        m = sample_matrix(5, 1)
         assert np.array_equal(m, -m.T)
         assert np.all(np.diag(m) == 0.0)
 
     def test_roundtrip_through_full(self):
         a = sample_matrix(6, 2)
-        again = SkewMatrix.from_full(a.to_full())
-        assert np.array_equal(a.upper, again.upper)
+        again = uppers_to_full(a[np.triu_indices(6, 1)], 6)[0]
+        assert np.array_equal(a, again)
+        assert np.array_equal(SkewEigen(a).spectrum, SkewEigen(again).spectrum)
 
     def test_from_full_rejects_non_skew(self):
-        with pytest.raises(DomainError):
-            SkewMatrix.from_full(np.eye(3))
+        with pytest.raises(DomainError, match="skew"):
+            SkewEigen(np.eye(3))
 
     def test_from_full_tolerance_is_relative(self):
-        # tol bounds max |a + a'| relative to max |a|: a symmetric matrix of
+        # max |a + a'| is bounded relative to max |a|: a symmetric matrix of
         # tiny entries is rejected, rounding-level asymmetry of a 1e+6-scaled
-        # matrix is accepted
+        # matrix is accepted and solved as its upper triangle's completion
         with pytest.raises(DomainError, match="skew"):
-            SkewMatrix.from_full(np.full((3, 3), 1e-10))
+            SkewEigen(np.full((3, 3), 1e-10))
         full = 1e6 * np.array([[0.0, 3.0, -1.0], [-3.0, 0.0, 2.0], [1.0, -2.0, 0.0]])
         full[0, 1] *= 1.0 + 8 * np.finfo(float).eps
-        assert SkewMatrix.from_full(full).upper[0] == full[0, 1]
+        assert full[0, 1] != -full[1, 0]
+        completion = uppers_to_full(full[np.triu_indices(3, 1)], 3)[0]
+        assert np.array_equal(SkewEigen(full).spectrum, SkewEigen(completion).spectrum)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_from_full_rejects_non_finite(self, bad):
         full = np.zeros((3, 3))
         full[0, 1], full[1, 0] = bad, -bad
         with pytest.raises(DomainError, match="finite"):
-            SkewMatrix.from_full(full)
+            SkewEigen(full)
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(DomainError):
-            SkewMatrix(p=4, upper=np.zeros(5))
+        # the samplers' packed upper triangle is not a SkewEigen input
+        with pytest.raises(DomainError, match="square"):
+            SkewEigen(sample_uppers(4, 1, seed=3)[0])
+
+    @pytest.mark.parametrize("shape", [(4, 5), (4,), (1, 1)], ids=["4x5", "4", "1x1"])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(DomainError, match="order >= 2"):
+            SkewEigen(np.zeros(shape))
 
 
 class TestDeterminism:
     def test_same_seed_same_matrix(self):
-        assert np.array_equal(sample_matrix(4, 42).upper, sample_matrix(4, 42).upper)
+        assert np.array_equal(sample_matrix(4, 42), sample_matrix(4, 42))
 
     def test_block_path_matches_per_sample_path(self):
         uppers = sample_uppers(6, 300, seed=11)
@@ -227,11 +239,11 @@ class TestMoments:
 
 class TestSingularValues:
     def test_p2_absolute_value(self):
-        m = SkewMatrix(p=2, upper=np.array([-1.7]))
+        m = np.array([[0.0, -1.7], [1.7, 0.0]])
         assert SkewEigen(m).spectrum == pytest.approx([1.7])
 
     def test_p3_frobenius_radius(self):
-        m = SkewMatrix(p=3, upper=np.array([0.3, -1.2, 2.0]))
+        m = uppers_to_full(np.array([0.3, -1.2, 2.0]), 3)[0]
         expect = math.sqrt(0.3**2 + 1.2**2 + 2.0**2)
         assert SkewEigen(m).spectrum == pytest.approx([expect], rel=1e-12)
 
@@ -248,7 +260,7 @@ class TestSingularValues:
                 sigma = SkewEigen(m).spectrum
                 assert np.all(np.diff(sigma) <= 0.0)
                 assert np.all(sigma >= 0.0)
-                energy = float(np.sum(m.upper**2))
+                energy = 0.5 * float(np.sum(m**2))
                 assert float(np.sum(sigma**2)) == pytest.approx(energy, rel=1e-10)
 
     @pytest.mark.parametrize("p", [4, 5])
@@ -264,14 +276,14 @@ class TestSingularValues:
             SkewEigen(sample_matrix(p, 11))
 
     def test_zero_matrix(self):
-        spec = SkewEigen(SkewMatrix(p=4, upper=np.zeros(6))).spectrum
+        spec = SkewEigen(np.zeros((4, 4))).spectrum
         assert np.array_equal(spec, np.zeros(2))
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170])
     def test_squares_out_of_range(self, scale):
         m = sample_matrix(7, 3)
         expect = SkewEigen(m).spectrum
-        eigen = SkewEigen(SkewMatrix(p=7, upper=scale * m.upper))
+        eigen = SkewEigen(scale * m)
         assert np.all(np.abs(eigen.spectrum / scale - expect) <= 1e-13 * expect[0])
         plane, ref = eigen.top_plane(), SkewEigen(m).top_plane()
         assert plane.sigma1 / scale == pytest.approx(ref.sigma1, rel=1e-13)
@@ -282,7 +294,7 @@ class TestSingularValues:
         upper = np.ones(6)
         upper[2] = bad
         with pytest.raises(DomainError, match="finite"):
-            SkewEigen(SkewMatrix(p=4, upper=upper))
+            SkewEigen(uppers_to_full(upper, 4)[0])
 
 
 class TestTopPlane:
@@ -299,9 +311,8 @@ class TestTopPlane:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_plane_relations(self, seed):
-        m = sample_matrix(6, seed + 50)
-        full = m.to_full()
-        plane = SkewEigen(m).top_plane()
+        full = sample_matrix(6, seed + 50)
+        plane = SkewEigen(full).top_plane()
         assert np.linalg.norm(plane.u) == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(plane.v) == pytest.approx(1.0, abs=1e-10)
         assert abs(float(plane.u @ plane.v)) < 1e-10
@@ -319,10 +330,9 @@ class TestTopPlane:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_full_deflation_reconstructs(self, seed):
-        m = sample_matrix(6, seed + 30)
-        residual = m.to_full()
+        residual = sample_matrix(6, seed + 30)
         for _ in range(3):
-            eigen = SkewEigen(SkewMatrix.from_full(residual, tol=1e-6))
+            eigen = SkewEigen(residual)
             if eigen.spectrum[0] < 1e-9:
                 break
             plane = eigen.top_plane()
@@ -332,11 +342,10 @@ class TestTopPlane:
         assert np.linalg.norm(residual) < 1e-8
 
     def test_kernel_orthogonality_odd_order(self):
-        m = sample_matrix(5, 77)
-        full = m.to_full()
+        full = sample_matrix(5, 77)
         eigs, vecs = np.linalg.eigh(full.T @ full)
         kernel = vecs[:, 0]
-        plane = SkewEigen(m).top_plane()
+        plane = SkewEigen(full).top_plane()
         assert abs(float(kernel @ plane.u)) < 1e-8
         assert abs(float(kernel @ plane.v)) < 1e-8
 
@@ -346,11 +355,11 @@ class TestTopPlane:
         full = 2.0 * (np.outer(basis[:, 0], basis[:, 1]) - np.outer(basis[:, 1], basis[:, 0]))
         full += 2.0 * (np.outer(basis[:, 2], basis[:, 3]) - np.outer(basis[:, 3], basis[:, 2]))
         with pytest.raises(MultiplicityError):
-            SkewEigen(SkewMatrix.from_full(full)).top_plane()
+            SkewEigen(full).top_plane()
 
     def test_multiplicity_error_on_zero(self):
         with pytest.raises(MultiplicityError):
-            SkewEigen(SkewMatrix(p=4, upper=np.zeros(6))).top_plane()
+            SkewEigen(np.zeros((4, 4))).top_plane()
 
 
 class TestEmpiricalHelpers:
@@ -560,11 +569,10 @@ class TestUppersToFull:
     def test_stack_spectra_match_per_matrix(self):
         stack = uppers_to_full(sample_uppers(5, 6, seed=8), 5)
         for a, sigma in zip(stack, mc.spectra_of_matrices(stack)):
-            assert np.allclose(sigma, SkewEigen(SkewMatrix.from_full(a)).spectrum, rtol=1e-12)
+            assert np.allclose(sigma, SkewEigen(a).spectrum, rtol=1e-12)
 
     def test_batch_shape_and_skewness(self):
         uppers = sample_uppers(4, 7, seed=2)
         stack = uppers_to_full(uppers, 4)
         assert stack.shape == (7, 4, 4)
         assert np.array_equal(stack, -np.transpose(stack, (0, 2, 1)))
-        assert all(np.array_equal(a, SkewMatrix(4, u).to_full()) for a, u in zip(stack, uppers))

@@ -636,7 +636,7 @@ class TestBuildReport:
         obs = observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2))
         fit = scheffe_fit(obs)
         row = mc.spectra_of_matrices(fit.gamma_hat[None])[0]
-        eigen = mc.SkewEigen(mc.SkewMatrix.from_full(fit.gamma_hat))
+        eigen = mc.SkewEigen(fit.gamma_hat)
         for spectrum in (eigen.spectrum, interaction_spectrum(fit), build_report(obs).spectrum):
             assert type(spectrum) is type(row) is np.ndarray
             assert spectrum.dtype == row.dtype == np.float64
