@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, MultiplicityError, PairingError
 
 _PAIR_RTOL = 1e-8
-#: Largest max |a_ij + a_ji| / max |a_ij| that :class:`SkewEigen` accepts as skew.
+#: Largest max |a_ij + a_ji| / max |a_ij| that both spectral solves accept as skew.
 _SKEW_RTOL = 1e-9
 #: Samples per Philox block; changing it changes every draw of every seed.
 _STREAM_BLOCK = 256
@@ -215,6 +215,16 @@ def _check_energy(sigma2: np.ndarray, energy: np.ndarray) -> None:
         )
 
 
+def _check_skew(stack: np.ndarray) -> None:
+    """Raise :class:`DomainError` for the first non-skew matrix of a (B, p, p) stack."""
+    with np.errstate(over="ignore"):
+        resid = np.abs(stack + np.swapaxes(stack, 1, 2)).max(axis=(1, 2))
+    bad = resid > _SKEW_RTOL * np.abs(stack).max(axis=(1, 2))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise DomainError(f"sample {j}: matrix is not skew-symmetric: max |a_ij + a_ji| = {resid[j]:.3e}")
+
+
 def spectra_of_matrices(a: np.ndarray) -> np.ndarray:
     """Batched singular spectra of a (B, p, p) stack of skew-symmetric
     matrices, shape (B, p // 2), descending along axis 1.
@@ -225,14 +235,15 @@ def spectra_of_matrices(a: np.ndarray) -> np.ndarray:
     sample is solved scaled by a power of two to max |a_ij| in [1/2, 1),
     which is exact, so every singular value is within 1e-13 * sigma_1 of
     LAPACK's SVD, also for samples whose squares would underflow or
-    overflow.  Raises :class:`DomainError` for a shape other than (B, p, p)
-    or non-finite entries and :class:`PairingError` when sum(sigma^2) misses
-    the energy ||A||_F^2 / 2 by relative 1e-8, which is what a non-skew input does.
+    overflow.  Raises :class:`DomainError` for a shape other than (B, p, p),
+    non-finite entries or a sample not skew by :class:`SkewEigen`'s rule, and
+    :class:`PairingError` when sum(sigma^2) misses ||A||_F^2 / 2 by relative 1e-8.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DomainError(f"expected a (B, p, p) stack, got shape {a.shape}")
     work = _Workspace(a.shape[1], len(a))
+    _check_skew(a)
     work.stack(len(a))[...] = np.moveaxis(a, 0, -1)
     return _spectra(work.stack(len(a)), work)[:len(a)]
 
@@ -293,10 +304,7 @@ class SkewEigen:
             raise DomainError(f"expected a square matrix of order >= 2, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise DomainError("matrix entries must be finite")
-        with np.errstate(over="ignore"):
-            resid = float(np.max(np.abs(a + a.T)))
-        if resid > _SKEW_RTOL * float(np.max(np.abs(a))):
-            raise DomainError(f"matrix is not skew-symmetric: max |a_ij + a_ji| = {resid:.3e}")
+        _check_skew(a[None])
         upper = np.triu(a, 1)
         scaled = upper - upper.T
         shift = int(_unit_scaled(scaled, axis=None)[0])

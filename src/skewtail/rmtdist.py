@@ -22,8 +22,8 @@ provides:
 * the Euler characteristic implied by the weights, an exact identity.
 
 The kernel's quadrature rules are built on first use and cached, as
-are the per-order gram matrices (read-only arrays); all is pure and
-thread-safe.
+are the per-order switch points and gram matrices (read-only arrays);
+all is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def _newton_roots(x: np.ndarray, poly) -> tuple[np.ndarray, np.ndarray]:
         x = x - step
         if np.all(np.abs(step) <= 1e-13 * np.abs(x)):
             return x, poly(x)[1]
-    raise ArithmeticError("quadrature nodes failed to converge")
+    raise ArithmeticError("Newton steps failed to converge")
 
 
 @lru_cache(maxsize=None)
@@ -267,20 +267,40 @@ def _lower_kernel(law: SpectrumLaw, x: float) -> np.ndarray:
     return _kernel(law, lam, root_jacobian * np.exp(-0.5 * lam))
 
 
+@lru_cache(maxsize=None)
+def _switch_point(p: int) -> float:
+    """x_8(p), the least double x with tr M < 1/8: Newton steps on log(8 tr M),
+    d tr M / dx = -x sum_k phi_k(s)^2 being the trace of a one-node kernel, land
+    within an ulp of it from sqrt(4p) at p = 2 .. 173; ulp steps settle the rest."""
+    law = spectrum_law(p)
+
+    def log_count(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s, count = 0.5 * x * x, _upper_kernel(law, x[0]).trace()
+        density = _kernel(law, s, s ** (0.5 * law.eps - 0.25) * np.exp(-0.5 * s)).trace()
+        return np.log(8.0 * count), -x * density / count
+
+    x = float(_newton_roots(np.array([math.sqrt(4.0 * law.p)]), log_count)[0][0])
+    while _upper_kernel(law, x).trace() >= 0.125:
+        x = math.nextafter(x, math.inf)
+    while _upper_kernel(law, below := math.nextafter(x, 0.0)).trace() < 0.125:
+        x = below
+    return x
+
+
 def _sigma1(p: int, x: float) -> tuple[float, float, float]:
     """(P(sigma_1 < x), P(sigma_1 > x), E #{i : sigma_i > x}).
 
     The lam = sigma^2 / 2 form a Laguerre unitary ensemble of t particles
     with weight lam^(eps - 1/2) e^-lam, so with M = int_s^inf phi phi^T,
     s = x^2 / 2, the CDF is det(I - M) and the count is tr M (Mehta,
-    *Random Matrices*, ch. 13; Bornemann, Math. Comp. 2010).  Where
-    tr M < 1/8 the CDF is exp(-S), S = -log det(I - M) = sum_j tr(M^j) / j:
-    no term is negative, so the tail 1 - exp(-S) keeps its relative accuracy,
-    and as rho(M) <= tr M, by the 18th term one is at most 2^-54 tr M and
-    ends the sum.  Elsewhere N = I - M and det N by Cholesky give all three:
-    there the Gauss-Laguerre M is off for p = 2, since lam^(-1/2) is
-    singular near the rule's endpoint (by 2.4e-10 where tr M = 1/2, 1e-14
-    at 1/4 and 5e-15 at 1/8).
+    *Random Matrices*, ch. 13; Bornemann, Math. Comp. 2010).  One kernel
+    per call: from x_8(p) (:func:`_switch_point`) on, tr M < 1/8 and the CDF
+    is exp(-S), S = -log det(I - M) = sum_j tr(M^j) / j: no term is negative,
+    so the tail 1 - exp(-S) keeps its relative accuracy, and as rho(M) <= tr M,
+    by the 18th term one is at most 2^-54 tr M and ends the sum.  Below it,
+    N = I - M and det N by Cholesky give all three: there the Gauss-Laguerre
+    M is off for p = 2, since lam^(-1/2) is singular near the rule's endpoint
+    (by 2.4e-10 where tr M = 1/2, 1e-14 at 1/4 and 5e-15 at 1/8).
     """
     law = spectrum_law(p)
     if not math.isfinite(x) or x < 0.0:
@@ -291,23 +311,23 @@ def _sigma1(p: int, x: float) -> tuple[float, float, float]:
     # law before lam^t can overflow
     if math.isinf(y) or (y > 2 * law.n and chi2_upper(law.n, y) == 0.0):
         return 1.0, 0.0, 0.0
-    m = _upper_kernel(law, x)
-    trace = float(np.trace(m))
-    if trace < 0.125:
+    if x >= _switch_point(law.p):
+        m = _upper_kernel(law, x)
+        trace = float(m.trace())
         total, term, power, j = trace, trace, m, 1
         while term > 2.0 ** -54 * trace:
             power, j = power @ m, j + 1
-            term = float(np.trace(power)) / j
+            term = float(power.trace()) / j
             total += term
         return math.exp(-total), -math.expm1(-total), trace
     n = _lower_kernel(law, x)
     try:
-        cdf = float(np.prod(np.diagonal(np.linalg.cholesky(n)))) ** 2
+        cdf = float(np.linalg.cholesky(n).diagonal().prod()) ** 2
     except np.linalg.LinAlgError:
         cdf = 0.0
     # sigma_1 >= max |a_ij|, so the CDF is at most erf(x / sqrt(2))^n
     cdf = min(cdf, math.erf(x / math.sqrt(2.0)) ** law.n)
-    return cdf, 1.0 - cdf, law.t - float(np.trace(n))
+    return cdf, 1.0 - cdf, law.t - float(n.trace())
 
 
 def largest_sv_cdf(p: int, x: float) -> float:

@@ -19,6 +19,8 @@ computes in closed form.
   fresh array per step), and :func:`schur_deficit_log_cdf` takes
   log det(I - M) by the product of the pivots of I - M: the routes the
   library's in-place recurrence and trace series replaced;
+  :func:`sigma1_trace_routed` picks the kernel piece by reading tr M on
+  every call, the route the library's cached switch point replaced;
 * :func:`regularized_gamma_lower` and :func:`chi2_lower` are the linear
   lower tails that :func:`skewtail.specfun.log_regularized_gamma_lower`
   and :func:`skewtail.specfun.chi2_upper` are checked against;
@@ -108,6 +110,33 @@ def sigma1_kernels_recurrence(law, x: float) -> tuple[np.ndarray, np.ndarray]:
     lam = 0.5 * x * x * v * v
     root_jacobian = np.sqrt(2.0 * w * v ** (1.0 + 2.0 * a)) * (x / math.sqrt(2.0)) ** (1.0 + a)
     return upper, laguerre_kernel_recurrence(law, lam, root_jacobian * np.exp(-0.5 * lam))
+
+
+def sigma1_trace_routed(p: int, x: float) -> tuple[float, float, float]:
+    """:func:`skewtail.rmtdist._sigma1` routed by the trace it reads: build
+    M and take the trace series where tr M < 1/8, else build N as well and
+    take det N by Cholesky.  The library picks the same piece from its
+    cached switch point, so it must match this bit for bit."""
+    law = rmtdist.spectrum_law(p)
+    y = float(x) * float(x)
+    if math.isinf(y) or (y > 2 * law.n and chi2_upper(law.n, y) == 0.0):
+        return 1.0, 0.0, 0.0
+    m = rmtdist._upper_kernel(law, x)
+    trace = float(np.trace(m))
+    if trace < 0.125:
+        total, term, power, j = trace, trace, m, 1
+        while term > 2.0 ** -54 * trace:
+            power, j = power @ m, j + 1
+            term = float(np.trace(power)) / j
+            total += term
+        return math.exp(-total), -math.expm1(-total), trace
+    n = rmtdist._lower_kernel(law, x)
+    try:
+        cdf = float(np.prod(np.diagonal(np.linalg.cholesky(n)))) ** 2
+    except np.linalg.LinAlgError:
+        cdf = 0.0
+    cdf = min(cdf, math.erf(x / math.sqrt(2.0)) ** law.n)
+    return cdf, 1.0 - cdf, law.t - float(np.trace(n))
 
 
 def schur_deficit_log_cdf(m: np.ndarray) -> float:

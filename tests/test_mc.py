@@ -503,11 +503,24 @@ class TestBatchedSpectra:
             mc.spectra_from_uppers(uppers, 6)
 
     @pytest.mark.parametrize("entry", [(0, 1), (2, 1), (3, 3)])
-    def test_non_skew_stack_raises_pairing_error(self, entry):
+    def test_non_skew_stack_raises_domain_error(self, entry):
         stack = uppers_to_full(sample_uppers(6, 20, seed=5), 6)
         stack[(0,) + entry] += 0.5
-        with pytest.raises(PairingError, match="sample 0"):
+        with pytest.raises(DomainError, match="sample 0: matrix is not skew-symmetric"):
             mc.spectra_of_matrices(stack)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3])
+    def test_slightly_non_skew_sample_is_rejected_as_by_skew_eigen(self, scale):
+        # a sample plus a symmetric matrix scale * max |a_ij| * ones breaks
+        # SkewEigen's rule max |a_ij + a_ji| <= 1e-9 max |a_ij| at each
+        # scale; the batched solve once returned a spectrum at 1e-9 and
+        # raised PairingError (energy missed) at 1e-6 and 1e-3
+        stack = uppers_to_full(sample_uppers(6, 3, seed=5), 6)
+        stack[1] += scale * np.abs(stack[1]).max() * np.ones((6, 6))
+        with pytest.raises(DomainError, match="sample 1: matrix is not skew-symmetric"):
+            mc.spectra_of_matrices(stack)
+        with pytest.raises(DomainError, match="not skew-symmetric"):
+            SkewEigen(stack[1])
 
     @pytest.mark.parametrize("width", [5, 7])
     def test_row_width_must_match_order(self, width):

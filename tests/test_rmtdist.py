@@ -39,6 +39,7 @@ from oracles import (
     laguerre_kernel_entrywise,
     schur_deficit_log_cdf,
     sigma1_kernels_recurrence,
+    sigma1_trace_routed,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -287,10 +288,11 @@ class TestLargestSvCdf:
         # the complement det(I - M), M = int_s^inf phi phi^T by
         # Gauss-Laguerre, and the direct det N, N = int_0^s phi phi^T by
         # Gauss-Legendre.  They share no nodes, so they are independent
-        # evaluations of the CDF; the library's value is whichever its
-        # trace check picks.  Each determinant by LU agrees with it to
-        # 2e-14, twice the CDF's envelope (the Gauss-Laguerre M is the
-        # less accurate of the two in the bulk at p = 4, 1.2e-14)
+        # evaluations of the CDF; the library's value is whichever one
+        # the side of its switch point x_8(p) picks.  Each determinant by
+        # LU agrees with it to 2e-14, twice the CDF's envelope (the
+        # Gauss-Laguerre M is the less accurate of the two in the bulk at
+        # p = 4, 1.2e-14)
         law = spectrum_law(p)
         checked = {True: 0, False: 0}
         for x in np.linspace(1.0 * math.sqrt(p), 3.2 * math.sqrt(p), 40):
@@ -310,12 +312,13 @@ class TestLargestSvCdf:
         if (side != "off_diagonal" or p >= 5) and (p, side) != (173, "off_diagonal")
     ])
     def test_complement_check_matches_full_matrix_reference(self, p, side):
-        # the library checks the trace of M, the sum of its diagonal, to
-        # pick the complement piece; the reference takes the eigenvalues
-        # mu of the whole M (or nu of the whole N) and forms det(I - M) =
-        # prod(1 - mu) and det N = prod(nu) from them.  Both pick the same
-        # piece, and give the CDF to 1e-14 and the upper tail to 1e-14
-        # relative, which the trace series keeps in the far tail
+        # the library picks the complement piece from x_8(p), where the
+        # trace of M, the sum of its diagonal, falls below 1/8; the
+        # reference takes the eigenvalues mu of the whole M (or nu of the
+        # whole N) and forms det(I - M) = prod(1 - mu) and det N = prod(nu)
+        # from them.  Both pick the same piece, and give the CDF to 1e-14
+        # and the upper tail to 1e-14 relative, which the trace series
+        # keeps in the far tail
         law = spectrum_law(p)
         x = COMPLEMENT_SIDES[side](p) * math.sqrt(p)
         mu = np.linalg.eigvalsh(rmtdist._upper_kernel(law, x))
@@ -338,12 +341,14 @@ class TestLargestSvCdf:
         # recurrence and the matrix product round differently).  The three
         # public laws cannot carry a tolerance against each other: each is
         # the bits of one kernel evaluation
+        rmtdist._switch_point(p)  # found once per order, before the count
         kernels = record_kernels(monkeypatch)
         law = spectrum_law(p)
         for x in np.linspace(0.0, 2.0 * math.sqrt(p) + 4.0, 10)[1:]:
             kernels.clear()
             cdf, tail, trace = rmtdist._sigma1(p, x)
-            assert len(kernels) == (1 if trace < 0.125 else 2)
+            assert len(kernels) == 1
+            assert (kernels[0][0].size == rmtdist._LAGUERRE_NODES) == (trace < 0.125)
             for lam, scale, matrix in kernels:
                 entries, magnitudes = laguerre_kernel_entrywise(law.t, law.eps - 0.5, lam, scale)
                 assert np.all(np.abs(matrix - entries) <= 2e-13 * magnitudes)
@@ -356,16 +361,17 @@ class TestLargestSvCdf:
     def test_one_incomplete_gamma_per_anti_diagonal(self, p, x, monkeypatch):
         # the Hankel determinant has 2t - 1 anti-diagonals of incomplete
         # gammas; the kernel has none: below twice the mean of chi2_n it
-        # evaluates no incomplete gamma at all, and builds one Gauss-Laguerre
-        # kernel, plus one Gauss-Legendre kernel where tr M >= 1/8
+        # evaluates no incomplete gamma at all, and builds one kernel, the
+        # Gauss-Laguerre M where tr M < 1/8 and else the Gauss-Legendre N
         law = spectrum_law(p)
         trace = float(np.trace(rmtdist._upper_kernel(law, x)))
+        rmtdist._switch_point(p)
         kernels = record_kernels(monkeypatch)
         loops = count_gamma_loops(monkeypatch)
         assert 0.0 <= largest_sv_cdf(p, x) <= 1.0
         assert loops == []
-        expected = [rmtdist._LAGUERRE_NODES] + ([rmtdist._LEGENDRE_NODES] if trace >= 0.125 else [])
-        assert [lam.size for lam, _, _ in kernels] == expected
+        expected = rmtdist._LAGUERRE_NODES if trace < 0.125 else rmtdist._LEGENDRE_NODES
+        assert [lam.size for lam, _, _ in kernels] == [expected]
 
     @pytest.mark.parametrize("p, x", [(4, 3.0), (5, 4.0), (10, 6.0), (16, 8.0), (33, 12.0), (59, 15.0)])
     @pytest.mark.parametrize("law", ["complement", "tail_asymptotic"])
@@ -438,6 +444,22 @@ class TestSigma1Kernel:
             assert abs(largest_sv_cdf(p, x) - gammainc(p - 1.5, x * x / 2)) <= 1e-14
             assert abs(largest_sv_upper(p, x) / gammaincc(p - 1.5, x * x / 2) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_closed_form_tails_on_both_sides_of_the_switch(self, p, monkeypatch):
+        # p = 2: sigma_1 = |N(0, 1)|, tail erfc(x / sqrt 2); p = 3: sigma_1 ~ chi_3,
+        # tail erfc(x / sqrt 2) + sqrt(2 / pi) x e^(-x^2 / 2).  The Gauss-Laguerre
+        # M is least accurate at the smallest orders; both pieces hold 1e-12
+        # relative down to 1e-33
+        rmtdist._switch_point(p)
+        kernels = record_kernels(monkeypatch)
+        for x in np.linspace(0.3, 12.0, 400):
+            exact = math.erfc(x / math.sqrt(2.0))
+            if p == 3:
+                exact += math.sqrt(2.0 / math.pi) * x * math.exp(-0.5 * x * x)
+            assert abs(largest_sv_upper(p, x) - exact) <= 1e-12 * exact
+        sizes = [lam.size for lam, _, _ in kernels]
+        assert sizes.count(rmtdist._LEGENDRE_NODES) >= 20 and sizes.count(rmtdist._LAGUERRE_NODES) >= 300
+
     @pytest.mark.parametrize("p", KERNEL_ORDERS)
     def test_bonferroni_bracket(self, p):
         # tr M - ((tr M)^2 - tr M^2) / 2 <= P(sigma_1 > x) <= tr M, within 4 ulps,
@@ -507,6 +529,32 @@ class TestSigma1Kernel:
             count = rmtdist._sigma1(p, hi)[2]
             assert 0.999 * target < count < target
             assert 1 <= len(products) <= most
+
+    @pytest.mark.parametrize("p", range(2, 174))
+    def test_switch_point_is_where_the_trace_crosses_one_eighth(self, p, monkeypatch):
+        # cold, the finder builds at most 24 kernels (14 to 17 over these
+        # orders), warm none; x_8 is a double with tr M < 1/8 whose
+        # predecessor has tr M >= 1/8
+        law = spectrum_law(p)
+        rmtdist._switch_point.cache_clear()
+        kernels = record_kernels(monkeypatch)
+        x8 = rmtdist._switch_point(p)
+        assert len(kernels) <= 24
+        kernels.clear()
+        assert rmtdist._switch_point(p) == x8 and kernels == []
+        trace = float(np.trace(rmtdist._upper_kernel(law, x8)))
+        assert abs(trace - 0.125) <= 1e-10
+        assert trace < 0.125 <= float(np.trace(rmtdist._upper_kernel(law, math.nextafter(x8, 0.0))))
+
+    @pytest.mark.parametrize("p", KERNEL_ORDERS)
+    def test_switch_point_keeps_the_trace_route_bit_for_bit(self, p):
+        # picking the piece by x against x_8(p) gives every bit of picking
+        # it by the trace of a freshly built M, also on the two doubles
+        # either side of x_8(p)
+        x8 = rmtdist._switch_point(p)
+        grid = [x for x in np.linspace(0.0, 3.4 * math.sqrt(p) + 8.0, 40) if abs(x - x8) > 1e-12 * x]
+        for x in [*grid, math.nextafter(x8, 0.0), x8]:
+            assert rmtdist._sigma1(p, x) == sigma1_trace_routed(p, x)
 
     @pytest.mark.parametrize("p", range(2, 61))
     def test_tails_nonincreasing(self, p):
