@@ -21,14 +21,15 @@ provides:
   that delimits that validity range,
 * the Euler characteristic implied by the weights, an exact identity.
 
-The kernel's quadrature rules are built on first use and cached, as
-are the per-order switch points and gram matrices (read-only arrays);
-all is pure and thread-safe.
+The kernel's quadrature rules and per-order switch points are shipped
+constants, read on first use and cached, as are the gram matrices
+(read-only arrays); all is pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +53,7 @@ CRITICAL_POINT = 1.0 / math.sqrt(2.0)
 _MAX_ORDER = 173
 _LAGUERRE_NODES = 120
 _LEGENDRE_NODES = 2 * (_MAX_ORDER // 2) + 60  # 2t + 60 at the largest t serves every t
+_LAW_TABLES = os.path.join(os.path.dirname(__file__), "data", "law_tables.txt")
 
 # Slack on the validity boundary so thresholds supplied with ~8 correct
 # digits (e.g. 0.70710678 from a table) are not rejected.
@@ -76,13 +78,18 @@ class SpectrumLaw:
 
 
 def spectrum_law(p: int) -> SpectrumLaw:
-    """Derive (p, t, eps, n, d) for matrix order 2 <= p <= 173; every law
-    calls this first, so past p = 173 each raises its DomainError."""
+    """(p, t, eps, n, d) for matrix order 2 <= p <= 173, one object per order;
+    every law calls this first, so past p = 173 each raises its DomainError."""
     if not isinstance(p, (int, np.integer)) or p < 2:
         raise DomainError(f"matrix order must be an integer >= 2, got {p!r}")
     p = int(p)
     if p > _MAX_ORDER:
         raise DomainError(f"the laws are verified for matrix orders p <= {_MAX_ORDER}, got p={p}")
+    return _spectrum_law(p)
+
+
+@lru_cache(maxsize=None)
+def _spectrum_law(p: int) -> SpectrumLaw:
     t = p // 2
     return SpectrumLaw(p=p, t=t, eps=p - 2 * t, n=p * (p - 1) // 2, d=2 * (p - 2))
 
@@ -175,46 +182,34 @@ def joint_density(sigma, p: int) -> float:
     return math.exp(logv)
 
 
-def _newton_roots(x: np.ndarray, poly) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of poly by Newton steps from estimates x, and poly' there."""
-    for _ in range(20):
-        value, slope = poly(x)
-        step = value / slope
-        x = x - step
-        if np.all(np.abs(step) <= 1e-13 * np.abs(x)):
-            return x, poly(x)[1]
-    raise ArithmeticError("Newton steps failed to converge")
+@lru_cache(maxsize=None)
+def _law_tables() -> dict[str, list[float]]:
+    """The shipped constants of the sigma_1 kernel, by column: the Gauss
+    rules' nodes and weights and x_8(p) for p = 2 .. 173, read once from
+    exact float.hex text that tests/make_law_tables.py writes from the
+    Newton builds in tests/oracles.py (a test rebuilds every entry)."""
+    tables = {}
+    with open(_LAW_TABLES, encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("["):
+                column = tables[line.strip()[1:-1]] = []
+            elif not line.startswith("#"):
+                column.append(float.fromhex(line))
+    return tables
 
 
 @lru_cache(maxsize=None)
 def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule for int_0^inf f(u) e^-u du."""
-    def poly(x):  # L_n, L_n' by (j + 1) L_{j+1} = (2j + 1 - x) L_j - j L_{j-1}
-        prev, cur = np.zeros_like(x), np.ones_like(x)
-        for j in range(n):
-            prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
-        return cur, n * (cur - prev) / x
-
-    # Tricomi's estimate (4n + 2) cos^2(theta / 2), theta - sin(theta) = c
-    c = (4 * n - 4 * np.arange(1, n + 1) + 3) * math.pi / (4 * n + 2)
-    theta = np.cbrt(6.0 * c)
-    for _ in range(6):
-        theta -= (theta - np.sin(theta) - c) / (1.0 - np.cos(theta))
-    u, slope = _newton_roots((4 * n + 2) * np.cos(0.5 * theta) ** 2, poly)
-    return u, 1.0 / (u * slope * slope)
+    tables = _law_tables()
+    return np.array(tables[f"laguerre {n} nodes"]), np.array(tables[f"laguerre {n} weights"])
 
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule for int_0^1 f(v) dv."""
-    def poly(z):  # P_n, P_n' by (j + 1) P_{j+1} = (2j + 1) z P_j - j P_{j-1}
-        prev, cur = np.zeros_like(z), np.ones_like(z)
-        for j in range(n):
-            prev, cur = cur, ((2 * j + 1) * z * cur - j * prev) / (j + 1)
-        return cur, n * (z * cur - prev) / (z * z - 1.0)
-
-    z, slope = _newton_roots(np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5)), poly)
-    return 0.5 * (1.0 + z), 1.0 / ((1.0 - z * z) * slope * slope)
+    tables = _law_tables()
+    return np.array(tables[f"legendre {n} nodes"]), np.array(tables[f"legendre {n} weights"])
 
 
 @lru_cache(maxsize=None)
@@ -269,22 +264,8 @@ def _lower_kernel(law: SpectrumLaw, x: float) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _switch_point(p: int) -> float:
-    """x_8(p), the least double x with tr M < 1/8: Newton steps on log(8 tr M),
-    d tr M / dx = -x sum_k phi_k(s)^2 being the trace of a one-node kernel, land
-    within an ulp of it from sqrt(4p) at p = 2 .. 173; ulp steps settle the rest."""
-    law = spectrum_law(p)
-
-    def log_count(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s, count = 0.5 * x * x, _upper_kernel(law, x[0]).trace()
-        density = _kernel(law, s, s ** (0.5 * law.eps - 0.25) * np.exp(-0.5 * s)).trace()
-        return np.log(8.0 * count), -x * density / count
-
-    x = float(_newton_roots(np.array([math.sqrt(4.0 * law.p)]), log_count)[0][0])
-    while _upper_kernel(law, x).trace() >= 0.125:
-        x = math.nextafter(x, math.inf)
-    while _upper_kernel(law, below := math.nextafter(x, 0.0)).trace() < 0.125:
-        x = below
-    return x
+    """x_8(p), the least double x with tr M < 1/8, for 2 <= p <= 173."""
+    return _law_tables()["switch points"][p - 2]
 
 
 def _sigma1(p: int, x: float) -> tuple[float, float, float]:

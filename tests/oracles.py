@@ -21,6 +21,10 @@ computes in closed form.
   library's in-place recurrence and trace series replaced;
   :func:`sigma1_trace_routed` picks the kernel piece by reading tr M on
   every call, the route the library's cached switch point replaced;
+* :func:`gauss_laguerre_newton`, :func:`gauss_legendre_newton` and
+  :func:`switch_point_newton` build by Newton steps the constants the
+  library ships in ``src/skewtail/data/law_tables.txt``;
+  ``tests/make_law_tables.py`` writes that file from them;
 * :func:`regularized_gamma_lower` and :func:`chi2_lower` are the linear
   lower tails that :func:`skewtail.specfun.log_regularized_gamma_lower`
   and :func:`skewtail.specfun.chi2_upper` are checked against;
@@ -31,6 +35,7 @@ computes in closed form.
   for the batched solve's checks against the single one.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -138,6 +143,80 @@ def sigma1_trace_routed(p: int, x: float) -> tuple[float, float, float]:
     cdf = min(cdf, math.erf(x / math.sqrt(2.0)) ** law.n)
     return cdf, 1.0 - cdf, law.t - float(np.trace(n))
 
+
+def newton_roots(x: np.ndarray, poly) -> np.ndarray:
+    """Roots of poly, which returns (value, slope), by Newton steps from
+    estimates x; the search ends at the step that meets the tolerance."""
+    for _ in range(20):
+        value, slope = poly(x)
+        step = value / slope
+        x = x - step
+        if np.all(np.abs(step) <= 1e-13 * np.abs(x)):
+            return x
+    raise ArithmeticError("Newton steps failed to converge")
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_laguerre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule for int_0^inf f(u) e^-u du by
+    Newton steps from Tricomi's estimates: the build of the rule that
+    :func:`skewtail.rmtdist._gauss_laguerre` ships."""
+    def poly(x):  # L_n, L_n' by (j + 1) L_{j+1} = (2j + 1 - x) L_j - j L_{j-1}
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for j in range(n):
+            prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
+        return cur, n * (cur - prev) / x
+
+    # Tricomi's estimate (4n + 2) cos^2(theta / 2), theta - sin(theta) = c
+    c = (4 * n - 4 * np.arange(1, n + 1) + 3) * math.pi / (4 * n + 2)
+    theta = np.cbrt(6.0 * c)
+    for _ in range(6):
+        theta -= (theta - np.sin(theta) - c) / (1.0 - np.cos(theta))
+    u = newton_roots((4 * n + 2) * np.cos(0.5 * theta) ** 2, poly)
+    slope = poly(u)[1]
+    return u, 1.0 / (u * slope * slope)
+
+
+def gauss_legendre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule for int_0^1 f(v) dv by Newton
+    steps: the build of the rule that :func:`skewtail.rmtdist._gauss_legendre`
+    ships."""
+    def poly(z):  # P_n, P_n' by (j + 1) P_{j+1} = (2j + 1) z P_j - j P_{j-1}
+        prev, cur = np.zeros_like(z), np.ones_like(z)
+        for j in range(n):
+            prev, cur = cur, ((2 * j + 1) * z * cur - j * prev) / (j + 1)
+        return cur, n * (z * cur - prev) / (z * z - 1.0)
+
+    z = newton_roots(np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5)), poly)
+    slope = poly(z)[1]
+    return 0.5 * (1.0 + z), 1.0 / ((1.0 - z * z) * slope * slope)
+
+
+def switch_point_newton(p: int) -> float:
+    """x_8(p), the least double x with tr M < 1/8, as
+    :func:`skewtail.rmtdist._switch_point` ships it, with M built as
+    ``_upper_kernel`` builds it on :func:`gauss_laguerre_newton`'s rule.
+    Newton steps on log(8 tr M), d tr M / dx = -x sum_k phi_k(s)^2 being the
+    trace of a one-node kernel, land within an ulp of it from sqrt(4p) at
+    p = 2 .. 173; ulp steps settle the rest."""
+    law = rmtdist.spectrum_law(p)
+    u, w = gauss_laguerre_newton(rmtdist._LAGUERRE_NODES)
+
+    def count(x: float) -> float:
+        lam = 0.5 * x * x + u
+        return rmtdist._kernel(law, lam, np.sqrt(w * lam ** (law.eps - 0.5)) * math.exp(-0.25 * x * x)).trace()
+
+    def log_count(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s, trace = 0.5 * x * x, count(x[0])
+        density = rmtdist._kernel(law, s, s ** (0.5 * law.eps - 0.25) * np.exp(-0.5 * s)).trace()
+        return np.log(8.0 * trace), -x * density / trace
+
+    x = float(newton_roots(np.array([math.sqrt(4.0 * law.p)]), log_count)[0])
+    while count(x) >= 0.125:
+        x = math.nextafter(x, math.inf)
+    while count(below := math.nextafter(x, 0.0)) < 0.125:
+        x = below
+    return x
 
 def schur_deficit_log_cdf(m: np.ndarray) -> float:
     """log det(I - M) as sum_k log1p(-delta_k) over the pivot deficits of

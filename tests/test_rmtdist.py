@@ -5,7 +5,10 @@ critical-radius objective."""
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +44,7 @@ from oracles import (
     sigma1_kernels_recurrence,
     sigma1_trace_routed,
 )
+from make_law_tables import tables as law_tables
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -129,9 +133,15 @@ class TestSpectrumLaw:
         assert law.d == 2 * (p - 2)
 
     def test_rejects_small_or_non_integer(self):
-        for bad in (1, 0, -3, 2.5, "4"):
+        for bad in (1, 0, -3, 2.5, "4", True, 4.0, np.int64(1), 174, np.int64(174)):
             with pytest.raises(DomainError):
                 spectrum_law(bad)
+
+    @pytest.mark.parametrize("p", [2, 3, 59, 173])
+    def test_one_law_object_per_order(self, p):
+        law = spectrum_law(p)
+        assert spectrum_law(p) is law and spectrum_law(np.int64(p)) is law
+        assert type(law.p) is int
 
     @pytest.mark.parametrize("law", LAWS_AT_ORDER)
     def test_every_law_ends_at_the_one_bound(self, law):
@@ -532,14 +542,15 @@ class TestSigma1Kernel:
 
     @pytest.mark.parametrize("p", range(2, 174))
     def test_switch_point_is_where_the_trace_crosses_one_eighth(self, p, monkeypatch):
-        # cold, the finder builds at most 24 kernels (14 to 17 over these
-        # orders), warm none; x_8 is a double with tr M < 1/8 whose
-        # predecessor has tr M >= 1/8
+        # x_8 is shipped: cold (the table read afresh) and warm, finding it
+        # builds no kernel; it is a double with tr M < 1/8 whose predecessor
+        # has tr M >= 1/8
         law = spectrum_law(p)
+        rmtdist._law_tables.cache_clear()
         rmtdist._switch_point.cache_clear()
         kernels = record_kernels(monkeypatch)
         x8 = rmtdist._switch_point(p)
-        assert len(kernels) <= 24
+        assert kernels == []
         kernels.clear()
         assert rmtdist._switch_point(p) == x8 and kernels == []
         trace = float(np.trace(rmtdist._upper_kernel(law, x8)))
@@ -564,6 +575,15 @@ class TestSigma1Kernel:
         if p >= 4:
             expansion = np.array([largest_sv_tail_asymptotic(p, x) for x in xs[1:]])
             assert np.all(np.diff(expansion) <= 0.0)
+
+    def test_shipped_tables_are_the_newton_builds(self):
+        # every entry of src/skewtail/data/law_tables.txt, the two Gauss rules
+        # and x_8(p) at p = 2 .. 173, rebuilt by the Newton steps of
+        # tests/oracles.py: bit for bit, so the kernels keep every bit
+        shipped, rebuilt = rmtdist._law_tables(), law_tables()
+        assert list(shipped) == list(rebuilt)
+        for name, values in rebuilt.items():
+            assert np.array_equal(shipped[name], values), name
 
     def test_quadrature_rules_match_numpy(self):
         from numpy.polynomial.laguerre import laggauss
@@ -590,6 +610,48 @@ class TestSigma1Kernel:
         for x in (-0.5, math.inf, math.nan):
             with pytest.raises(DomainError):
                 largest_sv_upper(7, x)
+
+
+#: Run in a fresh interpreter: whether ``import skewtail`` opens the kernel's
+#: table and how often the whole run does, the kernels (node counts) each first
+#: sigma_1 query builds, below x_8(p) and past it, and rmtdist's Newton helpers.
+COLD_START = """
+import json, sys
+opened = []
+sys.addaudithook(lambda event, args: opened.append(str(args[0])) if event == "open" else None)
+import skewtail
+from skewtail import rmtdist
+at_import = [path for path in opened if path.endswith("law_tables.txt")]
+kernels, cold = [], {}
+def counted(law, lam, scale, kernel=rmtdist._kernel):
+    kernels.append(lam.size)
+    return kernel(law, lam, scale)
+rmtdist._kernel = counted
+for p in (2, 5, 39, 173):
+    for x in (p ** 0.5, 2.0 * p ** 0.5 + 2.0):
+        kernels.clear()
+        skewtail.largest_sv_cdf(p, x)
+        cold[f"{p} {x}"] = [x >= rmtdist._switch_point(p), kernels[:]]
+read = [path for path in opened if path.endswith("law_tables.txt")]
+newton = [name for name in vars(rmtdist) if "newton" in name.lower()]
+print(json.dumps({"at_import": at_import, "read": read, "cold": cold, "newton": newton}))
+"""
+
+
+class TestColdStart:
+    def test_fresh_process_reads_the_tables_and_builds_one_kernel_per_query(self):
+        paths = [str(Path(rmtdist.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        found = json.loads(proc.stdout)
+        assert found["at_import"] == [] and found["newton"] == []
+        assert found["read"] == [rmtdist._LAW_TABLES]
+        assert len(found["cold"]) == 8
+        for point, (upper, kernels) in found["cold"].items():
+            nodes = rmtdist._LAGUERRE_NODES if upper else rmtdist._LEGENDRE_NODES
+            assert kernels == [nodes], point
+        assert sorted(upper for upper, _ in found["cold"].values()) == [False] * 4 + [True] * 4
 
 
 class TestHankelGram:
