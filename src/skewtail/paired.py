@@ -7,7 +7,9 @@ squares splits it into main-effect scores alpha_i and an interaction
 residual Gamma-hat; the residual's size is then judged three ways
 (chi-square norm, largest singular value, standardized largest singular
 value), its most deadlocked triple is located, and the rank-2 structure
-is embedded in the plane for plotting.
+is embedded in the plane for plotting.  The spectral tests and the
+embedding share the fit's one cached eigen-solve, so a fit's arrays must
+not be modified (scheffe_fit's are read-only).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,12 +113,19 @@ class ScheffeFit:
 
     alpha_hat sums to zero and every row of the skew-symmetric residual
     gamma_hat sums to zero (the model's side conditions); the split
-    reconstructs the observations up to rounding.
+    reconstructs the observations up to rounding.  ``eigen``, the one
+    eigen-solve of i gamma_hat, is made on first use and cached, so the
+    arrays must not be modified after construction; scheffe_fit returns
+    them read-only.
     """
 
     m: int
     alpha_hat: np.ndarray
     gamma_hat: np.ndarray
+
+    @cached_property
+    def eigen(self) -> mc.SkewEigen:
+        return mc.SkewEigen(self.gamma_hat)
 
 
 @dataclass(frozen=True)
@@ -183,7 +193,8 @@ class TestReport:
     ``std_stat``, ``std_p`` and ``embedding`` are then all None.  The
     ``embedding`` is None too when the top singular value is not a simple
     pair (``sv_stat > 0``), as in a regular Paley tournament, whose nonzero
-    singular values are all equal.
+    singular values are all equal.  Every field is read from one fit
+    through the public tests, which share the fit's one eigen-solve.
     """
 
     names: tuple[str, ...]
@@ -245,23 +256,15 @@ def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
     if float(np.max(np.abs(gamma))) <= noise:
         gamma = np.zeros_like(gamma)
     with np.errstate(over="ignore"):  # an overflowing gamma is chi_square_test's DataError
-        return ScheffeFit(m=obs.m, alpha_hat=np.ldexp(alpha, k), gamma_hat=np.ldexp(gamma, k))
-
-
-def _residual_eigen(fit: ScheffeFit) -> mc.SkewEigen:
-    """The one eigen-solve of i gamma_hat that a report's spectrum,
-    spectral statistics and embedding are all read from."""
-    return mc.SkewEigen(fit.gamma_hat)
-
-
-def _in_sigma_units(spectrum: np.ndarray, sigma2: float) -> np.ndarray:
-    _check_sigma2(sigma2)
-    return spectrum / math.sqrt(sigma2)
+        alpha, gamma = np.ldexp(alpha, k), np.ldexp(gamma, k)
+    alpha.flags.writeable = gamma.flags.writeable = False
+    return ScheffeFit(m=obs.m, alpha_hat=alpha, gamma_hat=gamma)
 
 
 def interaction_spectrum(fit: ScheffeFit, sigma2: float = 1.0) -> np.ndarray:
     """Paired singular values of gamma_hat / sqrt(sigma2), descending."""
-    return _in_sigma_units(_residual_eigen(fit).spectrum, sigma2)
+    _check_sigma2(sigma2)
+    return fit.eigen.spectrum / math.sqrt(sigma2)
 
 
 def _check_sigma2(sigma2: float) -> None:
@@ -305,12 +308,8 @@ def largest_sv_test(fit: ScheffeFit, sigma2: float = 1.0) -> tuple[float, float]
     """
     if fit.m < 3:
         raise DomainError(f"need m >= 3, got {fit.m}")
-    return _largest_sv(fit.m, interaction_spectrum(fit, sigma2))
-
-
-def _largest_sv(m: int, spectrum: np.ndarray) -> tuple[float, float]:
-    stat = float(spectrum[0])
-    return stat, largest_sv_upper(m - 1, stat)
+    stat = float(interaction_spectrum(fit, sigma2)[0])
+    return stat, largest_sv_upper(fit.m - 1, stat)
 
 
 def lrt_standardized_test(fit: ScheffeFit) -> tuple[float | None, float | None]:
@@ -325,7 +324,7 @@ def lrt_standardized_test(fit: ScheffeFit) -> tuple[float | None, float | None]:
         raise DomainError(
             f"standardized test needs m >= 5 (order m-1 >= 4), got m={fit.m}"
         )
-    return _standardized(fit.m, _residual_eigen(fit).spectrum)
+    return _standardized(fit.m, fit.eigen.spectrum)
 
 
 def _standardized(m: int, spectrum: np.ndarray) -> tuple[float | None, float | None]:
@@ -378,11 +377,7 @@ def residual_embedding(fit: ScheffeFit) -> np.ndarray:
     approximates the deadlock contrast of that triple with matching
     sign; the match is exact when gamma_hat has rank 2.
     """
-    return _embedding(_residual_eigen(fit))
-
-
-def _embedding(eigen: mc.SkewEigen) -> np.ndarray:
-    plane = eigen.top_plane()
+    plane = fit.eigen.top_plane()
     root = math.sqrt(plane.sigma1)
     return np.column_stack((root * plane.u, root * plane.v))
 
@@ -411,13 +406,12 @@ def build_report(
         raise DomainError(f"expected {obs.m} names, got {len(names)}")
     fit = scheffe_fit(obs)
     chi2_stat, chi2_df, chi2_p = chi_square_test(fit, sigma2)
-    eigen = _residual_eigen(fit)
-    spectrum = _in_sigma_units(eigen.spectrum, sigma2)
-    sv_stat, sv_p = _largest_sv(fit.m, spectrum)
-    std_stat, std_p = _standardized(fit.m, eigen.spectrum)
+    sv_stat, sv_p = largest_sv_test(fit, sigma2)
+    spectrum = interaction_spectrum(fit, sigma2)
+    std_stat, std_p = _standardized(fit.m, fit.eigen.spectrum)  # also at m < 5, unlike the test
     triple, value = max_deadlock(fit)
     try:
-        embedding = _embedding(eigen)
+        embedding = residual_embedding(fit)
     except MultiplicityError:  # a zero residual, or a tie at the top
         embedding = None
     return TestReport(

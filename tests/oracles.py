@@ -32,7 +32,11 @@ computes in closed form.
   and returns the largest singular values of their residuals, whose law
   must be the exact one of order m - 1;
 * :func:`uppers_to_full` stacks full skew matrices from upper triangles,
-  for the batched solve's checks against the single one.
+  for the batched solve's checks against the single one;
+* :func:`arcsine_score_variance` is the exact variance of one
+  variance-stabilized score at n games per pair: passed as sigma2, it
+  gives the report's chi-square and sigma_1 tests the score variance
+  their laws assume.
 """
 
 import functools
@@ -386,3 +390,15 @@ def uppers_to_full(uppers: np.ndarray, p: int) -> np.ndarray:
     iu = np.triu_indices(p, 1)
     a[:, iu[0], iu[1]] = u
     return a - np.transpose(a, (0, 2, 1))
+
+
+def arcsine_score_variance(n: int, pi: float) -> float:
+    """Var f(K) for K ~ Bin(n, pi) and the score f(k) = sqrt(n) asin(2k/n - 1)
+    that :func:`skewtail.paired.variance_stabilize` gives k wins of n, as the
+    exact finite sum over k = 0 .. n."""
+    if n < 1 or not 0.0 <= pi <= 1.0:
+        raise DomainError(f"need n >= 1 and 0 <= pi <= 1, got ({n!r}, {pi!r})")
+    weights = [math.comb(n, k) * pi**k * (1.0 - pi) ** (n - k) for k in range(n + 1)]
+    scores = [math.sqrt(n) * math.asin((2.0 * k - n) / n) for k in range(n + 1)]
+    mean = math.fsum(w * f for w, f in zip(weights, scores))
+    return math.fsum(w * (f - mean) ** 2 for w, f in zip(weights, scores))

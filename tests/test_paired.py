@@ -3,9 +3,11 @@ least-squares split, the three subtractivity tests on the league data,
 deadlock search, and the rank-2 embedding."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from skewtail.paired import (
     SkewObservations,
     build_report,
     chi_square_test,
+    interaction_spectrum,
     largest_sv_test,
     lrt_standardized_test,
     max_deadlock,
@@ -30,7 +33,7 @@ from skewtail.paired import (
     variance_stabilize,
 )
 
-from oracles import simulate_null_largest_sv
+from oracles import arcsine_score_variance, simulate_null_largest_sv
 
 SQRT3 = math.sqrt(3.0)
 
@@ -162,6 +165,33 @@ class TestScoreSheet:
         r[1, 2], r[2, 1] = 1, 4
         with pytest.raises(DataError):
             ScoreSheet(m=3, names=("a", "b", "c"), n_games=5, r=r)
+
+
+class TestArcsineScoreVariance:
+    """The exact variance of one arcsine score at n games per pair, which
+    README gives as the sigma2 of the report's tests' size."""
+
+    @pytest.mark.parametrize("n, pi", [(1, 0.3), (5, 0.5), (27, 0.5), (27, 0.9), (100, 0.5)])
+    def test_against_a_scipy_binomial_expectation(self, n, pi):
+        from scipy.stats import binom
+
+        def score(k):
+            return np.sqrt(n) * np.arcsin((2.0 * k - n) / n)
+
+        law = binom(n, pi)
+        mean = law.expect(score)
+        expect = law.expect(lambda k: (score(k) - mean) ** 2)
+        assert arcsine_score_variance(n, pi) == pytest.approx(expect, rel=1e-13)
+
+    def test_readme_prints_it(self):
+        readme = Path(__file__).parents[1].joinpath("README.md").read_text()
+        section = readme.split("### Size of the tests at n games per pair", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| (\d+) \| ([\d.]+) \| ([\d.]+) \|$", section, re.M)
+        sigma2 = re.findall(r"`--sigma2 ([\d.]+)` at `n = (\d+)`", section)
+        assert len(rows) == 6 and len(sigma2) == 1
+        for n, pi, printed in rows + [(n, "0.5", v) for v, n in sigma2]:
+            digits = len(printed.split(".")[1])
+            assert f"{arcsine_score_variance(int(n), float(pi)):.{digits}f}" == printed
 
 
 class TestVarianceStabilize:
@@ -603,18 +633,60 @@ class TestInvariances:
         assert 3.932**2 + 0.553**2 == pytest.approx(15.77, abs=5e-3)
 
 
+def count_eigen_solves(monkeypatch) -> list:
+    """A list that gains an entry on every numpy eigh or eigvalsh call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k)
+        )
+    return calls
+
+
 class TestBuildReport:
     @pytest.mark.parametrize("m", [4, 6, 20])
     def test_one_eigendecomposition(self, monkeypatch, m):
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            solve = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name, lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k)
-            )
+        calls = count_eigen_solves(monkeypatch)
         rng = np.random.default_rng(m)
         build_report(observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2)))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [5, 6, 20])
+    def test_one_solve_per_fit(self, monkeypatch, m):
+        calls = count_eigen_solves(monkeypatch)
+        rng = np.random.default_rng(m)
+        fit = scheffe_fit(observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2)))
+        interaction_spectrum(fit)
+        largest_sv_test(fit, 1.7)
+        lrt_standardized_test(fit)
+        residual_embedding(fit)
+        assert len(calls) == 1
+        assert fit.eigen is fit.eigen
+        assert len(calls) == 1
+        # the cached solve cannot go stale: the fit's arrays are read-only
+        for array in (fit.gamma_hat, fit.alpha_hat):
+            with pytest.raises(ValueError):
+                array[0, ...] = 1.0
+
+    def test_report_goes_through_the_public_tests(self, monkeypatch, league_sheet):
+        # the boundary a profiler wraps by name: build_report looks each test
+        # up on the module, so a wrapper placed there sees every report
+        from skewtail import paired
+
+        counts = {}
+        for name in ("chi_square_test", "largest_sv_test", "interaction_spectrum",
+                     "residual_embedding"):
+            fn = getattr(paired, name)
+            counts[name] = 0
+
+            def counted(*a, _fn=fn, _name=name, **k):
+                counts[_name] += 1
+                return _fn(*a, **k)
+
+            monkeypatch.setattr(paired, name, counted)
+        build_report(variance_stabilize(league_sheet), names=league_sheet.names)
+        assert all(count >= 1 for count in counts.values()), counts
 
     @pytest.mark.parametrize("m", [6, 20, 40, 61])
     def test_spectrum_matches_lapack_svd(self, m):
