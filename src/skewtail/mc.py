@@ -296,7 +296,8 @@ class SkewEigen:
     :class:`DomainError` unless A is square, p >= 2, finite and skew to relative
     ``_SKEW_RTOL``; the solve is of the skew completion of A's strict upper
     triangle, scaled by a power of two to max |a_ij| in [1/2, 1), which is exact.
-    Raises :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2."""
+    Raises :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2.  Both
+    arrays are read-only, so a cached solve cannot be altered in place."""
 
     def __init__(self, a: np.ndarray):
         a = np.asarray(a, dtype=float)
@@ -314,6 +315,7 @@ class SkewEigen:
         _check_energy((sigma * sigma)[None, :], np.array([energy]))
         self.spectrum = np.ldexp(sigma, shift)
         self.top_vector = vecs[:, -1]
+        self.spectrum.flags.writeable = self.top_vector.flags.writeable = False
 
     def top_plane(self) -> TopPlane:
         """Leading singular value and its oriented invariant 2-plane.

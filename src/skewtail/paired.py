@@ -315,32 +315,22 @@ def largest_sv_test(fit: ScheffeFit, sigma2: float = 1.0) -> tuple[float, float]
 def lrt_standardized_test(fit: ScheffeFit) -> tuple[float | None, float | None]:
     """Likelihood-ratio test of a single deadlock plane, variance unknown.
 
-    The statistic sigma_1 / sqrt(sum sigma_i^2) is scale-free; its exact
-    upper probability is available for values at or above the critical
-    point 1/sqrt(2), and None is returned below it.  On perfectly
-    subtractive data the statistic is 0/0 and both values are None.
+    The statistic sigma_1 / sqrt(sum sigma_i^2) is scale-free.  Its exact
+    upper probability needs m >= 5 and a statistic at or above the
+    critical point 1/sqrt(2); it is None otherwise, as at m = 3, 4, where
+    the residual has one singular pair, a statistic of exactly 1.  On
+    perfectly subtractive data the statistic is 0/0 and both values are
+    None.  The spectrum is first scaled by a power of two near 1 / sigma_1,
+    which is exact, so the sum of squares neither underflows nor overflows.
     """
-    if fit.m < 5:
-        raise DomainError(
-            f"standardized test needs m >= 5 (order m-1 >= 4), got m={fit.m}"
-        )
-    return _standardized(fit.m, fit.eigen.spectrum)
-
-
-def _standardized(m: int, spectrum: np.ndarray) -> tuple[float | None, float | None]:
-    """The statistic for any m >= 3; its p-value is None for m < 5, where
-    no exact law is available, and below the critical point.  Both are
-    None when the residual is exactly zero.  The spectrum is first scaled
-    by a power of two near 1 / sigma_1, which is exact, so the sum of
-    squares neither underflows nor overflows."""
-    sigma = np.ldexp(spectrum, -math.frexp(float(spectrum[0]))[1])
+    sigma = np.ldexp(fit.eigen.spectrum, -math.frexp(float(fit.eigen.spectrum[0]))[1])
     energy = float(np.sum(sigma**2))
     if energy <= 0.0:
         return None, None
     stat = float(sigma[0] / math.sqrt(energy))
-    if m < 5 or stat < CRITICAL_POINT - 1e-12:
+    if fit.m < 5 or stat < CRITICAL_POINT - 1e-12:
         return stat, None
-    return stat, standardized_sv_upper(m - 1, min(stat, 1.0))
+    return stat, standardized_sv_upper(fit.m - 1, stat)
 
 
 def max_deadlock(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
@@ -408,7 +398,7 @@ def build_report(
     chi2_stat, chi2_df, chi2_p = chi_square_test(fit, sigma2)
     sv_stat, sv_p = largest_sv_test(fit, sigma2)
     spectrum = interaction_spectrum(fit, sigma2)
-    std_stat, std_p = _standardized(fit.m, fit.eigen.spectrum)  # also at m < 5, unlike the test
+    std_stat, std_p = lrt_standardized_test(fit)
     triple, value = max_deadlock(fit)
     try:
         embedding = residual_embedding(fit)

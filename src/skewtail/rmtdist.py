@@ -407,6 +407,8 @@ def standardized_sv_upper(p: int, x: float) -> float:
     p = 24 .. 173: 1e-10 relative where the value is above 1e-280, else
     1e-290 absolute (terms near the double floor lose relative accuracy
     or underflow; from p = 79 on the value at 1/sqrt(2) is below 1e-300).
+    Below 1e-280 only that absolute bound holds, and the value need not
+    fall as x grows.
     """
     gram = hankel_gram(p)
     if not math.isfinite(x):

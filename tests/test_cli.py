@@ -602,9 +602,8 @@ class TestEntryPoint:
 #: meets.  Every other export must be read by cli, paired, io or rmtdist.
 PAPER_CRITERION_EXPORTS = (
     "contrast_value", "critical_radius_objective", "deadlock_contrast_pair",
-    "euler_characteristic", "joint_density", "largest_sv_tail_asymptotic", "largest_sv_test",
-    "lrt_standardized_test", "normalizing_constants", "residual_embedding", "sample_spectra",
-    "volume_U",
+    "euler_characteristic", "joint_density", "largest_sv_tail_asymptotic",
+    "normalizing_constants", "sample_spectra", "volume_U",
 )
 TYPES_AND_ERRORS = ("PairingError", "TopPlane")
 

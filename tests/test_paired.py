@@ -143,8 +143,7 @@ class TestScoreSheet:
         assert largest_sv_test(fit) == (report.sv_stat, report.sv_p)
         assert report.sv_stat == pytest.approx(1e-9 * math.sqrt((m - 2) / m), rel=1e-6)
         assert np.array_equal(residual_embedding(fit), report.embedding)
-        if m == 5:
-            assert lrt_standardized_test(fit) == (report.std_stat, report.std_p)
+        assert lrt_standardized_test(fit) == (report.std_stat, report.std_p)
 
     def test_totals_past_int64_are_reported_exactly(self):
         # r + r.T in int64 once wrapped to -9223372036854775808
@@ -192,6 +191,31 @@ class TestArcsineScoreVariance:
         for n, pi, printed in rows + [(n, "0.5", v) for v, n in sigma2]:
             digits = len(printed.split(".")[1])
             assert f"{arcsine_score_variance(int(n), float(pi)):.{digits}f}" == printed
+
+
+class TestSizeAtNGamesPerPair:
+    """The 5% size of the report's chi-square and sigma_1 tests on fair
+    leagues, m = 6 at the Central League's n = 27 games per pair."""
+
+    def test_sigma2_of_the_scores_restores_the_size(self):
+        m, n, leagues = 6, 27, 4000
+        v = arcsine_score_variance(n, 0.5)
+        rng = np.random.default_rng(0)
+        iu = np.triu_indices(m, 1)
+        rejections = {1.0: [0, 0], v: [0, 0]}
+        for _ in range(leagues):
+            r = np.zeros((m, m), dtype=int)
+            r[iu] = rng.binomial(n, 0.5, size=len(iu[0]))
+            r.T[iu] = n - r[iu]
+            sheet = ScoreSheet(m=m, names=tuple("abcdef"), n_games=n, r=r)
+            fit = scheffe_fit(variance_stabilize(sheet))
+            for sigma2, counts in rejections.items():
+                counts[0] += chi_square_test(fit, sigma2)[2] < 0.05
+                counts[1] += largest_sv_test(fit, sigma2)[1] < 0.05
+        se = math.sqrt(0.05 * 0.95 / leagues)
+        nominal, inflated = (np.array(rejections[s]) / leagues for s in (v, 1.0))
+        assert np.all(np.abs(nominal - 0.05) <= 3 * se), nominal
+        assert np.all(inflated > 0.05) and np.all(inflated >= nominal), inflated
 
 
 class TestVarianceStabilize:
@@ -416,10 +440,14 @@ class TestStandardizedTest:
         assert stat == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-10)
         assert p is None
 
-    def test_needs_five_objects(self):
-        fit = scheffe_fit(subtractive_observations([1.0, 0.0, -1.0, 2.0]))
-        with pytest.raises(DomainError):
-            lrt_standardized_test(fit)
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_below_five_objects_has_no_law(self, m):
+        # one singular pair: the statistic is exactly 1 and no exact law applies
+        rng = np.random.default_rng(m)
+        fit = scheffe_fit(observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2)))
+        assert lrt_standardized_test(fit) == (1.0, None)
+        fit = scheffe_fit(subtractive_observations(np.arange(float(m))))
+        assert lrt_standardized_test(fit) == (None, None)
 
     def test_zero_residual_has_no_statistic(self):
         fit = scheffe_fit(subtractive_observations([2.0, 1.0, 0.0, -1.0, -2.0]))
@@ -664,8 +692,8 @@ class TestBuildReport:
         assert len(calls) == 1
         assert fit.eigen is fit.eigen
         assert len(calls) == 1
-        # the cached solve cannot go stale: the fit's arrays are read-only
-        for array in (fit.gamma_hat, fit.alpha_hat):
+        # the cached solve cannot go stale or be altered: all arrays are read-only
+        for array in (fit.gamma_hat, fit.alpha_hat, fit.eigen.spectrum, fit.eigen.top_vector):
             with pytest.raises(ValueError):
                 array[0, ...] = 1.0
 
@@ -676,7 +704,7 @@ class TestBuildReport:
 
         counts = {}
         for name in ("chi_square_test", "largest_sv_test", "interaction_spectrum",
-                     "residual_embedding"):
+                     "lrt_standardized_test", "residual_embedding"):
             fn = getattr(paired, name)
             counts[name] = 0
 

@@ -856,11 +856,18 @@ class TestStandardizedUpper:
         for p in (4, 7, 12):
             assert standardized_sv_upper(p, 1.0) == 0.0
 
-    @pytest.mark.parametrize("p", range(4, 19))
+    @pytest.mark.parametrize(
+        "p", [*range(4, 19), 19, 24, 27, 32, 40, 45, 48, 59, 60, 64, 67, 70, 73, 76, 79, 80, 100,
+              140, 173]
+    )
     def test_nonincreasing_on_validity_range(self, p):
-        xs = np.linspace(CRITICAL_POINT, 1.0, 200)
+        # checked where both values are >= 1e-280: below that only the 1e-290
+        # absolute envelope holds, and at p = 59 and 64 .. 76 the value rises
+        # once (to at most 2.3e-300); no slack from p = 19 on, 1e-12 at p <= 18
+        xs = np.linspace(CRITICAL_POINT, 1.0, 400)
+        slack = 1e-12 if p <= 18 else 0.0
         vals = [standardized_sv_upper(p, x) for x in xs]
-        assert all(u >= v - 1e-12 for u, v in zip(vals, vals[1:]))
+        assert all(u >= v - slack for u, v in zip(vals, vals[1:]) if min(u, v) >= 1e-280)
 
     def test_matches_elementwise_double_sum(self):
         p, x = 9, 0.8
