@@ -8,9 +8,9 @@ Subcommands:
 * ``analyze``   full paired-comparison subtractivity report (text/JSON)
 * ``plot``      just the SVG residual plot for a dataset
 
-Exit codes: 0 success, 2 usage/domain error or an unwritable output path,
-3 validity-range error (standardized threshold below 1/sqrt(2)), 4 data error.  ``validate``
-checks its arguments and the order's envelope before it draws a sample.
+Exit codes: 0 success, 2 usage/domain error or an unwritable output path, 3 validity-range
+error (standardized threshold below 1/sqrt(2)), 4 data error or a failed internal check.
+``validate`` checks its arguments and the order's envelope before it draws a sample.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ provides:
   that delimits that validity range,
 * the Euler characteristic implied by the weights, an exact identity.
 
-The kernel's quadrature rules and per-order switch points are shipped
-constants, read on first use and cached, as are the gram matrices
-(read-only arrays); all is pure and thread-safe.
+The kernel's constants (quadrature rules, per-order switch points and
+recurrence coefficients) come from one cached reader of a shipped table,
+called on the first law query; the gram matrices (read-only arrays) are
+cached too; all is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ CRITICAL_POINT = 1.0 / math.sqrt(2.0)
 
 #: Largest order of every law's verified envelope (the next one's g_11 overflows).
 _MAX_ORDER = 173
-_LAGUERRE_NODES = 120
-_LEGENDRE_NODES = 2 * (_MAX_ORDER // 2) + 60  # 2t + 60 at the largest t serves every t
 _LAW_TABLES = os.path.join(os.path.dirname(__file__), "data", "law_tables.txt")
 
 # Slack on the validity boundary so thresholds supplied with ~8 correct
@@ -183,11 +182,16 @@ def joint_density(sigma, p: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _law_tables() -> dict[str, list[float]]:
-    """The shipped constants of the sigma_1 kernel, by column: the Gauss
-    rules' nodes and weights and x_8(p) for p = 2 .. 173, read once from
-    exact float.hex text that tests/make_law_tables.py writes from the
-    Newton builds in tests/oracles.py (a test rebuilds every entry)."""
+def _law_tables() -> dict:
+    """Every constant of the sigma_1 kernel, read once from exact float.hex
+    text that tests/make_law_tables.py writes from the Newton builds in
+    tests/oracles.py (a test rebuilds every entry): the ``laguerre nodes``
+    and ``weights`` for int_0^inf f(u) e^-u du; the ``legendre nodes`` for
+    int_0^1 f(v) dv and, by eps, their ``root weights`` sqrt(2 w v^(2 eps));
+    the ``switch points`` x_8(p), the least double x with tr M < 1/8, for
+    p = 2 .. 173; and by eps the ``recurrence``, psi_0 and for k < 85
+    (2k + 1 + a, sqrt(k (k + a)), sqrt((k + 1) (k + 1 + a))), a = eps - 1/2,
+    of which order p, t <= 86, takes the first t - 1."""
     tables = {}
     with open(_LAW_TABLES, encoding="ascii") as fh:
         for line in fh:
@@ -195,28 +199,14 @@ def _law_tables() -> dict[str, list[float]]:
                 column = tables[line.strip()[1:-1]] = []
             elif not line.startswith("#"):
                 column.append(float.fromhex(line))
+    for name in ("laguerre nodes", "laguerre weights", "legendre nodes"):
+        tables[name] = np.array(tables[name])
+    v, w = tables["legendre nodes"], np.array(tables.pop("legendre weights"))
+    tables["legendre root weights"] = tuple(np.sqrt(2.0 * w * v ** (2.0 * eps)) for eps in (0, 1))
+    tables["recurrence"] = tuple((math.exp(-0.5 * math.lgamma(a + 1.0)), [
+        (2 * k + 1 + a, math.sqrt(k * (k + a)), math.sqrt((k + 1) * (k + 1 + a)))
+        for k in range(_MAX_ORDER // 2 - 1)]) for a in (-0.5, 0.5))
     return tables
-
-
-@lru_cache(maxsize=None)
-def _gauss_laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule for int_0^inf f(u) e^-u du."""
-    tables = _law_tables()
-    return np.array(tables[f"laguerre {n} nodes"]), np.array(tables[f"laguerre {n} weights"])
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule for int_0^1 f(v) dv."""
-    tables = _law_tables()
-    return np.array(tables[f"legendre {n} nodes"]), np.array(tables[f"legendre {n} weights"])
-
-
-@lru_cache(maxsize=None)
-def _recurrence(t: int, a: float) -> tuple[float, list]:
-    """psi_0 and, for k < t - 1, (2k + 1 + a, sqrt(k (k + a)), sqrt((k + 1) (k + 1 + a)))."""
-    return math.exp(-0.5 * math.lgamma(a + 1.0)), [
-        (2 * k + 1 + a, math.sqrt(k * (k + a)), math.sqrt((k + 1) * (k + 1 + a))) for k in range(t - 1)]
 
 
 def _kernel(law: SpectrumLaw, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -226,10 +216,10 @@ def _kernel(law: SpectrumLaw, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
     lam^a e^-lam the rule's weight function lacks, each factor rounded on
     its own (one exp of their summed logs would be eps * lam off).  Row k
     takes psi_k in place, in the plain recurrence's order of operations."""
-    first, steps = _recurrence(law.t, law.eps - 0.5)
+    first, steps = _law_tables()["recurrence"][law.eps]
     b, scratch = np.empty((law.t, lam.size)), np.empty_like(lam)
     b[0] = first
-    for k, (shift, back, norm) in enumerate(steps):
+    for k, (shift, back, norm) in enumerate(steps[: law.t - 1]):
         row = np.subtract(shift, lam, out=b[k + 1])
         row *= b[k]
         if k:
@@ -241,31 +231,20 @@ def _kernel(law: SpectrumLaw, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def _upper_kernel(law: SpectrumLaw, x: float) -> np.ndarray:
     """M = int_s^inf phi phi^T, s = x^2 / 2, by Gauss-Laguerre in lam - s."""
-    u, w = _gauss_laguerre(_LAGUERRE_NODES)
+    tables = _law_tables()
+    u, w = tables["laguerre nodes"], tables["laguerre weights"]
     lam = 0.5 * x * x + u
     return _kernel(law, lam, np.sqrt(w * lam ** (law.eps - 0.5)) * math.exp(-0.25 * x * x))
-
-
-@lru_cache(maxsize=None)
-def _legendre_root_weights(eps: int) -> np.ndarray:
-    """sqrt(2 w v^(1 + 2a)) = sqrt(2 w v^(2 eps)) of the Gauss-Legendre rule."""
-    v, w = _gauss_legendre(_LEGENDRE_NODES)
-    return np.sqrt(2.0 * w * v ** (2.0 * eps))
 
 
 def _lower_kernel(law: SpectrumLaw, x: float) -> np.ndarray:
     """N = int_0^s phi phi^T = I - M by Gauss-Legendre in v, lam = s v^2,
     where lam^a d lam = 2 s^(1+a) v^(1+2a) dv is free of lam^(-1/2)."""
-    v = _gauss_legendre(_LEGENDRE_NODES)[0]
+    tables = _law_tables()
+    v = tables["legendre nodes"]
     lam = 0.5 * x * x * v * v
-    root_jacobian = _legendre_root_weights(law.eps) * (x / math.sqrt(2.0)) ** (law.eps + 0.5)
+    root_jacobian = tables["legendre root weights"][law.eps] * (x / math.sqrt(2.0)) ** (law.eps + 0.5)
     return _kernel(law, lam, root_jacobian * np.exp(-0.5 * lam))
-
-
-@lru_cache(maxsize=None)
-def _switch_point(p: int) -> float:
-    """x_8(p), the least double x with tr M < 1/8, for 2 <= p <= 173."""
-    return _law_tables()["switch points"][p - 2]
 
 
 def _sigma1(p: int, x: float) -> tuple[float, float, float]:
@@ -275,7 +254,7 @@ def _sigma1(p: int, x: float) -> tuple[float, float, float]:
     with weight lam^(eps - 1/2) e^-lam, so with M = int_s^inf phi phi^T,
     s = x^2 / 2, the CDF is det(I - M) and the count is tr M (Mehta,
     *Random Matrices*, ch. 13; Bornemann, Math. Comp. 2010).  One kernel
-    per call: from x_8(p) (:func:`_switch_point`) on, tr M < 1/8 and the CDF
+    per call: from x_8(p) (:func:`_law_tables`) on, tr M < 1/8 and the CDF
     is exp(-S), S = -log det(I - M) = sum_j tr(M^j) / j: no term is negative,
     so the tail 1 - exp(-S) keeps its relative accuracy, and as rho(M) <= tr M,
     by the 18th term one is at most 2^-54 tr M and ends the sum.  Below it,
@@ -292,7 +271,7 @@ def _sigma1(p: int, x: float) -> tuple[float, float, float]:
     # law before lam^t can overflow
     if math.isinf(y) or (y > 2 * law.n and chi2_upper(law.n, y) == 0.0):
         return 1.0, 0.0, 0.0
-    if x >= _switch_point(law.p):
+    if x >= _law_tables()["switch points"][law.p - 2]:
         m = _upper_kernel(law, x)
         trace = float(m.trace())
         total, term, power, j = trace, trace, m, 1

@@ -118,17 +118,6 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     raise ArithmeticError(f"incomplete gamma continued fraction failed (s={s}, x={x})")
 
 
-def regularized_gamma_upper(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x)."""
-    if s <= 0.0 or x < 0.0 or not (math.isfinite(s) and math.isfinite(x)):
-        raise DomainError(f"regularized gamma requires s > 0 and x >= 0, got ({s!r}, {x!r})")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return max(0.0, 1.0 - math.exp(_log_gamma_front(s, x)) * _lower_gamma_series(s, x))
-    return min(1.0, _upper_gamma_cf(s, x))
-
-
 def log_regularized_gamma_lower(s: float, x: float) -> float:
     """ln P(s, x), finite (not underflowed) arbitrarily deep in the left
     tail, where P itself underflows: the series is assembled in log scale.
@@ -144,7 +133,8 @@ def log_regularized_gamma_lower(s: float, x: float) -> float:
 
 
 def chi2_upper(nu: float, y: float) -> float:
-    """Upper tail P(chi2_nu > y) of the chi-square distribution.
+    """Upper tail P(chi2_nu > y) = Q(nu / 2, y / 2) of the chi-square
+    distribution, Q the regularized upper incomplete gamma 1 - P.
 
     Args:
         nu: degrees of freedom, > 0 (half-integers welcome).
@@ -154,7 +144,12 @@ def chi2_upper(nu: float, y: float) -> float:
         raise DomainError(f"chi2_upper requires nu > 0, got {nu!r}")
     if not math.isfinite(y) or y < 0.0:
         raise DomainError(f"chi2_upper requires y >= 0, got {y!r}")
-    return probability(regularized_gamma_upper(nu / 2.0, y / 2.0))
+    s, x = nu / 2.0, y / 2.0
+    if x == 0.0:
+        return 1.0
+    if x < s + 1.0:
+        return max(0.0, 1.0 - math.exp(_log_gamma_front(s, x)) * _lower_gamma_series(s, x))
+    return min(1.0, _upper_gamma_cf(s, x))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -1,13 +1,17 @@
 """Regenerate the shipped constants of the sigma_1 kernel.
 
-src/skewtail/data/law_tables.txt holds the 120-point Gauss-Laguerre
-rule, the 232-point Gauss-Legendre rule (nodes and weights) and the
-switch point x_8(p) for p = 2 .. 173, each double as exact ``float.hex``
-text, so the file round-trips bit for bit.  They are built here by the
-Newton steps of tests/oracles.py (``gauss_laguerre_newton``,
-``gauss_legendre_newton`` and ``switch_point_newton``); the library
-reads the file and builds nothing.  ``tests/test_rmtdist.py`` rebuilds
-every entry and compares.
+src/skewtail/data/law_tables.txt holds five columns, each double as
+exact ``float.hex`` text, so the file round-trips bit for bit:
+``[laguerre nodes]`` and ``[laguerre weights]``, the LAGUERRE_NODES-point
+Gauss-Laguerre rule; ``[legendre nodes]`` and ``[legendre weights]``, the
+LEGENDRE_NODES-point Gauss-Legendre rule on [0, 1]; and ``[switch points]``,
+x_8(p) for p = 2 .. 173 on the Gauss-Laguerre rule.  The two rule sizes
+are this script's parameters.  The columns are built here by the Newton
+steps of tests/oracles.py (``gauss_laguerre_newton``,
+``gauss_legendre_newton`` and ``switch_point_newton``); the library's one
+reader, ``rmtdist._law_tables``, reads the file once and derives the
+Legendre root weights and the recurrence coefficients from it.
+``tests/test_rmtdist.py`` rebuilds every entry and compares.
 
 Run from the repository root (about a second):
 
@@ -21,6 +25,9 @@ import sys
 from oracles import gauss_laguerre_newton, gauss_legendre_newton, switch_point_newton
 from skewtail import rmtdist
 
+LAGUERRE_NODES = 120
+LEGENDRE_NODES = 2 * (rmtdist._MAX_ORDER // 2) + 60  # 2t + 60 at the largest t serves every t
+
 HEADER = """\
 # Constants of the sigma_1 kernel, one double per line as float.hex.
 # [switch points] holds x_8(p) for p = 2 .. 173 in order.
@@ -32,12 +39,12 @@ def tables() -> dict[str, list[float]]:
     """Every column of the file, by name, from the Newton builds."""
     columns = {}
     for name, n, rule in (
-        ("laguerre", rmtdist._LAGUERRE_NODES, gauss_laguerre_newton),
-        ("legendre", rmtdist._LEGENDRE_NODES, gauss_legendre_newton),
+        ("laguerre", LAGUERRE_NODES, gauss_laguerre_newton),
+        ("legendre", LEGENDRE_NODES, gauss_legendre_newton),
     ):
         nodes, weights = rule(n)
-        columns[f"{name} {n} nodes"], columns[f"{name} {n} weights"] = nodes.tolist(), weights.tolist()
-    columns["switch points"] = [switch_point_newton(p) for p in range(2, rmtdist._MAX_ORDER + 1)]
+        columns[f"{name} nodes"], columns[f"{name} weights"] = nodes.tolist(), weights.tolist()
+    columns["switch points"] = [switch_point_newton(p, LAGUERRE_NODES) for p in range(2, rmtdist._MAX_ORDER + 1)]
     return columns
 
 

@@ -109,13 +109,15 @@ def laguerre_kernel_recurrence(law, lam: np.ndarray, scale: np.ndarray) -> np.nd
 
 def sigma1_kernels_recurrence(law, x: float) -> tuple[np.ndarray, np.ndarray]:
     """(M, N) of :func:`skewtail.rmtdist._upper_kernel` and ``_lower_kernel``
-    on the library's quadrature rules, every factor formed per call and
-    the kernels by :func:`laguerre_kernel_recurrence`."""
-    a = law.eps - 0.5
-    u, w = rmtdist._gauss_laguerre(rmtdist._LAGUERRE_NODES)
+    on the library's quadrature rules (the Gauss-Legendre weights by
+    :func:`gauss_legendre_newton`, which the shipped rule matches bit for
+    bit), every factor formed per call and the kernels by
+    :func:`laguerre_kernel_recurrence`."""
+    a, tables = law.eps - 0.5, rmtdist._law_tables()
+    u, w = tables["laguerre nodes"], tables["laguerre weights"]
     lam = 0.5 * x * x + u
     upper = laguerre_kernel_recurrence(law, lam, np.sqrt(w * lam ** a) * math.exp(-0.25 * x * x))
-    v, w = rmtdist._gauss_legendre(rmtdist._LEGENDRE_NODES)
+    v, w = gauss_legendre_newton(tables["legendre nodes"].size)
     lam = 0.5 * x * x * v * v
     root_jacobian = np.sqrt(2.0 * w * v ** (1.0 + 2.0 * a)) * (x / math.sqrt(2.0)) ** (1.0 + a)
     return upper, laguerre_kernel_recurrence(law, lam, root_jacobian * np.exp(-0.5 * lam))
@@ -164,7 +166,7 @@ def newton_roots(x: np.ndarray, poly) -> np.ndarray:
 def gauss_laguerre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule for int_0^inf f(u) e^-u du by
     Newton steps from Tricomi's estimates: the build of the rule that
-    :func:`skewtail.rmtdist._gauss_laguerre` ships."""
+    :func:`skewtail.rmtdist._law_tables` reads."""
     def poly(x):  # L_n, L_n' by (j + 1) L_{j+1} = (2j + 1 - x) L_j - j L_{j-1}
         prev, cur = np.zeros_like(x), np.ones_like(x)
         for j in range(n):
@@ -181,10 +183,11 @@ def gauss_laguerre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, 1.0 / (u * slope * slope)
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule for int_0^1 f(v) dv by Newton
-    steps: the build of the rule that :func:`skewtail.rmtdist._gauss_legendre`
-    ships."""
+    steps: the build of the rule that :func:`skewtail.rmtdist._law_tables`
+    reads."""
     def poly(z):  # P_n, P_n' by (j + 1) P_{j+1} = (2j + 1) z P_j - j P_{j-1}
         prev, cur = np.zeros_like(z), np.ones_like(z)
         for j in range(n):
@@ -196,23 +199,26 @@ def gauss_legendre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 + z), 1.0 / ((1.0 - z * z) * slope * slope)
 
 
-def switch_point_newton(p: int) -> float:
+def switch_point_newton(p: int, n: int) -> float:
     """x_8(p), the least double x with tr M < 1/8, as
-    :func:`skewtail.rmtdist._switch_point` ships it, with M built as
-    ``_upper_kernel`` builds it on :func:`gauss_laguerre_newton`'s rule.
+    :func:`skewtail.rmtdist._law_tables` reads it, with M built on
+    :func:`gauss_laguerre_newton`'s n-point rule by
+    :func:`laguerre_kernel_recurrence`, bit for bit as ``_upper_kernel``
+    builds it, so the build never reads the file it writes.
     Newton steps on log(8 tr M), d tr M / dx = -x sum_k phi_k(s)^2 being the
     trace of a one-node kernel, land within an ulp of it from sqrt(4p) at
     p = 2 .. 173; ulp steps settle the rest."""
     law = rmtdist.spectrum_law(p)
-    u, w = gauss_laguerre_newton(rmtdist._LAGUERRE_NODES)
+    u, w = gauss_laguerre_newton(n)
 
     def count(x: float) -> float:
         lam = 0.5 * x * x + u
-        return rmtdist._kernel(law, lam, np.sqrt(w * lam ** (law.eps - 0.5)) * math.exp(-0.25 * x * x)).trace()
+        scale = np.sqrt(w * lam ** (law.eps - 0.5)) * math.exp(-0.25 * x * x)
+        return laguerre_kernel_recurrence(law, lam, scale).trace()
 
     def log_count(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s, trace = 0.5 * x * x, count(x[0])
-        density = rmtdist._kernel(law, s, s ** (0.5 * law.eps - 0.25) * np.exp(-0.5 * s)).trace()
+        density = laguerre_kernel_recurrence(law, s, s ** (0.5 * law.eps - 0.25) * np.exp(-0.5 * s)).trace()
         return np.log(8.0 * trace), -x * density / trace
 
     x = float(newton_roots(np.array([math.sqrt(4.0 * law.p)]), log_count)[0])

@@ -21,8 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skewtail
-from skewtail import cli, paired, rmtdist
+from skewtail import cli, mc, paired, rmtdist
 from skewtail.cli import _table1_cell, main
+from skewtail.errors import PairingError
 from skewtail.io import central_league_1997_path
 from skewtail.svgplot import residual_plot_svg
 
@@ -427,6 +428,18 @@ class TestAnalyze:
     def test_missing_file_exits_4(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "/nonexistent.csv", "--n-games", "27")
         assert code == 4
+
+    def test_failed_internal_check_exits_4(self, capsys, monkeypatch):
+        # the catch-all for a SkewtailError that is no data, domain or
+        # validity error: a spectral solve that breaks its energy identity
+        def broken(gamma_hat):
+            raise PairingError("sum of sigma^2 misses ||A||_F^2 / 2")
+
+        monkeypatch.setattr(mc, "SkewEigen", broken)
+        code, out, err = run_cli(capsys, "analyze", FIXTURE, "--n-games", "27")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("analysis failed: ")
 
     def test_perfectly_subtractive_data_report(self, capsys, tmp_path):
         raw = tmp_path / "subtractive.txt"

@@ -44,7 +44,7 @@ from oracles import (
     sigma1_kernels_recurrence,
     sigma1_trace_routed,
 )
-from make_law_tables import tables as law_tables
+from make_law_tables import LAGUERRE_NODES, LEGENDRE_NODES, render as render_law_tables, tables as law_tables
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -351,14 +351,14 @@ class TestLargestSvCdf:
         # recurrence and the matrix product round differently).  The three
         # public laws cannot carry a tolerance against each other: each is
         # the bits of one kernel evaluation
-        rmtdist._switch_point(p)  # found once per order, before the count
+        rmtdist._law_tables()  # read once, before the count
         kernels = record_kernels(monkeypatch)
         law = spectrum_law(p)
         for x in np.linspace(0.0, 2.0 * math.sqrt(p) + 4.0, 10)[1:]:
             kernels.clear()
             cdf, tail, trace = rmtdist._sigma1(p, x)
             assert len(kernels) == 1
-            assert (kernels[0][0].size == rmtdist._LAGUERRE_NODES) == (trace < 0.125)
+            assert (kernels[0][0].size == LAGUERRE_NODES) == (trace < 0.125)
             for lam, scale, matrix in kernels:
                 entries, magnitudes = laguerre_kernel_entrywise(law.t, law.eps - 0.5, lam, scale)
                 assert np.all(np.abs(matrix - entries) <= 2e-13 * magnitudes)
@@ -375,12 +375,12 @@ class TestLargestSvCdf:
         # Gauss-Laguerre M where tr M < 1/8 and else the Gauss-Legendre N
         law = spectrum_law(p)
         trace = float(np.trace(rmtdist._upper_kernel(law, x)))
-        rmtdist._switch_point(p)
+        rmtdist._law_tables()
         kernels = record_kernels(monkeypatch)
         loops = count_gamma_loops(monkeypatch)
         assert 0.0 <= largest_sv_cdf(p, x) <= 1.0
         assert loops == []
-        expected = rmtdist._LAGUERRE_NODES if trace < 0.125 else rmtdist._LEGENDRE_NODES
+        expected = LAGUERRE_NODES if trace < 0.125 else LEGENDRE_NODES
         assert [lam.size for lam, _, _ in kernels] == [expected]
 
     @pytest.mark.parametrize("p, x", [(4, 3.0), (5, 4.0), (10, 6.0), (16, 8.0), (33, 12.0), (59, 15.0)])
@@ -460,7 +460,7 @@ class TestSigma1Kernel:
         # tail erfc(x / sqrt 2) + sqrt(2 / pi) x e^(-x^2 / 2).  The Gauss-Laguerre
         # M is least accurate at the smallest orders; both pieces hold 1e-12
         # relative down to 1e-33
-        rmtdist._switch_point(p)
+        rmtdist._law_tables()
         kernels = record_kernels(monkeypatch)
         for x in np.linspace(0.3, 12.0, 400):
             exact = math.erfc(x / math.sqrt(2.0))
@@ -468,7 +468,7 @@ class TestSigma1Kernel:
                 exact += math.sqrt(2.0 / math.pi) * x * math.exp(-0.5 * x * x)
             assert abs(largest_sv_upper(p, x) - exact) <= 1e-12 * exact
         sizes = [lam.size for lam, _, _ in kernels]
-        assert sizes.count(rmtdist._LEGENDRE_NODES) >= 20 and sizes.count(rmtdist._LAGUERRE_NODES) >= 300
+        assert sizes.count(LEGENDRE_NODES) >= 20 and sizes.count(LAGUERRE_NODES) >= 300
 
     @pytest.mark.parametrize("p", KERNEL_ORDERS)
     def test_bonferroni_bracket(self, p):
@@ -547,12 +547,11 @@ class TestSigma1Kernel:
         # has tr M >= 1/8
         law = spectrum_law(p)
         rmtdist._law_tables.cache_clear()
-        rmtdist._switch_point.cache_clear()
         kernels = record_kernels(monkeypatch)
-        x8 = rmtdist._switch_point(p)
+        x8 = rmtdist._law_tables()["switch points"][p - 2]
         assert kernels == []
         kernels.clear()
-        assert rmtdist._switch_point(p) == x8 and kernels == []
+        assert rmtdist._law_tables()["switch points"][p - 2] == x8 and kernels == []
         trace = float(np.trace(rmtdist._upper_kernel(law, x8)))
         assert abs(trace - 0.125) <= 1e-10
         assert trace < 0.125 <= float(np.trace(rmtdist._upper_kernel(law, math.nextafter(x8, 0.0))))
@@ -562,7 +561,7 @@ class TestSigma1Kernel:
         # picking the piece by x against x_8(p) gives every bit of picking
         # it by the trace of a freshly built M, also on the two doubles
         # either side of x_8(p)
-        x8 = rmtdist._switch_point(p)
+        x8 = rmtdist._law_tables()["switch points"][p - 2]
         grid = [x for x in np.linspace(0.0, 3.4 * math.sqrt(p) + 8.0, 40) if abs(x - x8) > 1e-12 * x]
         for x in [*grid, math.nextafter(x8, 0.0), x8]:
             assert rmtdist._sigma1(p, x) == sigma1_trace_routed(p, x)
@@ -579,25 +578,34 @@ class TestSigma1Kernel:
     def test_shipped_tables_are_the_newton_builds(self):
         # every entry of src/skewtail/data/law_tables.txt, the two Gauss rules
         # and x_8(p) at p = 2 .. 173, rebuilt by the Newton steps of
-        # tests/oracles.py: bit for bit, so the kernels keep every bit
-        shipped, rebuilt = rmtdist._law_tables(), law_tables()
-        assert list(shipped) == list(rebuilt)
-        for name, values in rebuilt.items():
-            assert np.array_equal(shipped[name], values), name
+        # tests/oracles.py: bit for bit (float.hex text is exact), so the
+        # kernels keep every bit; and so is each column of the reader, which
+        # holds the Gauss-Legendre weights as root weights
+        rebuilt = law_tables()
+        with open(rmtdist._LAW_TABLES, encoding="ascii") as fh:
+            assert fh.read() == render_law_tables(rebuilt)
+        shipped = rmtdist._law_tables()
+        for name in ("laguerre nodes", "laguerre weights", "legendre nodes", "switch points"):
+            assert np.array_equal(shipped[name], rebuilt[name]), name
+        v, w = np.array(rebuilt["legendre nodes"]), np.array(rebuilt["legendre weights"])
+        for eps in (0, 1):
+            assert np.array_equal(shipped["legendre root weights"][eps], np.sqrt(2.0 * w * v ** (2.0 * eps)))
 
     def test_quadrature_rules_match_numpy(self):
         from numpy.polynomial.laguerre import laggauss
         from numpy.polynomial.legendre import leggauss
 
-        u, w = rmtdist._gauss_laguerre(rmtdist._LAGUERRE_NODES)
-        nodes, weights = laggauss(rmtdist._LAGUERRE_NODES)
+        # the Gauss-Legendre weights as the reader holds them: sqrt(2 w) at eps = 0
+        tables = rmtdist._law_tables()
+        u, w = tables["laguerre nodes"], tables["laguerre weights"]
+        nodes, weights = laggauss(u.size)
         assert np.max(np.abs(u - nodes) / nodes) <= 1e-13
         assert np.max(np.abs(w - weights) / weights) <= 1e-11
-        v, w = rmtdist._gauss_legendre(rmtdist._LEGENDRE_NODES)
-        nodes, weights = leggauss(rmtdist._LEGENDRE_NODES)
+        v, root_w = tables["legendre nodes"], tables["legendre root weights"][0]
+        nodes, weights = leggauss(v.size)
         order = np.argsort(v)
         assert np.max(np.abs(2.0 * v[order] - 1.0 - nodes)) <= 1e-15
-        assert np.max(np.abs(2.0 * w[order] - weights) / weights) <= 1e-10
+        assert np.max(np.abs(root_w[order] ** 2 - weights) / weights) <= 1e-10
 
     def test_order_past_the_envelope_raises(self):
         for law in (largest_sv_cdf, largest_sv_upper, largest_sv_tail_asymptotic):
@@ -631,7 +639,7 @@ for p in (2, 5, 39, 173):
     for x in (p ** 0.5, 2.0 * p ** 0.5 + 2.0):
         kernels.clear()
         skewtail.largest_sv_cdf(p, x)
-        cold[f"{p} {x}"] = [x >= rmtdist._switch_point(p), kernels[:]]
+        cold[f"{p} {x}"] = [x >= rmtdist._law_tables()["switch points"][p - 2], kernels[:]]
 read = [path for path in opened if path.endswith("law_tables.txt")]
 newton = [name for name in vars(rmtdist) if "newton" in name.lower()]
 print(json.dumps({"at_import": at_import, "read": read, "cold": cold, "newton": newton}))
@@ -649,7 +657,7 @@ class TestColdStart:
         assert found["read"] == [rmtdist._LAW_TABLES]
         assert len(found["cold"]) == 8
         for point, (upper, kernels) in found["cold"].items():
-            nodes = rmtdist._LAGUERRE_NODES if upper else rmtdist._LEGENDRE_NODES
+            nodes = LAGUERRE_NODES if upper else LEGENDRE_NODES
             assert kernels == [nodes], point
         assert sorted(upper for upper, _ in found["cold"].values()) == [False] * 4 + [True] * 4
 
