@@ -22,21 +22,23 @@ provides:
 * the Euler characteristic implied by the weights, an exact identity.
 
 The kernel's constants (quadrature rules, per-order switch points and
-recurrence coefficients) come from one cached reader of a shipped table,
-called on the first law query; the gram matrices (read-only arrays) are
-cached too; all is pure and thread-safe.
+recurrence coefficients) and the rounded tube weights come from cached
+readers of two shipped tables, each called on the first query of its law;
+the gram matrices (read-only arrays) are cached too; all is pure and
+thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ExcludedPointError, ValidityError
+from .errors import DataError, DomainError, ExcludedPointError, ValidityError
 from .specfun import (
     _beta_upper_rungs,
     beta_upper,
@@ -53,6 +55,7 @@ CRITICAL_POINT = 1.0 / math.sqrt(2.0)
 #: Largest order of every law's verified envelope (the next one's g_11 overflows).
 _MAX_ORDER = 173
 _LAW_TABLES = os.path.join(os.path.dirname(__file__), "data", "law_tables.txt")
+_TUBE_WEIGHTS = os.path.join(os.path.dirname(__file__), "data", "tube_weights.txt")
 
 # Slack on the validity boundary so thresholds supplied with ~8 correct
 # digits (e.g. 0.70710678 from a table) are not rejected.
@@ -102,7 +105,8 @@ class HankelGram:
     ``weights[k]`` is the anti-diagonal sum ``sum_{i+j=k+2} ginv[i,j] *
     g[i,j]`` for k = 0 .. 2t-2; the exact weights sum to t and weight k
     multiplies the chi-square/beta tail with 2p - 3 - 2k degrees of
-    freedom in the tail expansions.
+    freedom in the tail expansions; the standardized law reads these
+    doubles from a shipped table (:func:`_tube_weights`), not from here.
     """
 
     p: int
@@ -375,12 +379,31 @@ def largest_sv_tail_asymptotic(p: int, x: float) -> float:
     return value
 
 
+@lru_cache(maxsize=None)
+def _tube_rows() -> list[str]:
+    """The tube weight table's rows, read once: row p - 4 holds order p."""
+    with open(_TUBE_WEIGHTS, encoding="ascii") as fh:
+        return [line for line in fh if not line.startswith("#")]
+
+
+@lru_cache(maxsize=None)
+def _tube_weights(p: int) -> tuple[float, ...]:
+    """The 2t - 1 tube weights of order 4 <= p <= 173 from the row
+    ``p w_0 .. w_2t-2`` of float.hex text that tests/make_law_tables.py
+    writes, each the double nearest :func:`_exact_hankel`'s rational."""
+    row = (_tube_rows()[p - 4 : p - 3] or [""])[0].split()
+    if row[:1] != [str(p)] or len(row) != 2 * (p // 2):
+        raise DataError(f"{_TUBE_WEIGHTS} has no row of 2t - 1 = {2 * (p // 2) - 1} weights for p={p}")
+    return tuple(map(float.fromhex, row[1:]))
+
+
 def standardized_sv_upper(p: int, x: float) -> float:
     """Exact upper tail of sigma_1 / sqrt(sum sigma_i^2) for x in [1/sqrt(2), 1].
 
     The weighted beta-tail expansion is exact only at or above the
     critical point 1/sqrt(2); below it a :class:`ValidityError` is
-    raised rather than returning a silently wrong number.
+    raised rather than returning a silently wrong number.  The weights
+    are :func:`hankel_gram`'s doubles, read from :func:`_tube_weights`.
 
     Accuracy for 4 <= p <= 173, against 600-digit references at
     p = 24 .. 173: 1e-10 relative where the value is above 1e-280, else
@@ -389,7 +412,9 @@ def standardized_sv_upper(p: int, x: float) -> float:
     Below 1e-280 only that absolute bound holds, and the value need not
     fall as x grows.
     """
-    gram = hankel_gram(p)
+    law = spectrum_law(p)
+    if law.p < 4:
+        raise DomainError(f"the standardized law requires p >= 4 (tube formula range), got {p}")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     if x > 1.0 + 1e-12:
@@ -399,15 +424,13 @@ def standardized_sv_upper(p: int, x: float) -> float:
             f"x={x!r} is below the critical point 1/sqrt(2)={CRITICAL_POINT:.12f}; "
             "the tube expansion is not exact there"
         )
-    n = gram.p * (gram.p - 1) // 2
     y = min(x * x, 1.0)
     # weight k multiplies 1 - I_y(a_k, b_k), a_k = p - 3/2 - k, a_k + b_k = n/2;
     # the ladder climbs from the smallest tail, k = 2t - 2
-    a = gram.p - 1.5 - (2 * gram.t - 2)
-    b = 0.5 * n - a
-    tails = _beta_upper_rungs(beta_upper(a, b, y), a, b, y, 2 * gram.t - 1)
-    raw = sum(w * u for w, u in zip(gram.weights, tails[::-1]))
-    return probability(float(raw))
+    a = law.p - 1.5 - (2 * law.t - 2)
+    b = 0.5 * law.n - a
+    tails = _beta_upper_rungs(beta_upper(a, b, y), a, b, y, 2 * law.t - 1)
+    return probability(sum(map(operator.mul, _tube_weights(law.p), reversed(tails))))
 
 
 def euler_characteristic(p: int) -> int:

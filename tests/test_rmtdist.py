@@ -17,8 +17,8 @@ import pytest
 from scipy import integrate
 
 from skewtail import rmtdist
-from skewtail.errors import DomainError, ExcludedPointError, ValidityError
-from skewtail.specfun import beta_upper, chi2_upper
+from skewtail.errors import DataError, DomainError, ExcludedPointError, ValidityError
+from skewtail.specfun import _beta_upper_rungs, beta_upper, chi2_upper, probability
 from skewtail.rmtdist import (
     CRITICAL_POINT,
     critical_radius_objective,
@@ -662,6 +662,91 @@ class TestColdStart:
         assert sorted(upper for upper, _ in found["cold"].values()) == [False] * 4 + [True] * 4
 
 
+#: Run in a fresh interpreter: the CLI's standardized paths (``table1``,
+#: ``dist --kind standardized`` and ``analyze`` on the bundled sheet), then
+#: how often the tube weight table was opened, whether any exact rational was
+#: built, and whether ``fractions`` was ever imported.
+COLD_TUBE = """
+import contextlib, io, json, sys
+opened = []
+sys.addaudithook(lambda event, args: opened.append(str(args[0])) if event == "open" else None)
+from skewtail import cli, rmtdist
+from skewtail.io import central_league_1997_path
+builds = []
+exact = rmtdist._exact_hankel
+rmtdist._exact_hankel = lambda p: builds.append(p) or exact(p)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["table1"]), cli.main(["dist", "--kind", "standardized", "--p", "173", "--x", "0.9"]),
+             cli.main(["analyze", str(central_league_1997_path()), "--n-games", "27"])]
+read = [path for path in opened if path.endswith("tube_weights.txt")]
+print(json.dumps({"codes": codes, "read": read, "builds": builds, "fractions": "fractions" in sys.modules}))
+"""
+
+
+class TestTubeWeights:
+    """The standardized law's weights, read from the shipped table."""
+
+    @pytest.mark.parametrize("p", [*range(4, 21), 24, 32, 40, 48, 59, 60])
+    def test_match_the_gauss_jordan_oracle_rounded(self, p):
+        assert rmtdist._tube_weights(p) == tuple(float(w) for w in hankel_inverse_exact(p)[2])
+
+    @pytest.mark.parametrize("p", [100, 173])
+    def test_match_the_closed_form_rounded(self, p):
+        exact = rmtdist._exact_hankel(p)[2]
+        assert sum(exact) == p // 2
+        assert rmtdist._tube_weights(p) == tuple(float(w) for w in exact)
+
+    @pytest.mark.parametrize("p", [*range(4, 41), *range(41, 173, 12), 173])
+    def test_law_keeps_the_gram_weights_bits(self, p):
+        # the law before the table: the same ladder, weighted by hankel_gram
+        law, weights = spectrum_law(p), hankel_gram(p).weights
+        a = p - 1.5 - (2 * law.t - 2)
+        b = 0.5 * law.n - a
+        for x in np.linspace(CRITICAL_POINT, 1.0, 17):
+            y = min(x * x, 1.0)
+            tails = _beta_upper_rungs(beta_upper(a, b, y), a, b, y, 2 * law.t - 1)
+            expected = probability(float(sum(w * u for w, u in zip(weights, tails[::-1]))))
+            assert standardized_sv_upper(p, x).hex() == expected.hex(), x
+
+    def test_weights_are_python_floats(self):
+        weights = rmtdist._tube_weights(10)
+        assert type(weights) is tuple and {type(w) for w in weights} == {float}
+
+    @pytest.mark.parametrize("damage", ["short", "missing", "relabelled"])
+    def test_malformed_row_raises(self, damage, tmp_path, monkeypatch):
+        intact = standardized_sv_upper(9, 0.8)
+        with open(rmtdist._TUBE_WEIGHTS, encoding="ascii") as fh:
+            lines = fh.readlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("10 "))
+        if damage == "short":
+            lines[row] = lines[row].rsplit(" ", 1)[0] + "\n"
+        elif damage == "missing":
+            lines = lines[:row]
+        else:
+            lines[row] = "11" + lines[row][2:]
+        path = tmp_path / "tube_weights.txt"
+        path.write_text("".join(lines), encoding="ascii")
+        fresh_tube_cache(monkeypatch, str(path))
+        assert standardized_sv_upper(9, 0.8) == intact  # the rows before it still serve
+        with pytest.raises(DataError, match="p=10"):
+            standardized_sv_upper(10, 0.8)
+
+    def test_order_below_the_tube_range_raises_the_laws_own_error(self):
+        for p in (2, 3):
+            with pytest.raises(DomainError, match="standardized law requires p >= 4"):
+                standardized_sv_upper(p, 0.9)
+
+    def test_fresh_process_reads_the_table_once_and_builds_no_rational(self):
+        paths = [str(Path(rmtdist.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-c", COLD_TUBE], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        found = json.loads(proc.stdout)
+        assert found["codes"] == [0, 0, 0]
+        assert found["read"] == [rmtdist._TUBE_WEIGHTS]
+        assert found["builds"] == [] and found["fractions"] is False
+
+
 class TestHankelGram:
     def test_p4_inverse_closed_form(self):
         expected = np.array([[2.0, -1.0], [-1.0, 1.5]]) / SQRT_PI
@@ -975,6 +1060,16 @@ class TestEulerCharacteristic:
             euler_characteristic(3)
 
 
+def fresh_tube_cache(monkeypatch, path=None):
+    """Route rmtdist's tube weight reads through empty caches, from ``path``
+    if given."""
+    if path is not None:
+        monkeypatch.setattr(rmtdist, "_TUBE_WEIGHTS", path)
+    for name in ("_tube_rows", "_tube_weights"):
+        uncached = getattr(rmtdist, name).__wrapped__
+        monkeypatch.setattr(rmtdist, name, functools.lru_cache(maxsize=None)(uncached))
+
+
 def fresh_gram_cache(monkeypatch, exact_hankel):
     """Route rmtdist's gram builds through ``exact_hankel`` and an empty cache."""
     monkeypatch.setattr(rmtdist, "_exact_hankel", exact_hankel)
@@ -990,6 +1085,14 @@ class TestExactHankelBuilds:
         hankel_gram(41)
         standardized_sv_upper(41, 0.8)
         assert builds == [41]
+
+    def test_law_builds_none(self, monkeypatch):
+        builds, exact = [], rmtdist._exact_hankel
+        fresh_gram_cache(monkeypatch, lambda p: builds.append(p) or exact(p))
+        fresh_tube_cache(monkeypatch)
+        for p in (4, 9, 24, 59, 100, 173):
+            standardized_sv_upper(p, 0.8)
+        assert builds == []
 
     def test_euler_identity_checked_on_the_exact_weights(self, monkeypatch):
         exact = rmtdist._exact_hankel
