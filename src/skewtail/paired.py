@@ -336,27 +336,27 @@ def lrt_standardized_test(fit: ScheffeFit) -> tuple[float | None, float | None]:
 def max_deadlock(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
     """Largest three-way deadlock contrast over all oriented triples.
 
-    Evaluates (gamma_ij + gamma_jk + gamma_ki)/sqrt(3) for every triple
-    in both cyclic orientations and returns the 1-based triple (as
-    labeled on the score sheet) whose cycle sum is most positive.  Ties
-    go to the first triple a < b < c in lexicographic order.
+    Evaluates (gamma_ij + gamma_jk + gamma_ki)/sqrt(3) for every triple in
+    both cyclic orientations, one (a, c) block per middle index b, and returns
+    the 1-based triple (as labeled on the score sheet) whose cycle sum is most
+    positive.  Ties go to the first triple a < b < c in lexicographic order.
     """
     if fit.m < 3:
         raise DomainError(f"need m >= 3 for a triple, got {fit.m}")
     g = fit.gamma_hat
-    best_triple = None
-    best_value = -math.inf
-    pairs_b, pairs_c = np.triu_indices(fit.m, 1)  # lexicographic order
-    for a in range(fit.m - 2):
-        b, c = pairs_b[pairs_b > a], pairs_c[pairs_b > a]
-        cycle = ((g[a, b] + g[b, c]) + g[c, a]) / _SQRT3
-        value = np.where(cycle >= 0.0, cycle, -cycle)
-        k = int(np.argmax(value))
-        if value[k] > best_value:
-            best_value = float(value[k])
-            best_triple = (a, b[k], c[k]) if cycle[k] >= 0.0 else (c[k], b[k], a)
+    best_value, best_key, best_triple = -math.inf, None, None
+    for b in range(1, fit.m - 1):
+        cycle = ((g[:b, b, None] + g[None, b, b + 1:]) + g[b + 1:, :b].T) / _SQRT3
+        k = int(np.argmax(np.abs(cycle)))
+        a, c = divmod(k, fit.m - b - 1)
+        c += b + 1
+        cycle_k = float(cycle.flat[k])
+        value = cycle_k if cycle_k >= 0.0 else -cycle_k  # not abs(): a -0.0 stays -0.0
+        if value > best_value or (value == best_value and (a, b, c) < best_key):
+            best_value, best_key = value, (a, b, c)
+            best_triple = best_key if cycle_k >= 0.0 else (c, b, a)
     i, j, k = best_triple
-    return (int(i) + 1, int(j) + 1, int(k) + 1), best_value
+    return (i + 1, j + 1, k + 1), best_value
 
 
 def residual_embedding(fit: ScheffeFit) -> np.ndarray:

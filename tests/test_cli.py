@@ -328,6 +328,29 @@ class TestAnalyze:
         assert code == 4
         assert "row 3" in err and "column 2" in err and "2^63" in err
 
+    @pytest.mark.parametrize("diagonal", ["-", "0"], ids=["good-diagonal", "bad-diagonal"])
+    @pytest.mark.parametrize("column", [2, 4], ids=["before-diagonal", "after-diagonal"])
+    @pytest.mark.parametrize("cell", ["1.5", str(2**63)], ids=["non-integer", "2^63"])
+    def test_cell_defect_messages(self, tmp_path, cell, column, diagonal):
+        # the text of each defect's DataError, and which one wins within a
+        # row: cells are read left to right, so a defect before the diagonal
+        # wins over a bad diagonal cell, and a bad diagonal over one after it
+        from skewtail.errors import DataError
+        from skewtail.io import read_score_sheet_csv
+
+        rows = sheet_rows([[0, 13, 14, 15], [14, 0, 12, 11], [13, 15, 0, 16], [12, 16, 11, 0]])
+        rows[2][column - 1], rows[2][2] = cell, diagonal
+        bad = tmp_path / "bad.csv"
+        bad.write_text(csv_text(rows))
+        with pytest.raises(DataError) as exc:
+            read_score_sheet_csv(bad, 27)
+        if diagonal == "0" and column == 4:
+            assert str(exc.value) == f"{bad}: row 3, column 3: diagonal cell must be '-'"
+        else:
+            assert str(exc.value) == (
+                f"{bad}: row 3, column {column}: {cell!r} is not an integer win count below 2^63"
+            )
+
     @pytest.mark.parametrize("matrix", ["0\n", "0 1\n-1 0\n"], ids=["1x1", "2x2"])
     def test_raw_matrix_below_three_objects_exits_4(self, capsys, tmp_path, matrix):
         small = tmp_path / "small.txt"

@@ -82,12 +82,13 @@ def random_sheet(m: int, n: int, rng) -> ScoreSheet:
 
 
 def max_deadlock_loop(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
-    """Reference for max_deadlock: one triple at a time, first wins ties."""
-    g = fit.gamma_hat
+    """Reference for max_deadlock: one triple at a time, first wins ties.
+    Python floats round every sum as float64 does, and run faster."""
+    g = fit.gamma_hat.tolist()
     best_triple = None
     best_value = -math.inf
     for a, b, c in combinations(range(fit.m), 3):
-        cycle = (g[a, b] + g[b, c] + g[c, a]) / SQRT3
+        cycle = (g[a][b] + g[b][c] + g[c][a]) / SQRT3
         triple, value = ((a, b, c), cycle) if cycle >= 0.0 else ((c, b, a), -cycle)
         if value > best_value:
             best_value = value
@@ -485,7 +486,9 @@ class TestMaxDeadlock:
         _, value = max_deadlock(fit)
         assert value == pytest.approx(0.0, abs=1e-13)
 
-    @pytest.mark.parametrize("m", range(3, 13))
+    # integer residuals tie across middle-index blocks, where the search's
+    # visiting order differs most from the lexicographic tie rule
+    @pytest.mark.parametrize("m", [*range(3, 13), 20, 41])
     def test_matches_loop_on_tie_heavy_residuals(self, m):
         rng = np.random.default_rng(m)
         for _ in range(20):
@@ -496,7 +499,7 @@ class TestMaxDeadlock:
     def test_matches_loop_on_central_league(self, league_fit):
         assert max_deadlock(league_fit) == max_deadlock_loop(league_fit)
 
-    @pytest.mark.parametrize("m", [20, 40, 60])
+    @pytest.mark.parametrize("m", [20, 40, 60, 174])  # 174: the largest league the laws admit
     def test_matches_loop_on_random_league_sheets(self, m):
         rng = np.random.default_rng(m)
         r = np.triu(rng.binomial(27, 0.5, size=(m, m)), 1)
@@ -504,6 +507,22 @@ class TestMaxDeadlock:
         sheet = ScoreSheet(m=m, names=tuple(map(str, range(m))), n_games=27, r=r)
         fit = scheffe_fit(variance_stabilize(sheet))
         assert max_deadlock(fit) == max_deadlock_loop(fit)
+
+    # == cannot tell -0.0 from 0.0, so repr pins the sign of a zero value:
+    # taking the winner's magnitude with abs() would flip a -0.0
+    def test_sign_of_zero_on_subtractive_data(self):
+        even = ScoreSheet(m=6, names=tuple("abcdef"), n_games=26, r=13 * (1 - np.eye(6, dtype=int)))
+        for obs in (variance_stabilize(even), subtractive_observations([2.0, 1.0, 0.0, -1.0, -2.0])):
+            fit = scheffe_fit(obs)
+            assert repr(max_deadlock(fit)) == repr(max_deadlock_loop(fit)) == "((1, 2, 3), 0.0)"
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus", "minus"])
+    @pytest.mark.parametrize("m", [6, 60])
+    def test_sign_of_zero_on_all_zero_residual(self, m, zero):
+        fit = ScheffeFit(m=m, alpha_hat=np.zeros(m), gamma_hat=np.full((m, m), zero))
+        triple, value = max_deadlock(fit)
+        assert repr(value) == repr(zero) and triple == (1, 2, 3)
+        assert repr((triple, value)) == repr(max_deadlock_loop(fit))
 
     def test_value_bounded_by_sigma1(self):
         from skewtail.paired import interaction_spectrum
