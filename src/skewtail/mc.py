@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, MultiplicityError, PairingError
+from .errors import DataError, DomainError, MultiplicityError, PairingError
 
 _PAIR_RTOL = 1e-8
 #: Largest max |a_ij + a_ji| / max |a_ij| that both spectral solves accept as skew.
@@ -63,8 +63,8 @@ class TopPlane:
 
 def _triangle(p: int) -> int:
     """Length p(p-1)/2 of the upper triangle of an order-p matrix."""
-    if p < 2:
-        raise DomainError(f"matrix order must be >= 2, got {p}")
+    if not isinstance(p, (int, np.integer)) or p < 2:
+        raise DomainError(f"matrix order must be an integer >= 2, got {p!r}")
     return p * (p - 1) // 2
 
 
@@ -110,8 +110,8 @@ def _sample_blocks(p: int, count: int, seed: int, width: int,
     upper triangles of samples [s, e), drawn one block of ``_BLOCK``
     samples at a time into one workspace."""
     n = _triangle(p)
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise DomainError(f"count must be an integer >= 1, got {count!r}")
     key = _key(seed)
     work = _Workspace(p, min(_BLOCK, count))
     out = np.empty((count, width))
@@ -296,8 +296,8 @@ class SkewEigen:
     :class:`DomainError` unless A is square, p >= 2, finite and skew to relative
     ``_SKEW_RTOL``; the solve is of the skew completion of A's strict upper
     triangle, scaled by a power of two to max |a_ij| in [1/2, 1), which is exact.
-    Raises :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2.  Both
-    arrays are read-only, so a cached solve cannot be altered in place."""
+    Raises :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2 and :class:`DataError`
+    if sigma_1 overflows.  Both arrays are read-only, so a cached solve cannot be altered in place."""
 
     def __init__(self, a: np.ndarray):
         a = np.asarray(a, dtype=float)
@@ -313,7 +313,10 @@ class SkewEigen:
         eigs, vecs = np.linalg.eigh(1j * scaled)
         sigma = np.maximum(eigs[::-1][:len(a) // 2], 0.0)
         _check_energy((sigma * sigma)[None, :], np.array([energy]))
-        self.spectrum = np.ldexp(sigma, shift)
+        with np.errstate(over="ignore"):
+            self.spectrum = np.ldexp(sigma, shift)
+        if not np.isfinite(self.spectrum[0]):
+            raise DataError(f"sigma_1 = {float(sigma[0])!r} * 2^{shift} overflows double precision")
         self.top_vector = vecs[:, -1]
         self.spectrum.flags.writeable = self.top_vector.flags.writeable = False
 
@@ -342,10 +345,12 @@ class SkewEigen:
 
 
 def empirical_upper(samples, x: float) -> float:
-    """Fraction of samples strictly above x."""
+    """Fraction of samples strictly above x; a NaN sample or x is a DomainError."""
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise DomainError("empirical_upper requires at least one sample")
+    if math.isnan(x) or np.isnan(s).any():
+        raise DomainError("empirical_upper requires samples and a threshold that are not NaN")
     return float(np.mean(s > x))
 
 

@@ -340,21 +340,25 @@ def max_deadlock(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
     both cyclic orientations, one (a, c) block per middle index b, and returns
     the 1-based triple (as labeled on the score sheet) whose cycle sum is most
     positive.  Ties go to the first triple a < b < c in lexicographic order.
+    Raises :class:`DataError` when a residual entry or a cycle sum is not finite.
     """
     if fit.m < 3:
         raise DomainError(f"need m >= 3 for a triple, got {fit.m}")
     g = fit.gamma_hat
     best_value, best_key, best_triple = -math.inf, None, None
-    for b in range(1, fit.m - 1):
-        cycle = ((g[:b, b, None] + g[None, b, b + 1:]) + g[b + 1:, :b].T) / _SQRT3
-        k = int(np.argmax(np.abs(cycle)))
-        a, c = divmod(k, fit.m - b - 1)
-        c += b + 1
-        cycle_k = float(cycle.flat[k])
-        value = cycle_k if cycle_k >= 0.0 else -cycle_k  # not abs(): a -0.0 stays -0.0
-        if value > best_value or (value == best_value and (a, b, c) < best_key):
-            best_value, best_key = value, (a, b, c)
-            best_triple = best_key if cycle_k >= 0.0 else (c, b, a)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below as a DataError
+        for b in range(1, fit.m - 1):
+            cycle = ((g[:b, b, None] + g[None, b, b + 1:]) + g[b + 1:, :b].T) / _SQRT3
+            k = int(np.argmax(np.abs(cycle)))
+            a, c = divmod(k, fit.m - b - 1)
+            c += b + 1
+            cycle_k = float(cycle.flat[k])
+            value = cycle_k if cycle_k >= 0.0 else -cycle_k  # not abs(): a -0.0 stays -0.0
+            if value > best_value or (value == best_value and (a, b, c) < best_key):
+                best_value, best_key = value, (a, b, c)
+                best_triple = best_key if cycle_k >= 0.0 else (c, b, a)
+    if math.isinf(best_value) or not np.isfinite(g).all():
+        raise DataError("the interaction residual is not finite, or a deadlock contrast overflows the doubles")
     i, j, k = best_triple
     return (i + 1, j + 1, k + 1), best_value
 

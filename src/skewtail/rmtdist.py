@@ -21,11 +21,10 @@ provides:
   that delimits that validity range,
 * the Euler characteristic implied by the weights, an exact identity.
 
-The kernel's constants (quadrature rules, per-order switch points and
-recurrence coefficients) and the rounded tube weights come from cached
-readers of two shipped tables, each called on the first query of its law;
-the gram matrices (read-only arrays) are cached too; all is pure and
-thread-safe.
+The constants of both laws (the kernel's quadrature rules, switch points and
+recurrence coefficients, and the rounded tube weights) come from one cached
+reader of one shipped table, on the first query of either law; the gram
+matrices (read-only arrays) are cached too; all is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ CRITICAL_POINT = 1.0 / math.sqrt(2.0)
 #: Largest order of every law's verified envelope (the next one's g_11 overflows).
 _MAX_ORDER = 173
 _LAW_TABLES = os.path.join(os.path.dirname(__file__), "data", "law_tables.txt")
-_TUBE_WEIGHTS = os.path.join(os.path.dirname(__file__), "data", "tube_weights.txt")
 
 # Slack on the validity boundary so thresholds supplied with ~8 correct
 # digits (e.g. 0.70710678 from a table) are not rejected.
@@ -106,7 +104,7 @@ class HankelGram:
     g[i,j]`` for k = 0 .. 2t-2; the exact weights sum to t and weight k
     multiplies the chi-square/beta tail with 2p - 3 - 2k degrees of
     freedom in the tail expansions; the standardized law reads these
-    doubles from a shipped table (:func:`_tube_weights`), not from here.
+    doubles from the shipped table (:func:`_law_tables`), not from here.
     """
 
     p: int
@@ -187,22 +185,23 @@ def joint_density(sigma, p: int) -> float:
 
 @lru_cache(maxsize=None)
 def _law_tables() -> dict:
-    """Every constant of the sigma_1 kernel, read once from exact float.hex
-    text that tests/make_law_tables.py writes from the Newton builds in
+    """Every constant of both exact laws, read once from the float.hex text
+    that tests/make_law_tables.py writes, one ``[name]`` section each after
+    the comments.  For the sigma_1 kernel, built by Newton steps in
     tests/oracles.py (a test rebuilds every entry): the ``laguerre nodes``
     and ``weights`` for int_0^inf f(u) e^-u du; the ``legendre nodes`` for
     int_0^1 f(v) dv and, by eps, their ``root weights`` sqrt(2 w v^(2 eps));
     the ``switch points`` x_8(p), the least double x with tr M < 1/8, for
     p = 2 .. 173; and by eps the ``recurrence``, psi_0 and for k < 85
     (2k + 1 + a, sqrt(k (k + a)), sqrt((k + 1) (k + 1 + a))), a = eps - 1/2,
-    of which order p, t <= 86, takes the first t - 1."""
-    tables = {}
+    of which order p, t <= 86, takes the first t - 1.  For the tube formula,
+    entry p - 4 of ``tube weights`` is section ``tube weights p`` (or empty):
+    order p's 2t - 1 doubles nearest :func:`_exact_hankel`'s rationals."""
     with open(_LAW_TABLES, encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith("["):
-                column = tables[line.strip()[1:-1]] = []
-            elif not line.startswith("#"):
-                column.append(float.fromhex(line))
+        sections = fh.read().split("\n[")[1:]
+    tables = {name: tuple(map(float.fromhex, body.split()))
+              for name, _, body in (section.partition("]") for section in sections)}
+    tables["tube weights"] = [tables.pop(f"tube weights {p}", ()) for p in range(4, _MAX_ORDER + 1)]
     for name in ("laguerre nodes", "laguerre weights", "legendre nodes"):
         tables[name] = np.array(tables[name])
     v, w = tables["legendre nodes"], np.array(tables.pop("legendre weights"))
@@ -379,31 +378,13 @@ def largest_sv_tail_asymptotic(p: int, x: float) -> float:
     return value
 
 
-@lru_cache(maxsize=None)
-def _tube_rows() -> list[str]:
-    """The tube weight table's rows, read once: row p - 4 holds order p."""
-    with open(_TUBE_WEIGHTS, encoding="ascii") as fh:
-        return [line for line in fh if not line.startswith("#")]
-
-
-@lru_cache(maxsize=None)
-def _tube_weights(p: int) -> tuple[float, ...]:
-    """The 2t - 1 tube weights of order 4 <= p <= 173 from the row
-    ``p w_0 .. w_2t-2`` of float.hex text that tests/make_law_tables.py
-    writes, each the double nearest :func:`_exact_hankel`'s rational."""
-    row = (_tube_rows()[p - 4 : p - 3] or [""])[0].split()
-    if row[:1] != [str(p)] or len(row) != 2 * (p // 2):
-        raise DataError(f"{_TUBE_WEIGHTS} has no row of 2t - 1 = {2 * (p // 2) - 1} weights for p={p}")
-    return tuple(map(float.fromhex, row[1:]))
-
-
 def standardized_sv_upper(p: int, x: float) -> float:
     """Exact upper tail of sigma_1 / sqrt(sum sigma_i^2) for x in [1/sqrt(2), 1].
 
     The weighted beta-tail expansion is exact only at or above the
     critical point 1/sqrt(2); below it a :class:`ValidityError` is
     raised rather than returning a silently wrong number.  The weights
-    are :func:`hankel_gram`'s doubles, read from :func:`_tube_weights`.
+    are :func:`hankel_gram`'s doubles, read by :func:`_law_tables`.
 
     Accuracy for 4 <= p <= 173, against 600-digit references at
     p = 24 .. 173: 1e-10 relative where the value is above 1e-280, else
@@ -424,13 +405,16 @@ def standardized_sv_upper(p: int, x: float) -> float:
             f"x={x!r} is below the critical point 1/sqrt(2)={CRITICAL_POINT:.12f}; "
             "the tube expansion is not exact there"
         )
+    weights = _law_tables()["tube weights"][law.p - 4]
+    if (rungs := len(weights)) != 2 * law.t - 1:
+        raise DataError(f"{_LAW_TABLES} has no section of 2t - 1 = {2 * law.t - 1} tube weights for p={p}")
     y = min(x * x, 1.0)
     # weight k multiplies 1 - I_y(a_k, b_k), a_k = p - 3/2 - k, a_k + b_k = n/2;
     # the ladder climbs from the smallest tail, k = 2t - 2
-    a = law.p - 1.5 - (2 * law.t - 2)
+    a = law.p - 0.5 - rungs
     b = 0.5 * law.n - a
-    tails = _beta_upper_rungs(beta_upper(a, b, y), a, b, y, 2 * law.t - 1)
-    return probability(sum(map(operator.mul, _tube_weights(law.p), reversed(tails))))
+    tails = _beta_upper_rungs(beta_upper(a, b, y), a, b, y, rungs)
+    return probability(sum(map(operator.mul, weights, reversed(tails))))
 
 
 def euler_characteristic(p: int) -> int:

@@ -109,8 +109,7 @@ class TestCriterion1TableReproduction:
         )
 
     def test_runtime_under_one_second(self):
-        rmtdist._tube_rows.cache_clear()
-        rmtdist._tube_weights.cache_clear()
+        rmtdist._law_tables.cache_clear()
         rmtdist._log_constants.cache_clear()
         start = time.perf_counter()
         values = {p: standardized_sv_upper(p, CRITICAL_POINT) for p in range(4, 19)}

@@ -132,6 +132,16 @@ class TestDeterminism:
             with pytest.raises(DomainError, match="seed"):
                 sample_uppers(4, 1, seed=seed)
 
+    @pytest.mark.parametrize("sampler", [sample_uppers, sample_spectra, sample_tops])
+    def test_order_and_count_must_be_integers(self, sampler):
+        # a float order or count is a typed error, as a float seed is, not
+        # numpy's TypeError from a buffer of float length
+        with pytest.raises(DomainError, match="matrix order must be an integer >= 2, got 4.0"):
+            sampler(4.0, 10, 1)
+        with pytest.raises(DomainError, match="count must be an integer >= 1, got 10.0"):
+            sampler(4, 10.0, 1)
+        assert sampler(np.int64(4), np.int64(3), 1).shape[0] == 3
+
 
 class TestSampleLayout:
     def test_block_constants(self):
@@ -373,6 +383,14 @@ class TestEmpiricalHelpers:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             empirical_upper([], 0.0)
+
+    def test_nan_rejected(self):
+        # a NaN sample is never above x and no sample is above a NaN x, so
+        # either would read as a silent fraction (0.5 and 0.0 here)
+        for samples, x in (([math.nan, 1.0], 0.5), ([1.0, 2.0], math.nan)):
+            with pytest.raises(DomainError, match="not NaN"):
+                empirical_upper(samples, x)
+        assert empirical_upper([math.inf, 1.0], 0.5) == 1.0
 
     def test_standard_error(self):
         assert binomial_standard_error(0.5, 100) == pytest.approx(0.05)

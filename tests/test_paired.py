@@ -524,6 +524,22 @@ class TestMaxDeadlock:
         assert repr(value) == repr(zero) and triple == (1, 2, 3)
         assert repr((triple, value)) == repr(max_deadlock_loop(fit))
 
+    def test_non_finite_residual_is_a_data_error(self):
+        # entries of +-1.7e308 overflow the fit, which leaves infinite gamma
+        # entries: a search over them would answer an infinite value whose
+        # triple depends on the visiting order
+        u = np.triu(np.random.default_rng(2).choice([-1.7e308, 1.7e308], size=(6, 6)), 1)
+        fit = scheffe_fit(SkewObservations(m=6, y=u - u.T))
+        assert np.isinf(fit.gamma_hat).sum() == 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="residual is not finite"):
+                max_deadlock(fit)
+            # a finite residual whose cycle sums overflow
+            g = np.triu(np.full((6, 6), 1e308), 1)
+            with pytest.raises(DataError, match="deadlock contrast overflows"):
+                max_deadlock(ScheffeFit(m=6, alpha_hat=np.zeros(6), gamma_hat=g - g.T))
+
     def test_value_bounded_by_sigma1(self):
         from skewtail.paired import interaction_spectrum
 
@@ -689,6 +705,20 @@ def count_eigen_solves(monkeypatch) -> list:
             np.linalg, name, lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k)
         )
     return calls
+
+
+class TestOverflowingSpectrum:
+    def test_spectral_tests_raise_data_error(self):
+        # a finite residual of ~1e308 entries whose sigma_1 (3.7e308 here)
+        # overflows: the one eigen-solve says so, rather than a RuntimeWarning
+        # or an error about the infinite spectrum downstream
+        g = np.triu(np.full((6, 6), 1e308), 1)
+        for test in (interaction_spectrum, largest_sv_test, lrt_standardized_test, residual_embedding):
+            fit = ScheffeFit(m=6, alpha_hat=np.zeros(6), gamma_hat=g - g.T)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match="sigma_1 = .* overflows double precision"):
+                    test(fit)
 
 
 class TestBuildReport:

@@ -576,14 +576,15 @@ class TestSigma1Kernel:
             assert np.all(np.diff(expansion) <= 0.0)
 
     def test_shipped_tables_are_the_newton_builds(self):
-        # every entry of src/skewtail/data/law_tables.txt, the two Gauss rules
-        # and x_8(p) at p = 2 .. 173, rebuilt by the Newton steps of
-        # tests/oracles.py: bit for bit (float.hex text is exact), so the
-        # kernels keep every bit; and so is each column of the reader, which
-        # holds the Gauss-Legendre weights as root weights
+        # every entry of the kernel's sections of src/skewtail/data/law_tables.txt,
+        # the two Gauss rules and x_8(p) at p = 2 .. 173, rebuilt by the Newton
+        # steps of tests/oracles.py: bit for bit (float.hex text is exact), so
+        # the kernels keep every bit; and so is each column of the reader, which
+        # holds the Gauss-Legendre weights as root weights.  The tube weight
+        # sections after them are TestTubeWeights's (every order: --check's)
         rebuilt = law_tables()
         with open(rmtdist._LAW_TABLES, encoding="ascii") as fh:
-            assert fh.read() == render_law_tables(rebuilt)
+            assert fh.read().partition("[tube weights 4]\n")[0] == render_law_tables(rebuilt)
         shipped = rmtdist._law_tables()
         for name in ("laguerre nodes", "laguerre weights", "legendre nodes", "switch points"):
             assert np.array_equal(shipped[name], rebuilt[name]), name
@@ -664,7 +665,7 @@ class TestColdStart:
 
 #: Run in a fresh interpreter: the CLI's standardized paths (``table1``,
 #: ``dist --kind standardized`` and ``analyze`` on the bundled sheet), then
-#: how often the tube weight table was opened, whether any exact rational was
+#: which tables were opened and how often, whether any exact rational was
 #: built, and whether ``fractions`` was ever imported.
 COLD_TUBE = """
 import contextlib, io, json, sys
@@ -678,9 +679,14 @@ rmtdist._exact_hankel = lambda p: builds.append(p) or exact(p)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["table1"]), cli.main(["dist", "--kind", "standardized", "--p", "173", "--x", "0.9"]),
              cli.main(["analyze", str(central_league_1997_path()), "--n-games", "27"])]
-read = [path for path in opened if path.endswith("tube_weights.txt")]
+read = [path for path in opened if path.endswith(".txt")]
 print(json.dumps({"codes": codes, "read": read, "builds": builds, "fractions": "fractions" in sys.modules}))
 """
+
+
+def shipped_weights(p):
+    """Order p's tube weights as the table reader holds them."""
+    return rmtdist._law_tables()["tube weights"][p - 4]
 
 
 class TestTubeWeights:
@@ -688,13 +694,13 @@ class TestTubeWeights:
 
     @pytest.mark.parametrize("p", [*range(4, 21), 24, 32, 40, 48, 59, 60])
     def test_match_the_gauss_jordan_oracle_rounded(self, p):
-        assert rmtdist._tube_weights(p) == tuple(float(w) for w in hankel_inverse_exact(p)[2])
+        assert shipped_weights(p) == tuple(float(w) for w in hankel_inverse_exact(p)[2])
 
     @pytest.mark.parametrize("p", [100, 173])
     def test_match_the_closed_form_rounded(self, p):
         exact = rmtdist._exact_hankel(p)[2]
         assert sum(exact) == p // 2
-        assert rmtdist._tube_weights(p) == tuple(float(w) for w in exact)
+        assert shipped_weights(p) == tuple(float(w) for w in exact)
 
     @pytest.mark.parametrize("p", [*range(4, 41), *range(41, 173, 12), 173])
     def test_law_keeps_the_gram_weights_bits(self, p):
@@ -709,25 +715,30 @@ class TestTubeWeights:
             assert standardized_sv_upper(p, x).hex() == expected.hex(), x
 
     def test_weights_are_python_floats(self):
-        weights = rmtdist._tube_weights(10)
-        assert type(weights) is tuple and {type(w) for w in weights} == {float}
+        # one tuple of 2t - 1 floats per order p = 4 .. 173, at entry p - 4
+        weights = rmtdist._law_tables()["tube weights"]
+        assert len(weights) == rmtdist._MAX_ORDER - 3
+        for p, row in enumerate(weights, start=4):
+            assert type(row) is tuple and len(row) == 2 * (p // 2) - 1, p
+            assert {type(w) for w in row} == {float}, p
 
     @pytest.mark.parametrize("damage", ["short", "missing", "relabelled"])
     def test_malformed_row_raises(self, damage, tmp_path, monkeypatch):
-        intact = standardized_sv_upper(9, 0.8)
-        with open(rmtdist._TUBE_WEIGHTS, encoding="ascii") as fh:
+        intact = standardized_sv_upper(9, 0.8), largest_sv_upper(9, 3.0)
+        with open(rmtdist._LAW_TABLES, encoding="ascii") as fh:
             lines = fh.readlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith("10 "))
+        head = lines.index("[tube weights 10]\n")
         if damage == "short":
-            lines[row] = lines[row].rsplit(" ", 1)[0] + "\n"
+            del lines[head + 9]  # the last of order 10's 2t - 1 = 9 weights
         elif damage == "missing":
-            lines = lines[:row]
+            lines = lines[:head]
         else:
-            lines[row] = "11" + lines[row][2:]
-        path = tmp_path / "tube_weights.txt"
+            lines[head] = "[tube weights 11]\n"
+        path = tmp_path / "law_tables.txt"
         path.write_text("".join(lines), encoding="ascii")
-        fresh_tube_cache(monkeypatch, str(path))
-        assert standardized_sv_upper(9, 0.8) == intact  # the rows before it still serve
+        fresh_law_tables(monkeypatch, str(path))
+        # the other sections still serve, the kernel's and order 9's
+        assert (standardized_sv_upper(9, 0.8), largest_sv_upper(9, 3.0)) == intact
         with pytest.raises(DataError, match="p=10"):
             standardized_sv_upper(10, 0.8)
 
@@ -743,7 +754,7 @@ class TestTubeWeights:
         assert proc.returncode == 0, proc.stderr
         found = json.loads(proc.stdout)
         assert found["codes"] == [0, 0, 0]
-        assert found["read"] == [rmtdist._TUBE_WEIGHTS]
+        assert found["read"] == [rmtdist._LAW_TABLES]
         assert found["builds"] == [] and found["fractions"] is False
 
 
@@ -1060,14 +1071,12 @@ class TestEulerCharacteristic:
             euler_characteristic(3)
 
 
-def fresh_tube_cache(monkeypatch, path=None):
-    """Route rmtdist's tube weight reads through empty caches, from ``path``
-    if given."""
+def fresh_law_tables(monkeypatch, path=None):
+    """Route rmtdist's table reads through an empty cache, from ``path`` if given."""
     if path is not None:
-        monkeypatch.setattr(rmtdist, "_TUBE_WEIGHTS", path)
-    for name in ("_tube_rows", "_tube_weights"):
-        uncached = getattr(rmtdist, name).__wrapped__
-        monkeypatch.setattr(rmtdist, name, functools.lru_cache(maxsize=None)(uncached))
+        monkeypatch.setattr(rmtdist, "_LAW_TABLES", path)
+    uncached = rmtdist._law_tables.__wrapped__
+    monkeypatch.setattr(rmtdist, "_law_tables", functools.lru_cache(maxsize=None)(uncached))
 
 
 def fresh_gram_cache(monkeypatch, exact_hankel):
@@ -1089,7 +1098,7 @@ class TestExactHankelBuilds:
     def test_law_builds_none(self, monkeypatch):
         builds, exact = [], rmtdist._exact_hankel
         fresh_gram_cache(monkeypatch, lambda p: builds.append(p) or exact(p))
-        fresh_tube_cache(monkeypatch)
+        fresh_law_tables(monkeypatch)
         for p in (4, 9, 24, 59, 100, 173):
             standardized_sv_upper(p, 0.8)
         assert builds == []
