@@ -345,8 +345,10 @@ def max_deadlock(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
     if fit.m < 3:
         raise DomainError(f"need m >= 3 for a triple, got {fit.m}")
     g = fit.gamma_hat
+    if not np.isfinite(g).all():
+        raise DataError("the interaction residual is not finite")
     best_value, best_key, best_triple = -math.inf, None, None
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below as a DataError
+    with np.errstate(over="ignore"):  # an infinite winner is raised below as a DataError
         for b in range(1, fit.m - 1):
             cycle = ((g[:b, b, None] + g[None, b, b + 1:]) + g[b + 1:, :b].T) / _SQRT3
             k = int(np.argmax(np.abs(cycle)))
@@ -357,8 +359,8 @@ def max_deadlock(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
             if value > best_value or (value == best_value and (a, b, c) < best_key):
                 best_value, best_key = value, (a, b, c)
                 best_triple = best_key if cycle_k >= 0.0 else (c, b, a)
-    if math.isinf(best_value) or not np.isfinite(g).all():
-        raise DataError("the interaction residual is not finite, or a deadlock contrast overflows the doubles")
+    if math.isinf(best_value):
+        raise DataError("a deadlock contrast overflows the doubles")
     i, j, k = best_triple
     return (i + 1, j + 1, k + 1), best_value
 

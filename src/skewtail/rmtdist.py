@@ -201,6 +201,8 @@ def _law_tables() -> dict:
         sections = fh.read().split("\n[")[1:]
     tables = {name: tuple(map(float.fromhex, body.split()))
               for name, _, body in (section.partition("]") for section in sections)}
+    if len(tables) != len(sections):
+        raise DataError(f"{_LAW_TABLES} repeats a section")
     tables["tube weights"] = [tables.pop(f"tube weights {p}", ()) for p in range(4, _MAX_ORDER + 1)]
     for name in ("laguerre nodes", "laguerre weights", "legendre nodes"):
         tables[name] = np.array(tables[name])

@@ -162,12 +162,12 @@ class TestValidate:
         assert "overall: PASS" in out1
         assert "min sigma1^2" in out1  # the p in {4,5} sharp-threshold check
 
-    def test_failing_check_exits_1(self, capsys, monkeypatch):
-        # a wrong upper tail fails the quantile lines above the median, and
-        # the verdict is the exit status as well as the last line
+    def test_failing_check_prints_overall_fail(self, capsys, monkeypatch):
+        # a wrong upper tail fails the quantile lines above the median; the
+        # verdict is the last line, and the exit status stays 0
         monkeypatch.setattr(cli, "largest_sv_upper", lambda p, x: 0.5)
         code, out, _ = run_cli(capsys, "validate", "--p", "6", "--samples", "4000")
-        assert code == 1
+        assert code == 0
         assert out.count("FAIL") == 3 and out.endswith("overall: FAIL\n")
 
     def test_too_few_samples_exits_2(self, capsys):

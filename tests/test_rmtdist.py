@@ -733,7 +733,7 @@ class TestTubeWeights:
         elif damage == "missing":
             lines = lines[:head]
         else:
-            lines[head] = "[tube weights 11]\n"
+            lines[head] = "[tube weights 174]\n"  # past the last order, so never read
         path = tmp_path / "law_tables.txt"
         path.write_text("".join(lines), encoding="ascii")
         fresh_law_tables(monkeypatch, str(path))
@@ -741,6 +741,18 @@ class TestTubeWeights:
         assert (standardized_sv_upper(9, 0.8), largest_sv_upper(9, 3.0)) == intact
         with pytest.raises(DataError, match="p=10"):
             standardized_sv_upper(10, 0.8)
+
+    def test_repeated_section_raises(self, tmp_path, monkeypatch):
+        # order 11's section relabelled as a second order 10 must not let
+        # either one shadow the other, so the whole table is refused
+        text = Path(rmtdist._LAW_TABLES).read_text(encoding="ascii")
+        path = tmp_path / "law_tables.txt"
+        path.write_text(text.replace("[tube weights 11]\n", "[tube weights 10]\n"), encoding="ascii")
+        fresh_law_tables(monkeypatch, str(path))
+        for law, p, x in ((standardized_sv_upper, 10, 0.8), (standardized_sv_upper, 11, 0.8),
+                          (largest_sv_upper, 9, 3.0)):
+            with pytest.raises(DataError, match="repeats a section"):
+                law(p, x)
 
     def test_order_below_the_tube_range_raises_the_laws_own_error(self):
         for p in (2, 3):
