@@ -11,6 +11,7 @@ line.
 """
 
 from .errors import (
+    ConvergenceError,
     DataError,
     DomainError,
     ExcludedPointError,
@@ -66,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CRITICAL_POINT",
+    "ConvergenceError",
     "DataError",
     "DomainError",
     "ExcludedPointError",

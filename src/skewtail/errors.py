@@ -45,6 +45,11 @@ class MultiplicityError(SkewtailError):
     2-plane (and anything derived from it) is not well defined."""
 
 
+class ConvergenceError(SkewtailError, ArithmeticError):
+    """A special function's expansion did not converge within its
+    iteration bound, or cannot start, at legal arguments this large."""
+
+
 class ExcludedPointError(SkewtailError):
     """The critical-radius objective was evaluated at (or numerically
     too close to) a rotation matrix, where it is a 0/0 form."""

@@ -262,9 +262,13 @@ def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
 
 
 def interaction_spectrum(fit: ScheffeFit, sigma2: float = 1.0) -> np.ndarray:
-    """Paired singular values of gamma_hat / sqrt(sigma2), descending."""
+    """Paired singular values of gamma_hat / sqrt(sigma2), descending;
+    :class:`DomainError` when the division by sqrt(sigma2) overflows."""
     _check_sigma2(sigma2)
-    return fit.eigen.spectrum / math.sqrt(sigma2)
+    root = math.sqrt(sigma2)
+    if math.isinf(float(fit.eigen.spectrum[0]) / root):
+        raise DomainError(f"the spectrum sigma_i / sqrt(sigma2) overflows for sigma2 = {sigma2!r}")
+    return fit.eigen.spectrum / root
 
 
 def _check_sigma2(sigma2: float) -> None:
@@ -386,7 +390,9 @@ def signed_area(points: np.ndarray, i: int, j: int, k: int) -> float:
     pts = np.asarray(points, dtype=float)
     if len({i, j, k}) != 3 or not all(0 <= idx < len(pts) for idx in (i, j, k)):
         raise DomainError(f"need three distinct indices below {len(pts)}, got ({i}, {j}, {k})")
-    (xi, yi), (xj, yj), (xk, yk) = pts[i], pts[j], pts[k]
+    (xi, yi), (xj, yj), (xk, yk) = corners = pts[[i, j, k]]
+    if not np.isfinite(corners).all():
+        raise DomainError(f"triangle ({i}, {j}, {k}) has a non-finite point")
     return 0.5 * ((xj - xi) * (yk - yi) - (xk - xi) * (yj - yi))
 
 

@@ -192,11 +192,12 @@ def _law_tables() -> dict:
     and ``weights`` for int_0^inf f(u) e^-u du; the ``legendre nodes`` for
     int_0^1 f(v) dv and, by eps, their ``root weights`` sqrt(2 w v^(2 eps));
     the ``switch points`` x_8(p), the least double x with tr M < 1/8, for
-    p = 2 .. 173; and by eps the ``recurrence``, psi_0 and for k < 85
-    (2k + 1 + a, sqrt(k (k + a)), sqrt((k + 1) (k + 1 + a))), a = eps - 1/2,
-    of which order p, t <= 86, takes the first t - 1.  For the tube formula,
-    entry p - 4 of ``tube weights`` is section ``tube weights p`` (or empty):
-    order p's 2t - 1 doubles nearest :func:`_exact_hankel`'s rationals."""
+    p = 2 .. 173; and by eps the ``recurrence``, psi_0 and, for k < 85, the
+    shifts 2k + 1 + a (an array), backs sqrt(k (k + a)) and norms, the next
+    backs, a = eps - 1/2, of which order p, t <= 86, takes the first t - 1.
+    For the tube formula, entry p - 4 of ``tube weights`` is section ``tube
+    weights p`` (or empty): order p's 2t - 1 doubles nearest
+    :func:`_exact_hankel`'s rationals."""
     with open(_LAW_TABLES, encoding="ascii") as fh:
         sections = fh.read().split("\n[")[1:]
     tables = {name: tuple(map(float.fromhex, body.split()))
@@ -208,9 +209,9 @@ def _law_tables() -> dict:
         tables[name] = np.array(tables[name])
     v, w = tables["legendre nodes"], np.array(tables.pop("legendre weights"))
     tables["legendre root weights"] = tuple(np.sqrt(2.0 * w * v ** (2.0 * eps)) for eps in (0, 1))
-    tables["recurrence"] = tuple((math.exp(-0.5 * math.lgamma(a + 1.0)), [
-        (2 * k + 1 + a, math.sqrt(k * (k + a)), math.sqrt((k + 1) * (k + 1 + a)))
-        for k in range(_MAX_ORDER // 2 - 1)]) for a in (-0.5, 0.5))
+    roots = {a: [math.sqrt(k * (k + a)) for k in range(_MAX_ORDER // 2)] for a in (-0.5, 0.5)}
+    tables["recurrence"] = [(math.exp(-0.5 * math.lgamma(a + 1.0)), 2.0 * np.arange(len(r) - 1) + 1.0 + a,
+                             r, r[1:]) for a, r in roots.items()]
     return tables
 
 
@@ -220,12 +221,13 @@ def _kernel(law: SpectrumLaw, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
     a = eps - 1/2; scale_i^2 is the node's weight times what of
     lam^a e^-lam the rule's weight function lacks, each factor rounded on
     its own (one exp of their summed logs would be eps * lam off).  Row k
-    takes psi_k in place, in the plain recurrence's order of operations."""
-    first, steps = _law_tables()["recurrence"][law.eps]
+    takes psi_k in place, in the plain recurrence's order of operations,
+    from its shift minus lam, which one broadcast gives rows 1 .. t - 1."""
+    first, shifts, backs, norms = _law_tables()["recurrence"][law.eps]
     b, scratch = np.empty((law.t, lam.size)), np.empty_like(lam)
     b[0] = first
-    for k, (shift, back, norm) in enumerate(steps[: law.t - 1]):
-        row = np.subtract(shift, lam, out=b[k + 1])
+    np.subtract.outer(shifts[: law.t - 1], lam, out=b[1:])
+    for k, row, back, norm in zip(range(law.t - 1), b[1:], backs, norms):
         row *= b[k]
         if k:
             row -= np.multiply(back, b[k - 1], out=scratch)
@@ -261,8 +263,13 @@ def _sigma1(p: int, x: float) -> tuple[float, float, float]:
     *Random Matrices*, ch. 13; Bornemann, Math. Comp. 2010).  One kernel
     per call: from x_8(p) (:func:`_law_tables`) on, tr M < 1/8 and the CDF
     is exp(-S), S = -log det(I - M) = sum_j tr(M^j) / j: no term is negative,
-    so the tail 1 - exp(-S) keeps its relative accuracy, and as rho(M) <= tr M,
-    by the 18th term one is at most 2^-54 tr M and ends the sum.  Below it,
+    so the tail 1 - exp(-S) keeps its relative accuracy.  One product serves
+    two terms, tr M^(2h) = <P_h, P_h> and tr M^(2h+1) = <P_h, P_(h+1)>, P_h =
+    M^h; as rho(M) <= tr M, by the 18th (8 products) a term is at most
+    2^-54 tr M and ends the sum.  An even term, a sum of squares, cannot round
+    below its true size; an odd one can, but each later term is at most
+    rho(M) <= 1/8 times the one before, so those it leaves out sum to at most
+    a seventh of its true size.  Below x_8(p),
     N = I - M and det N by Cholesky give all three: there the Gauss-Laguerre
     M is off for p = 2, since lam^(-1/2) is singular near the rule's endpoint
     (by 2.4e-10 where tr M = 1/2, 1e-14 at 1/4 and 5e-15 at 1/8).
@@ -281,8 +288,9 @@ def _sigma1(p: int, x: float) -> tuple[float, float, float]:
         trace = float(m.trace())
         total, term, power, j = trace, trace, m, 1
         while term > 2.0 ** -54 * trace:
-            power, j = power @ m, j + 1
-            term = float(power.trace()) / j
+            j += 1  # <P_h, P_h> at j = 2h, <P_h, P_(h+1)> at j = 2h + 1
+            previous, power = power, power @ m if j % 2 else power
+            term = float(np.vdot(previous, power)) / j
             total += term
         return math.exp(-total), -math.expm1(-total), trace
     n = _lower_kernel(law, x)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 _EPS = 1e-15
 _ITMAX = 600
@@ -92,12 +92,14 @@ def _lower_gamma_series(s: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             return total
-    raise ArithmeticError(f"incomplete gamma series failed to converge (s={s}, x={x})")
+    raise ConvergenceError(f"incomplete gamma series failed to converge (s={s}, x={x})")
 
 
 def _upper_gamma_cf(s: float, x: float) -> float:
     """Continued fraction for Q(s, x), valid for x >= s + 1 (modified Lentz)."""
     b = x + 1.0 - s
+    if b == 0.0:  # x = s, past where s + 1 rounds to s
+        raise ConvergenceError(f"incomplete gamma continued fraction cannot start (s={s}, x={x})")
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
@@ -115,7 +117,7 @@ def _upper_gamma_cf(s: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return math.exp(_log_gamma_front(s, x)) * h
-    raise ArithmeticError(f"incomplete gamma continued fraction failed (s={s}, x={x})")
+    raise ConvergenceError(f"incomplete gamma continued fraction failed (s={s}, x={x})")
 
 
 def log_regularized_gamma_lower(s: float, x: float) -> float:
@@ -186,7 +188,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
-    raise ArithmeticError(f"incomplete beta continued fraction failed (a={a}, b={b}, x={x})")
+    raise ConvergenceError(f"incomplete beta continued fraction failed (a={a}, b={b}, x={x})")
 
 
 def regularized_beta(a: float, b: float, x: float) -> float:

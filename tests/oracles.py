@@ -127,7 +127,9 @@ def sigma1_trace_routed(p: int, x: float) -> tuple[float, float, float]:
     """:func:`skewtail.rmtdist._sigma1` routed by the trace it reads: build
     M and take the trace series where tr M < 1/8, else build N as well and
     take det N by Cholesky.  The library picks the same piece from its
-    cached switch point, so it must match this bit for bit."""
+    cached switch point, so it must match this bit for bit.  The series
+    sums tr(M^j) / j in pairs, tr M^(2h) = <P_h, P_h> and tr M^(2h+1) =
+    <P_h, P_(h+1)> with P_h = M^h, to the first term <= 2^-54 tr M."""
     law = rmtdist.spectrum_law(p)
     y = float(x) * float(x)
     if math.isinf(y) or (y > 2 * law.n and chi2_upper(law.n, y) == 0.0):
@@ -135,11 +137,18 @@ def sigma1_trace_routed(p: int, x: float) -> tuple[float, float, float]:
     m = rmtdist._upper_kernel(law, x)
     trace = float(np.trace(m))
     if trace < 0.125:
-        total, term, power, j = trace, trace, m, 1
-        while term > 2.0 ** -54 * trace:
-            power, j = power @ m, j + 1
-            term = float(np.trace(power)) / j
-            total += term
+        stop, total, h, power = 2.0 ** -54 * trace, trace, 1, m
+        while True:
+            even = float(np.vdot(power, power)) / (2 * h)
+            total += even
+            if even <= stop:
+                break
+            following = power @ m
+            odd = float(np.vdot(power, following)) / (2 * h + 1)
+            total += odd
+            if odd <= stop:
+                break
+            h, power = h + 1, following
         return math.exp(-total), -math.expm1(-total), trace
     n = rmtdist._lower_kernel(law, x)
     try:

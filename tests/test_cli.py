@@ -649,7 +649,7 @@ PAPER_CRITERION_EXPORTS = (
     "euler_characteristic", "joint_density", "largest_sv_tail_asymptotic",
     "normalizing_constants", "sample_spectra", "volume_U",
 )
-TYPES_AND_ERRORS = ("PairingError", "TopPlane")
+TYPES_AND_ERRORS = ("ConvergenceError", "PairingError", "TopPlane")
 
 
 def objects_read_by(module) -> list:

@@ -651,6 +651,14 @@ class TestSignedArea:
         with pytest.raises(DomainError, match="below 4"):
             signed_area(pts, index, 0, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # only the triangle's three rows are read
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [bad, 0.0]])
+        assert signed_area(pts, 0, 1, 2) == 0.5
+        with pytest.raises(DomainError, match=r"triangle \(0, 3, 2\) has a non-finite point"):
+            signed_area(pts, 0, 3, 2)
+
 
 class TestInvariances:
     @settings(max_examples=40, deadline=None)
@@ -719,6 +727,18 @@ class TestOverflowingSpectrum:
                 warnings.simplefilter("error")
                 with pytest.raises(DataError, match="sigma_1 = .* overflows double precision"):
                     test(fit)
+
+    def test_division_by_sqrt_sigma2_is_a_domain_error(self):
+        # a finite spectrum (1e200 entries) over sqrt(1e-300) passes the float
+        # maximum: a DomainError names sigma2, as chi_square_test's does, not a
+        # RuntimeWarning or an error about an infinite x downstream
+        g = np.triu(np.full((6, 6), 1e200), 1)
+        fit = ScheffeFit(m=6, alpha_hat=np.zeros(6), gamma_hat=g - g.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for test in (interaction_spectrum, largest_sv_test):
+                with pytest.raises(DomainError, match="overflows for sigma2 = 1e-300"):
+                    test(fit, sigma2=1e-300)
 
 
 class TestBuildReport:

@@ -516,9 +516,10 @@ class TestSigma1Kernel:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 10, 32, 60, 100, 173])
     def test_series_length(self, p, monkeypatch):
-        # the series ends at its first term <= 2^-54 tr M, and rho(M) <= tr M:
-        # at most 18 products M^j where tr M is just under 1/8, and 2 below
-        # 1e-8.  M counts the products taken from it
+        # the series ends at its first term <= 2^-54 tr M, by the 18th as
+        # rho(M) <= tr M; one product M^(h+1) serves tr M^(2h) and
+        # tr M^(2h+1): at most 8 products where tr M is just under 1/8, and 1
+        # below 1e-8.  M counts the products taken from it
         law, products, upper_kernel = spectrum_law(p), [], rmtdist._upper_kernel
 
         class Counted(np.ndarray):
@@ -530,7 +531,7 @@ class TestSigma1Kernel:
             return float(np.trace(upper_kernel(law, x)))
 
         monkeypatch.setattr(rmtdist, "_upper_kernel", lambda law, x: upper_kernel(law, x).view(Counted))
-        for target, most in ((0.125, 18), (1e-8, 2)):
+        for target, most in ((0.125, 8), (1e-8, 1)):
             lo, hi = 0.0, 3.4 * math.sqrt(p) + 20.0  # trace(lo) >= target > trace(hi)
             for _ in range(60):
                 mid = 0.5 * (lo + hi)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from skewtail.errors import DomainError
+from skewtail import specfun
+from skewtail.errors import ConvergenceError, DomainError, SkewtailError
 from skewtail.specfun import (
     _beta_upper_rungs,
     beta_upper,
@@ -289,6 +290,31 @@ class TestRungs:
                 leading = s * math.log(x) - x - math.lgamma(s + 1.0)
                 assert math.isfinite(value)
                 assert abs(value - leading) <= 1e-12 * abs(leading)
+
+
+class TestConvergenceErrors:
+    """Legal arguments past what an expansion reaches raise a typed error
+    that names them, and is still an ArithmeticError."""
+
+    def test_is_a_skewtail_arithmetic_error(self):
+        assert issubclass(ConvergenceError, SkewtailError)
+        assert issubclass(ConvergenceError, ArithmeticError)
+
+    def test_gamma_fraction_that_cannot_start(self):
+        # x = s past 2^53, so b = x + 1 - s rounds to 0
+        with pytest.raises(ConvergenceError, match=r"cannot start \(s=5e\+299, x=5e\+299\)"):
+            chi2_upper(1e300, 1e300)
+
+    def test_beta_fraction_past_its_iterations(self):
+        # about sqrt(a) terms are needed, and the fraction stops at 600
+        with pytest.raises(ConvergenceError, match=r"a=100000000.0, b=100000000.0, x=0.5"):
+            beta_upper(1e8, 1e8, 0.5)
+
+    @pytest.mark.parametrize(("x", "route"), [(2.0, "series"), (20.0, "continued fraction")])
+    def test_gamma_expansions_past_their_iterations(self, monkeypatch, x, route):
+        monkeypatch.setattr(specfun, "_iterations", lambda s: 1)
+        with pytest.raises(ConvergenceError, match=f"gamma {route} .*s=4.5, x={x}"):
+            log_regularized_gamma_lower(4.5, x)
 
 
 class TestProbabilityGuard:
