@@ -67,22 +67,36 @@ def read_score_sheet_csv(path, n_games: int) -> ScoreSheet:
                 f"{path}: row {i + 1} is labeled {cells[0]!r} but the header "
                 f"says object {i} is {names[i - 1]!r}"
             )
-        for j, cell in enumerate(cells[1:], start=1):
-            if i == j:
-                if cell != "-":
-                    raise DataError(f"{path}: row {i + 1}, column {j + 1}: diagonal cell must be '-'")
-                continue
-            try:
-                r[i - 1, j - 1] = int(cell)
-            except (ValueError, OverflowError):
-                raise DataError(
-                    f"{path}: row {i + 1}, column {j + 1}: {cell!r} is not an integer "
-                    "win count below 2^63"
-                ) from None
+        counts = cells[1:]
+        diagonal, counts[i - 1] = counts[i - 1], "0"
+        try:
+            if diagonal != "-":
+                raise ValueError(diagonal)
+            r[i - 1] = list(map(int, counts))  # OverflowError outside int64
+        except (ValueError, OverflowError):
+            raise _row_defect(path, i, cells) from None
     try:
         return ScoreSheet(m=m, names=names, n_games=n_games, r=r)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _row_defect(path, i: int, cells: list[str]) -> DataError:
+    """The first defect of row i + 1 read left to right: a diagonal cell
+    that is not '-', or a count that int() rejects or int64 cannot hold."""
+    for j, cell in enumerate(cells[1:], start=1):
+        where = f"{path}: row {i + 1}, column {j + 1}"
+        if j == i:
+            if cell != "-":
+                return DataError(f"{where}: diagonal cell must be '-'")
+            continue
+        try:
+            if -(2**63) <= int(cell) < 2**63:
+                continue
+        except ValueError:
+            pass
+        return DataError(f"{where}: {cell!r} is not an integer win count below 2^63")
+    raise AssertionError(f"row {i + 1} failed to parse but has no defect")
 
 
 def read_skew_matrix(path) -> SkewObservations:
@@ -145,15 +159,15 @@ def report_to_dict(report: TestReport) -> dict:
             "stat": report.std_stat,
             "p": std_p,
         },
-        "spectrum": [float(s) for s in report.spectrum],
+        "spectrum": report.spectrum.tolist(),
         "deadlock": {
             "triple": list(report.deadlock_triple),
             "value": report.deadlock_value,
             "area_ratio": deadlock_area_ratio(report),
         },
         "embedding": None if report.embedding is None else [
-            {"name": name, "x": float(x), "y": float(y)}
-            for name, (x, y) in zip(report.names, report.embedding)
+            {"name": name, "x": x, "y": y}
+            for name, (x, y) in zip(report.names, report.embedding.tolist())
         ],
     }
 
@@ -180,7 +194,7 @@ def render_text(report: TestReport) -> str:
         f"  chi-square      stat = {report.chi2_stat:.3f}   df = {report.chi2_df}   p = {report.chi2_p:.4f}",
         f"  largest sv      stat = {report.sv_stat:.3f}   p = {report.sv_p:.4f}",
         f"  standardized    {std}",
-        "  spectrum        " + ", ".join(f"{s:.3f}" for s in report.spectrum),
+        "  spectrum        " + ", ".join(f"{s:.3f}" for s in report.spectrum.tolist()),
         f"  deadlock        ({triple})   value = {report.deadlock_value:.3f}   [{cycle} > ...]",
     ]
     if report.embedding is None:
@@ -195,6 +209,6 @@ def render_text(report: TestReport) -> str:
             "",
             "  embedding (sqrt(sigma1) * (u_i, v_i)):",
         ]
-        for name, (x, y) in zip(report.names, report.embedding):
+        for name, (x, y) in zip(report.names, report.embedding.tolist()):
             lines.append(f"    {name:<12s} {x:+.4f}  {y:+.4f}")
     return "\n".join(lines) + "\n"

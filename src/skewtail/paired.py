@@ -53,6 +53,8 @@ class ScoreSheet:
             raise DataError(f"expected {self.m} names, got {len(self.names)}")
         if self.n_games < 1:
             raise DataError(f"games per pair must be >= 1, got {self.n_games}")
+        if self.n_games >= 2**63:
+            raise DataError(f"games per pair must be below 2^63, got {self.n_games}")
         r = np.asarray(self.r)
         if r.shape != (self.m, self.m):
             raise DataError(f"score matrix must be {self.m}x{self.m}, got {r.shape}")
@@ -67,12 +69,12 @@ class ScoreSheet:
             raise DataError(
                 f"score r[{i + 1},{j + 1}]={r[i, j]} outside 0..{self.n_games}"
             )
-        wins = r.astype(object)  # Python ints, so r + r.T cannot wrap
-        bad = ~np.eye(self.m, dtype=bool) & (wins + wins.T != self.n_games)
+        wins = r.astype(np.int64)  # entries in 0..n_games < 2^63: n_games - r.T is exact
+        bad = ~np.eye(self.m, dtype=bool) & (wins != self.n_games - wins.T)
         if np.any(bad):
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise DataError(
-                f"r[{i + 1},{j + 1}] + r[{j + 1},{i + 1}] = {wins[i, j] + wins[j, i]} != "
+                f"r[{i + 1},{j + 1}] + r[{j + 1},{i + 1}] = {int(r[i, j]) + int(r[j, i])} != "
                 f"{self.n_games}: ties or miscounts are not allowed"
             )
         object.__setattr__(self, "r", r)

@@ -12,13 +12,16 @@ The incomplete-gamma evaluation follows the classic split: a power
 series for the lower tail when ``x < s + 1`` and a continued fraction
 (modified Lentz) for the upper tail otherwise.  Near ``x = s`` the
 series needs about 8.3 sqrt(s) terms, so the iteration bound grows with
-``s``; both share the front factor x^s e^-x / Gamma(s), formed through
-a Stirling remainder so that it does not cancel at large ``s``.  The
-incomplete beta uses the standard continued fraction with the symmetry
-switch at ``x = (a + 1)/(a + b + 2)``.  Absolute accuracy is ~1e-14 for
-chi-square df up to 14878, the most a report of 174 teams reaches
-(6e-15 against scipy over the mean +- 8 sd), comfortably inside the
-1e-12 contract.
+``s``, capped at 2^23 terms.  The cap does not bind below s = 8.7e11,
+and near x = s the series still converges up to s = 1.5e12; past that,
+near x = s, either expansion raises ConvergenceError within about a
+second instead of running for minutes.  Both share the front factor
+x^s e^-x / Gamma(s), formed through a Stirling remainder so that it
+does not cancel at large ``s``.  The incomplete beta uses the standard
+continued fraction with the symmetry switch at ``x = (a + 1)/(a + b + 2)``.
+Absolute accuracy is ~1e-14 for chi-square df up to 14878, the most a
+report of 174 teams reaches (6e-15 against scipy over the mean +- 8 sd),
+comfortably inside the 1e-12 contract.
 
 The standardized law needs a whole ladder of beta tails whose
 parameters step by one (2t - 1 per value).  ``_beta_upper_rungs`` climbs
@@ -77,8 +80,9 @@ def _log_gamma_front(s: float, x: float) -> float:
 
 def _iterations(s: float) -> int:
     """Terms enough for either expansion near x = s, where the series'
-    terms fall like exp(-k^2 / 2s): 1e-15 takes about 8.3 sqrt(s) of them."""
-    return _ITMAX + int(9.0 * math.sqrt(s))
+    terms fall like exp(-k^2 / 2s): 1e-15 takes about 8.3 sqrt(s) of them.
+    Capped at 2^23 terms, so that a huge s raises instead of running on."""
+    return min(_ITMAX + int(9.0 * math.sqrt(s)), 2**23)
 
 
 def _lower_gamma_series(s: float, x: float) -> float:

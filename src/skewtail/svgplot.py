@@ -35,7 +35,8 @@ def residual_plot_svg(embedding, names, deadlock_triple: tuple[int, int, int]) -
     """
     pts = np.asarray(embedding, dtype=float)
     to_screen = _scaler(pts)
-    corners = " ".join("{:.2f},{:.2f}".format(*to_screen(*pts[i - 1])) for i in deadlock_triple)
+    xy = pts.tolist()  # Python floats: the per-point arithmetic and formatting skip numpy scalars
+    corners = " ".join("{:.2f},{:.2f}".format(*to_screen(*xy[i - 1])) for i in deadlock_triple)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
@@ -51,7 +52,7 @@ def residual_plot_svg(embedding, names, deadlock_triple: tuple[int, int, int]) -
         f'<polygon points="{corners}" fill="none" stroke="#c33" '
         'stroke-width="1.5" stroke-dasharray="5,3"/>',
     ]
-    for name, (x, y) in zip(names, pts):
+    for name, (x, y) in zip(names, xy):
         sx, sy = to_screen(x, y)
         parts.append(
             f'<g class="point"><circle cx="{sx:.2f}" cy="{sy:.2f}" r="4" fill="#225"/>'

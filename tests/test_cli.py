@@ -3,6 +3,7 @@ determinism, and the SVG plot."""
 
 import ast
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -359,6 +360,46 @@ class TestAnalyze:
                 f"{bad}: row 3, column {column}: {cell!r} is not an integer win count below 2^63"
             )
 
+    def test_cells_that_int_accepts_are_read(self, tmp_path):
+        # a count cell is what int() reads: surrounding whitespace, a sign
+        # and digit separators are accepted
+        from skewtail.io import read_score_sheet_csv
+
+        r = [[0, 13, 14, 15], [14, 0, 12, 11], [13, 15, 0, 16], [12, 16, 11, 0]]
+        rows = sheet_rows(r)
+        rows[1][2], rows[2][1], rows[3][4], rows[4][3] = " 13 ", "\t14", "+16", "1_1"
+        sheet_path = tmp_path / "padded.csv"
+        sheet_path.write_text(csv_text(rows))
+        sheet = read_score_sheet_csv(sheet_path, 27)
+        assert sheet.r.dtype == np.int64 and sheet.r.tolist() == r
+
+    @pytest.mark.parametrize(("cells", "message"), [
+        ({(3, 2): ""}, "row 3, column 2: '' is not an integer win count below 2^63"),
+        ({(3, 2): str(2**63), (4, 2): "1.5"},
+         f"row 3, column 2: '{2**63}' is not an integer win count below 2^63"),
+        ({(4, 2): "1.5", (3, 5): str(2**63)},
+         f"row 3, column 5: '{2**63}' is not an integer win count below 2^63"),
+        ({(3, 2): "-5"}, "score r[2,1]=-5 outside 0..27"),
+        ({(3, 2): str(-2**63)}, f"score r[2,1]={-2**63} outside 0..27"),
+        ({(3, 2): str(2**63 - 1)}, f"score r[2,1]={2**63 - 1} outside 0..27"),
+    ], ids=["empty", "2^63-then-1.5", "upper-row-first", "negative", "-2^63-parses",
+            "2^63-1-parses"])
+    def test_first_defect_top_to_bottom_left_to_right(self, tmp_path, cells, message):
+        # an int64 count parses and meets ScoreSheet's range check; anything
+        # int() rejects or int64 cannot hold is the reader's, and the first
+        # such cell read row by row, left to right, is the one reported
+        from skewtail.errors import DataError
+        from skewtail.io import read_score_sheet_csv
+
+        rows = sheet_rows([[0, 13, 14, 15], [14, 0, 12, 11], [13, 15, 0, 16], [12, 16, 11, 0]])
+        for (row, column), cell in cells.items():
+            rows[row - 1][column - 1] = cell
+        bad = tmp_path / "bad.csv"
+        bad.write_text(csv_text(rows))
+        with pytest.raises(DataError) as exc:
+            read_score_sheet_csv(bad, 27)
+        assert str(exc.value) == f"{bad}: {message}"
+
     @pytest.mark.parametrize("matrix", ["0\n", "0 1\n-1 0\n"], ids=["1x1", "2x2"])
     def test_raw_matrix_below_three_objects_exits_4(self, capsys, tmp_path, matrix):
         small = tmp_path / "small.txt"
@@ -599,6 +640,27 @@ def loaded_by_cli_import(modules) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+class TestBundledSheetRenderings:
+    """SHA-256 of each rendering of the bundled sheet at 27 games per pair.
+    A change that moves a byte of them updates the digest and says why."""
+
+    @pytest.mark.parametrize(("args", "digest"), [
+        (["--format", "json"], "168bf770199020026754e2fdfc2bbe504145077581f1a2f9ce23a2f1c0165988"),
+        ([], "be4c66533d4dc0822fe78e569864e128f0b5a7e247831da1f1f04151e55d5d68"),
+    ], ids=["json", "text"])
+    def test_analyze(self, capsys, args, digest):
+        code, out, _ = run_cli(capsys, "analyze", FIXTURE, "--n-games", "27", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_plot(self, capsys, tmp_path):
+        svg = tmp_path / "league.svg"
+        assert run_cli(capsys, "plot", FIXTURE, "--n-games", "27", "--out", str(svg))[0] == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "11a17e8c5fbc900ae3fd0f9bfa1da306b60e0af88b1c9d41153162375907fb1c"
+        )
 
 
 def readme_library_block() -> str:

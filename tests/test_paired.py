@@ -158,6 +158,19 @@ class TestScoreSheet:
             "ties or miscounts are not allowed"
         )
 
+    def test_games_per_pair_from_2_63_rejected(self):
+        # like the reader's counts, n_games must be below 2^63, so that the
+        # pair check n_games - r.T is exact in int64
+        r = np.zeros((3, 3), dtype=np.int64)
+        with pytest.raises(DataError, match=r"games per pair must be below 2\^63, got 9223372036854775808"):
+            ScoreSheet(m=3, names=("a", "b", "c"), n_games=2**63, r=r)
+
+    def test_uint64_counts_that_sum_correctly_accepted(self):
+        n = 2**63 - 1
+        r = np.array([[0, n, 5], [0, 0, n - 7], [n - 5, 7, 0]], dtype=np.uint64)
+        sheet = ScoreSheet(m=3, names=("a", "b", "c"), n_games=n, r=r)
+        assert sheet.r.dtype == np.uint64 and np.array_equal(sheet.r, r)
+
     def test_out_of_range_rejected(self):
         r = np.zeros((3, 3), dtype=int)
         r[0, 1], r[1, 0] = 9, -4

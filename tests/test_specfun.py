@@ -2,6 +2,7 @@
 tail identities."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -315,6 +316,22 @@ class TestConvergenceErrors:
         monkeypatch.setattr(specfun, "_iterations", lambda s: 1)
         with pytest.raises(ConvergenceError, match=f"gamma {route} .*s=4.5, x={x}"):
             log_regularized_gamma_lower(4.5, x)
+
+    @pytest.mark.parametrize(("f", "args"), [
+        (chi2_upper, (1e16, 1e16)),
+        (log_regularized_gamma_lower, (5e15, 5e15)),
+    ], ids=["chi2_upper", "log_regularized_gamma_lower"])
+    def test_huge_s_raises_within_seconds(self, f, args):
+        # near x = s the series needs about 8.3 sqrt(s) = 5.9e8 terms at
+        # s = 5e15; the 2^23-term cap stops it in under a second
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=r"s=5000000000000000.0, x=5000000000000000.0"):
+            f(*args)
+        assert time.perf_counter() - start < 2.0
+
+    def test_cap_keeps_the_bits_where_it_does_not_bind(self):
+        # s = 5e11: 600 + 9 sqrt(s) = 6.4e6 terms, below the 2^23 cap
+        assert chi2_upper(1e12, 1e12) == 0.49999981199035815
 
 
 class TestProbabilityGuard:
