@@ -98,8 +98,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     )
 
     print("sigma1 upper tail at empirical quantiles:")
-    for q in _QUANTILE_POINTS:
-        x = float(np.quantile(sigma1, q))
+    for x in np.quantile(sigma1, _QUANTILE_POINTS).tolist():
         exact = largest_sv_upper(p, x)
         emp = mc.empirical_upper(sigma1, x)
         line, ok = _validate_line(

@@ -227,11 +227,14 @@ def _kernel(law: SpectrumLaw, lam: np.ndarray, scale: np.ndarray) -> np.ndarray:
     b, scratch = np.empty((law.t, lam.size)), np.empty_like(lam)
     b[0] = first
     np.subtract.outer(shifts[: law.t - 1], lam, out=b[1:])
-    for k, row, back, norm in zip(range(law.t - 1), b[1:], backs, norms):
-        row *= b[k]
+    rows = list(b)
+    previous = current = rows[0]
+    for k, row, back, norm in zip(range(law.t - 1), rows[1:], backs, norms):
+        np.multiply(row, current, row)
         if k:
-            row -= np.multiply(back, b[k - 1], out=scratch)
-        row /= norm
+            np.subtract(row, np.multiply(back, previous, scratch), row)
+        np.divide(row, norm, row)
+        previous, current = current, row
     b *= scale
     return b @ b.T
 

@@ -28,12 +28,14 @@ parameters step by one (2t - 1 per value).  ``_beta_upper_rungs`` climbs
 it from one scalar evaluation with the contiguous relation of DLMF
 8.17, run in the direction where each step adds a nonnegative term
 formed in log domain, which keeps it stable (Gil, Segura & Temme,
-*Numerical Methods for Special Functions*, SIAM 2007, ch. 4).
+*Numerical Methods for Special Functions*, SIAM 2007, ch. 4).  Its rungs'
+log-gamma terms depend on (a, b, count) alone: ``_rung_terms`` caches them.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 
@@ -60,7 +62,10 @@ def log_gamma(x: float) -> float:
     """Natural log of the gamma function for positive real x."""
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma({x!r}) overflows a double") from None
 
 
 def _log_gamma_front(s: float, x: float) -> float:
@@ -153,6 +158,8 @@ def chi2_upper(nu: float, y: float) -> float:
     s, x = nu / 2.0, y / 2.0
     if x == 0.0:
         return 1.0
+    if s == 0.0:
+        raise DomainError(f"chi2_upper requires nu / 2 > 0 as a double, got nu={nu!r}")
     if x < s + 1.0:
         return max(0.0, 1.0 - math.exp(_log_gamma_front(s, x)) * _lower_gamma_series(s, x))
     return min(1.0, _upper_gamma_cf(s, x))
@@ -205,10 +212,13 @@ def regularized_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
+    try:
+        front = math.exp(
+            math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            + a * math.log(x) + b * math.log1p(-x)
+        )
+    except OverflowError:
+        raise DomainError(f"I_x(a, b) overflows its front factor at a={a!r}, b={b!r}, x={x!r}") from None
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
@@ -225,6 +235,14 @@ def beta_upper(a: float, b: float, y: float) -> float:
     return probability(regularized_beta(b, a, 1.0 - y))
 
 
+@lru_cache(maxsize=None)
+def _rung_terms(a: float, b: float, count: int) -> tuple[float, tuple[tuple[float, ...], ...]]:
+    """(ln Gamma(a + b), ((a_k, b_k - 1, ln Gamma(a_k + 1), ln Gamma(b_k)) for k <
+    count - 1)), a_k = a + k, b_k = b - k: the y-free part of each rung's log."""
+    terms = tuple((a + k, b - k - 1.0, math.lgamma(a + k + 1.0), math.lgamma(b - k)) for k in range(count - 1))
+    return math.lgamma(a + b), terms
+
+
 def _beta_upper_rungs(u: float, a: float, b: float, y: float, count: int) -> list[float]:
     """[1 - I_y(a, b), 1 - I_y(a + 1, b - 1), ..., 1 - I_y(a + count - 1,
     b - count + 1)] from u = 1 - I_y(a, b); requires b - count + 1 > 0.
@@ -232,15 +250,15 @@ def _beta_upper_rungs(u: float, a: float, b: float, y: float, count: int) -> lis
     Steps along a + b fixed, from the smallest tail up, by
     1 - I_y(a + 1, b - 1) = 1 - I_y(a, b)
     + y^a (1 - y)^(b-1) Gamma(a + b) / (Gamma(a + 1) Gamma(b)).
+    The log-gamma terms come from :func:`_rung_terms`, cached per (a, b,
+    count): one entry per order p for the standardized law.
     """
     rungs = [u]
     if y == 0.0 or y == 1.0:
         return rungs * count
-    log_y, log_1my, log_sum = math.log(y), math.log1p(-y), math.lgamma(a + b)
-    for k in range(count - 1):
-        ak, bk = a + k, b - k
-        u = min(1.0, u + math.exp(
-            ak * log_y + (bk - 1.0) * log_1my + log_sum - math.lgamma(ak + 1.0) - math.lgamma(bk)
-        ))
+    log_y, log_1my = math.log(y), math.log1p(-y)
+    log_sum, terms = _rung_terms(a, b, count)
+    for ak, bk1, log_gamma_a1, log_gamma_b in terms:
+        u = min(1.0, u + math.exp(ak * log_y + bk1 * log_1my + log_sum - log_gamma_a1 - log_gamma_b))
         rungs.append(u)
     return rungs

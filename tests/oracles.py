@@ -25,6 +25,9 @@ computes in closed form.
   :func:`switch_point_newton` build by Newton steps the constants the
   library ships in ``src/skewtail/data/law_tables.txt``;
   ``tests/make_law_tables.py`` writes that file from them;
+* :func:`beta_upper_rungs_plain` climbs the standardized law's ladder of
+  beta tails with two ``math.lgamma`` calls per rung, the route the
+  library's per-order cache of those terms replaced;
 * :func:`regularized_gamma_lower` and :func:`chi2_lower` are the linear
   lower tails that :func:`skewtail.specfun.log_regularized_gamma_lower`
   and :func:`skewtail.specfun.chi2_upper` are checked against;
@@ -71,6 +74,23 @@ def regularized_gamma_lower(s: float, x: float) -> float:
 def chi2_lower(nu: float, y: float) -> float:
     """Lower tail P(chi2_nu <= y), derived as the complement of the upper tail."""
     return probability(1.0 - chi2_upper(nu, y))
+
+
+def beta_upper_rungs_plain(u: float, a: float, b: float, y: float, count: int) -> list[float]:
+    """:func:`skewtail.specfun._beta_upper_rungs` with each rung's two
+    log-gamma terms computed in place; the library reads them from a cache
+    and must match this bit for bit."""
+    rungs = [u]
+    if y == 0.0 or y == 1.0:
+        return rungs * count
+    log_y, log_1my, log_sum = math.log(y), math.log1p(-y), math.lgamma(a + b)
+    for k in range(count - 1):
+        ak, bk = a + k, b - k
+        u = min(1.0, u + math.exp(
+            ak * log_y + (bk - 1.0) * log_1my + log_sum - math.lgamma(ak + 1.0) - math.lgamma(bk)
+        ))
+        rungs.append(u)
+    return rungs
 
 
 def laguerre_kernel_entrywise(t: int, a: float, lam: np.ndarray, scale: np.ndarray):

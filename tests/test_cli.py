@@ -663,6 +663,28 @@ class TestBundledSheetRenderings:
         )
 
 
+class TestLawRenderings:
+    """SHA-256 of the outputs of the exact laws' paths: the table, point
+    queries of both laws and a seeded validation.  A change that moves a
+    byte of them updates the digest and says why."""
+
+    @pytest.mark.parametrize(("args", "digest"), [
+        (["table1"], "f5235d2471be6b39c597a8b8ee28797c7a6d81224080dc06d19ebbb56016116d"),
+        (["dist", "--kind", "cdf", "--p", "18", "--x", "6.0"],
+         "54b117c9561125e94fcb9e17cdcc720bc128cb138e25e29fef2694cf11e1485f"),
+        (["dist", "--kind", "tail", "--p", "18", "--x", "6.0"],
+         "bf635bfc1a54cde50229f66ff7395c0378dc3be11bb72685e0cd2234db47ff43"),
+        (["dist", "--kind", "standardized", "--p", "18", "--x", "0.8"],
+         "d980e2e10c43dd655cfcb473335900e1848758f9fb4600a3f11ef76a3166bf27"),
+        (["validate", "--p", "6", "--samples", "2000", "--seed", "3"],
+         "ab12c11cc5c0223632583321e9d648e0a8f99e0daad389cc380d957f73173cc9"),
+    ], ids=["table1", "dist-cdf", "dist-tail", "dist-standardized", "validate"])
+    def test_output(self, capsys, args, digest):
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def readme_library_block() -> str:
     """The python block under README's "Library entry points" heading."""
     with open(README, encoding="utf-8") as fh:

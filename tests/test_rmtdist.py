@@ -1038,6 +1038,20 @@ class TestStandardizedUpper:
         assert calls == [(a, b)]
         assert betas == [(b, a)]
 
+    def test_ladder_cache_holds_one_entry_per_order(self):
+        # the log-gamma terms are keyed by a triple derived from p alone, so a
+        # sweep of every order and of hostile x leaves at most 170 entries
+        from skewtail import specfun
+
+        specfun._rung_terms.cache_clear()
+        for p in range(4, rmtdist._MAX_ORDER + 1):
+            for x in (CRITICAL_POINT, 0.8, 0.95, 1.0):
+                standardized_sv_upper(p, x)
+            for x in (math.nan, math.inf, -math.inf, 1e308):
+                with pytest.raises(DomainError):
+                    standardized_sv_upper(p, x)
+        assert specfun._rung_terms.cache_info().currsize <= rmtdist._MAX_ORDER - 3
+
     def test_validity_error_distinct_from_domain_error(self):
         with pytest.raises(ValidityError):
             standardized_sv_upper(6, 0.5)

@@ -2,6 +2,7 @@
 tail identities."""
 
 import math
+import re
 import time
 import warnings
 
@@ -23,7 +24,7 @@ from skewtail.specfun import (
     regularized_beta,
 )
 
-from oracles import chi2_lower, regularized_gamma_lower
+from oracles import beta_upper_rungs_plain, chi2_lower, regularized_gamma_lower
 
 
 def chi2_upper_quadrature(nu: float, y: float) -> float:
@@ -80,6 +81,12 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(x)
 
+    def test_overflow_is_a_domain_error(self):
+        # ln Gamma(x) passes the largest double near x = 2.56e305
+        assert log_gamma(2.5e305) == math.lgamma(2.5e305)
+        with pytest.raises(DomainError, match=r"log_gamma\(1e\+308\)"):
+            log_gamma(1e308)
+
 
 class TestChi2Tails:
     def test_zero_threshold_is_one(self):
@@ -129,6 +136,12 @@ class TestChi2Tails:
         ys = np.linspace(max(0.0, df - 8.0 * sd), df + 8.0 * sd, 33)
         got = np.array([chi2_upper(df, float(y)) for y in ys])
         assert np.max(np.abs(got - special.chdtrc(df, ys))) <= 1e-12
+
+    def test_half_degrees_of_freedom_that_underflow(self):
+        # nu = 5e-324 passes nu > 0 but halves to 0; P(chi2 > 0) is still 1
+        with pytest.raises(DomainError, match="nu=5e-324"):
+            chi2_upper(5e-324, 1.0)
+        assert chi2_upper(5e-324, 0.0) == 1.0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -208,6 +221,14 @@ class TestBetaTails:
         with pytest.raises(DomainError):
             regularized_beta(-1.0, 2.0, 0.5)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1e308), (1e308, 1.0)])
+    def test_front_factor_overflow_is_a_domain_error(self, a, b):
+        # ln Gamma(a + b) overflows; the message names the tail's a, b and x
+        with pytest.raises(DomainError, match=re.escape(f"a={b!r}, b={a!r}, x=0.5")):
+            beta_upper(a, b, 0.5)
+        with pytest.raises(DomainError, match=re.escape(f"a={a!r}, b={b!r}, x=0.5")):
+            regularized_beta(a, b, 0.5)
+
 
 def ladder(p: int) -> tuple[int, float]:
     """(2t - 1, p - 3/2 - (2t - 2)): the rung count of order p's tube
@@ -262,6 +283,20 @@ class TestRungs:
             reference = special.betainc(b, a, 1.0 - y)
             keep = reference > 1e-250
             assert np.all(np.abs(rungs - reference)[keep] <= 5e-12 * reference[keep])
+
+    @pytest.mark.parametrize("y", [0.0, 0.5, 0.64, 0.81, 0.98, 1.0 - 1e-12, 1.0])
+    def test_beta_ladder_keeps_the_plain_ladders_bits(self, y):
+        # the standardized law's ladder of every order, as it calls it, on
+        # a cold call and again on one that reads the cached log-gamma terms
+        specfun._rung_terms.cache_clear()
+        for p in range(4, 174):
+            count = 2 * (p // 2) - 1
+            a = p - 0.5 - count
+            b = 0.5 * (p * (p - 1) // 2) - a
+            u = beta_upper(a, b, y)
+            plain = beta_upper_rungs_plain(u, a, b, y, count)
+            assert _beta_upper_rungs(u, a, b, y, count) == plain, p
+            assert _beta_upper_rungs(u, a, b, y, count) == plain, p
 
     def test_zero_threshold(self):
         count, s0 = ladder(11)
