@@ -83,8 +83,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise DomainError(f"validation needs at least 1000 samples, got {args.samples}")
     p = args.p
     rmtdist.spectrum_law(p)  # raises past the laws' envelope
-    sigma1, energy = mc.sample_tops(p, args.samples, args.seed).T
-    n = sigma1.size
+    tops = mc.sample_tops(p, args.samples, args.seed)
+    n = len(tops)
+    sigma1, energy = tops.T
+    if p in (4, 5):
+        top_share = float(np.min(sigma1**2 / energy))
+    if p >= 4:  # sigma1 / sqrt(sum sigma^2), written over the energies
+        ratios = np.divide(sigma1, np.sqrt(energy, out=energy), out=energy)
+        std_emps = [mc.empirical_upper(ratios, x) for x in _STD_TAIL_POINTS]
+        del ratios
+    # every sigma1 line reads only the multiset of values: one sorted copy outlives the samples
+    sigma1 = np.sort(sigma1)
+    del tops, energy
     all_ok = True
     print(f"validate p={p} samples={args.samples} seed={args.seed}")
 
@@ -108,18 +118,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(line)
 
     if p >= 4:
-        ratios = sigma1 / np.sqrt(energy)
         print("standardized upper tail:")
-        for x in _STD_TAIL_POINTS:
+        for x, emp in zip(_STD_TAIL_POINTS, std_emps):
             exact = standardized_sv_upper(p, x)
-            emp = mc.empirical_upper(ratios, x)
             line, ok = _validate_line(
                 f"x={x:.2f}  ", emp, exact, mc.binomial_standard_error(exact, n)
             )
             all_ok &= ok
             print(line)
         if p in (4, 5):
-            top_share = float(np.min(sigma1**2 / energy))
             ok = top_share > 0.5
             all_ok &= ok
             print(

@@ -8,6 +8,8 @@ tube-method tail below the critical point).  Callers that fall back to
 Monte-Carlo on validity errors must not swallow domain errors.
 """
 
+import numpy as np
+
 
 class SkewtailError(Exception):
     """Base class for all errors raised by this package."""
@@ -53,3 +55,11 @@ class ConvergenceError(SkewtailError, ArithmeticError):
 class ExcludedPointError(SkewtailError):
     """The critical-radius objective was evaluated at (or numerically
     too close to) a rotation matrix, where it is a 0/0 form."""
+
+
+def whole(name: str, value, low: int) -> int:
+    """``value`` as an int if it is an integer >= ``low`` and not a bool, else a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
+    return int(value)

@@ -10,7 +10,8 @@ exact, to max |a_ij| in [1/2, 1), and check its spectrum against the
 energy identity sum(sigma^2) = ||A||_F^2 / 2 to relative 1e-8.  The
 batched solve (:func:`spectra_of_matrices`, :func:`spectra_from_uppers`)
 is a skew Householder tridiagonalization with delayed updates over a
-(p, p, B) stack with the batch last, then one t x t eigen-solve per
+(p, p, B) stack with the batch last, which keeps each step's vectors v_k
+and z_k in the triangles it no longer reads, then one t x t eigen-solve per
 sample; :class:`SkewEigen`, the single solve that also keeps the top
 plane, checks that a (p, p) array is skew and is one Hermitian
 eigen-solve of iA.  Both are within 1e-13 * sigma_1 of LAPACK's SVD.
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DomainError, MultiplicityError, PairingError
+from .errors import DataError, DomainError, MultiplicityError, PairingError, whole
 
 _PAIR_RTOL = 1e-8
 #: Largest max |a_ij + a_ji| / max |a_ij| that both spectral solves accept as skew.
@@ -63,16 +64,13 @@ class TopPlane:
 
 def _triangle(p: int) -> int:
     """Length p(p-1)/2 of the upper triangle of an order-p matrix."""
-    if not isinstance(p, (int, np.integer)) or p < 2:
-        raise DomainError(f"matrix order must be an integer >= 2, got {p!r}")
+    p = whole("matrix order", p, 2)
     return p * (p - 1) // 2
 
 
 def _key(seed: int) -> np.ndarray:
     """The Philox key of ``seed``: two 64-bit words of its SeedSequence state."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    return np.random.SeedSequence(whole("seed", seed, 0)).generate_state(2, np.uint64)
 
 
 def _rows(key: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
@@ -86,13 +84,13 @@ def _rows(key: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Flat buffers for batched solves of up to ``count`` order-``p`` samples: ``cut`` views
+    """Flat buffers for batched solves of up to ``count`` order-``p`` samples: the Philox rows,
+    the (p, p, B) stack, which also holds the reduction's v_k and z_k, and M'M.  ``cut`` views
     a buffer's front as a C-contiguous array of any smaller batch, laid out as a fresh one."""
 
     def __init__(self, p: int, count: int):
         self.p, w, t = p, max(count, 2), p // 2
         self._flat = {"rows": np.empty(w * _triangle(p)), "stack": np.empty(p * p * w),
-                      "vz": np.empty(2 * p * (p - 2) * w),  # the V and Z panels
                       "mtm": np.zeros(w * t * t)}  # a solve writes only its band
 
     def cut(self, name: str, *shape: int) -> np.ndarray:
@@ -110,9 +108,7 @@ def _sample_blocks(p: int, count: int, seed: int, width: int,
     upper triangles of samples [s, e), drawn one block of ``_BLOCK``
     samples at a time into one workspace."""
     n = _triangle(p)
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise DomainError(f"count must be an integer >= 1, got {count!r}")
-    key = _key(seed)
+    count, key = whole("count", count, 1), _key(seed)
     work = _Workspace(p, min(_BLOCK, count))
     out = np.empty((count, width))
     for s in range(0, count, _BLOCK):
@@ -127,23 +123,24 @@ def sample_uppers(p: int, count: int, seed: int) -> np.ndarray:
     return _sample_blocks(p, count, seed, _triangle(p), lambda rows, work: rows)
 
 
-def _skew_subdiagonal(a: np.ndarray, work: _Workspace, e: np.ndarray) -> None:
+def _skew_subdiagonal(a: np.ndarray, e: np.ndarray) -> None:
     """Write into ``e`` the sub-diagonal magnitudes e_0..e_{p-2} of a skew
     tridiagonal Q'AQ, for a (p, p, B) stack of skew-symmetric matrices
-    laid out batch last.
+    laid out batch last, which the reduction overwrites.
 
     Step k of p - 2 Householder steps H = I - beta v v' takes its column
     and its matvec from A_k = A + V Z' - Z V', whose panels V, Z hold the
     earlier steps' v and z = beta A_k v: for a skew A_k, v'A_k v = 0, so
-    H A_k H = A_k + v z' - z v' with no correction term.  A itself is
-    never written, which is what keeps the step cheap at large p.
+    H A_k H = A_k + v z' - z v' with no correction term.  As in LAPACK's
+    dsytrd, the panels live where no later step reads: v_k in a[k+1:, k]
+    and z_k in a[k, k+1:], so V is a[r, :k] and Z' is a[:k, r].  A's trailing
+    block is never written, which is what keeps the step cheap at large p.
     """
     p, _, b = a.shape
-    v_panel, z_panel = work.cut("vz", 2, p, p - 2, b)
     for k in range(p - 1):
         r = slice(k + 1, p)
-        v, z = v_panel[r, :k], z_panel[r, :k]
-        x = a[r, k] + _matvec(v, z_panel[k, :k]) - _matvec(z, v_panel[k, :k])
+        v, zt = a[r, :k], a[:k, r]
+        x = a[r, k] + _matvec(v, a[:k, k]) - np.einsum("jib,jb->ib", zt, a[k, :k])
         e[k] = np.sqrt(np.einsum("ib,ib->b", x, x))
         if k == p - 2:
             return
@@ -152,10 +149,10 @@ def _skew_subdiagonal(a: np.ndarray, work: _Workspace, e: np.ndarray) -> None:
         scale = e[k] * (e[k] + np.abs(head))
         beta = np.divide(1.0, scale, out=np.zeros(b), where=scale > 0.0)
         ax = _matvec(a[r, r], x)
-        ax += _matvec(v, np.einsum("ijb,ib->jb", z, x))
-        ax -= _matvec(z, np.einsum("ijb,ib->jb", v, x))
-        v_panel[r, k] = x
-        np.multiply(beta, ax, out=z_panel[r, k])
+        ax += _matvec(v, np.einsum("jib,ib->jb", zt, x))
+        ax -= np.einsum("jib,jb->ib", zt, np.einsum("ijb,ib->jb", v, x))
+        a[r, k] = x
+        np.multiply(beta, ax, out=a[k, r])
 
 
 def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -166,7 +163,7 @@ def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _spectra(a: np.ndarray, work: _Workspace) -> np.ndarray:
     """Singular spectra, shape (B, p // 2) and descending, of a (p, p, B)
     stack of skew-symmetric matrices laid out batch last, B != 1; the
-    stack is ``work``'s, scaled in place.
+    stack is ``work``'s, scaled in place, then overwritten by the reduction.
 
     The sub-diagonal of the reduced tridiagonal splits into a t x t
     (p even) or (t + 1) x t (p odd) lower bidiagonal M with diagonal e_0,
@@ -180,7 +177,7 @@ def _spectra(a: np.ndarray, work: _Workspace) -> np.ndarray:
         raise DomainError(f"sample {int(np.argmin(finite))}: matrix entries must be finite")
     t = p // 2
     e = np.zeros((2 * t, b))  # even p: a zero last sub-diagonal entry
-    _skew_subdiagonal(a, work, e)
+    _skew_subdiagonal(a, e)
     d, f = e[0::2].T, e[1::2].T
     mtm = work.cut("mtm", b, t, t)
     i = np.arange(t)

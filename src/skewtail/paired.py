@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import mc
-from .errors import DataError, DomainError, MultiplicityError
+from .errors import DataError, DomainError, MultiplicityError, whole
 from .rmtdist import CRITICAL_POINT, largest_sv_upper, standardized_sv_upper
 from .rmtdist import largest_sv_cdf  # noqa: F401  unused here; bench/tracer.py wraps it by name
 from .specfun import chi2_upper
@@ -163,6 +163,7 @@ def deadlock_contrast_pair(m: int, i: int, j: int, k: int) -> ContrastPair:
     """The contrast pair whose bilinear form is the three-way deadlock
     (gamma_ij + gamma_jk + gamma_ki)/sqrt(3), for 0-based distinct
     indices."""
+    m = whole("m", m, 0)
     if len({i, j, k}) != 3 or not all(0 <= idx < m for idx in (i, j, k)):
         raise DomainError(f"need three distinct indices below {m}, got ({i}, {j}, {k})")
     c = np.zeros(m)

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, DomainError, ExcludedPointError, ValidityError
+from .errors import DataError, DomainError, ExcludedPointError, ValidityError, whole
 from .specfun import (
     _beta_upper_rungs,
     beta_upper,
@@ -80,9 +80,7 @@ class SpectrumLaw:
 def spectrum_law(p: int) -> SpectrumLaw:
     """(p, t, eps, n, d) for matrix order 2 <= p <= 173, one object per order;
     every law calls this first, so past p = 173 each raises its DomainError."""
-    if not isinstance(p, (int, np.integer)) or p < 2:
-        raise DomainError(f"matrix order must be an integer >= 2, got {p!r}")
-    p = int(p)
+    p = whole("matrix order", p, 2)
     if p > _MAX_ORDER:
         raise DomainError(f"the laws are verified for matrix orders p <= {_MAX_ORDER}, got p={p}")
     return _spectrum_law(p)
@@ -117,9 +115,7 @@ class HankelGram:
 
 def log_volume_U(p: int) -> float:
     """ln Vol(U(p)) of the quotient manifold O(p)/H(p) framing the paired SVD."""
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise DomainError(f"volume_U requires integer p >= 1, got {p!r}")
-    p = int(p)
+    p = whole("matrix order", p, 1)
     t = p // 2
     logv = t * math.log(2.0) + (p * (p - 1) / 4.0) * math.log(math.pi)
     for i in range(1, t + 1):
@@ -160,7 +156,8 @@ def joint_density(sigma, p: int) -> float:
         p: matrix order.
 
     Returns 0 exactly on the boundary of the ordered cone (tied entries,
-    or a zero entry when p is odd).
+    or a zero entry when p is odd), and where it underflows: from sigma_1 =
+    1e150, where e^(-sigma_1^2 / 2) < e^(-5e299), and for squares that tie.
     """
     law = spectrum_law(p)
     s = np.asarray(sigma, dtype=float)
@@ -170,10 +167,12 @@ def joint_density(sigma, p: int) -> float:
         raise DomainError("sigma entries must be finite and nonnegative")
     if np.any(np.diff(s) > 0.0):
         raise DomainError("sigma must be nonincreasing")
-    if np.any(np.diff(s) == 0.0) or (law.eps == 1 and np.any(s == 0.0)):
+    if s[0] >= 1e150:  # before the squares, which could overflow
+        return 0.0
+    q = s * s
+    if np.any(np.diff(q) == 0.0) or (law.eps == 1 and np.any(s == 0.0)):
         return 0.0
     log_cp, _ = _log_constants(law.p)
-    q = s * s
     logv = log_cp - 0.5 * float(q.sum())
     if law.eps == 1:
         logv += 2.0 * float(np.log(s).sum())
@@ -441,15 +440,20 @@ def critical_radius_objective(R) -> float:
     """The 2x2 objective whose supremum over non-rotations equals cot^2(theta_c).
 
     Undefined (raises :class:`ExcludedPointError`) when the denominator
-    base 1 - r11*r22 + r12*r21 vanishes, i.e. R approaches SO(2).
+    base 1 - r11*r22 + r12*r21 vanishes, i.e. R approaches SO(2); raises
+    :class:`DomainError` when its numerator or denominator overflows.
     """
     M = np.asarray(R, dtype=float)
     if M.shape != (2, 2) or not np.all(np.isfinite(M)):
         raise DomainError(f"R must be a finite 2x2 matrix, got shape {M.shape}")
-    den = 1.0 - M[0, 0] * M[1, 1] + M[0, 1] * M[1, 0]
+    with np.errstate(all="ignore"):  # a part that is not finite raises below
+        den = 1.0 - M[0, 0] * M[1, 1] + M[0, 1] * M[1, 0]
+        num, den2 = (M[0, 0] - M[1, 1]) ** 2 + (M[0, 1] + M[1, 0]) ** 2, den * den
+        value = 1.0 - num / den2
     if abs(den) < 1e-9:
         raise ExcludedPointError(
             f"objective undefined within 1e-9 of SO(2) (denominator {den!r})"
         )
-    num = (M[0, 0] - M[1, 1]) ** 2 + (M[0, 1] + M[1, 0]) ** 2
-    return 1.0 - num / (den * den)
+    if not np.all(np.isfinite((num, den2, value))):
+        raise DomainError(f"the objective overflows double precision at R = {M.tolist()}")
+    return value

@@ -195,19 +195,32 @@ class TestValidate:
         assert code == 0 and "overall: PASS" in out
         assert len(calls) <= 132
 
-    def test_traced_memory_peak_below_10_mb(self, capsys):
-        # 16 bytes per sample for (sigma1, sum sigma^2), plus the sorted and
-        # ratio copies: the full spectra and a full-length interpolant's
-        # temporaries (about 19 MB at 2e5 samples) would not fit in 10 MB
-        run_cli(capsys, "validate", "--p", "10", "--samples", "20000")  # warm-up
+    @staticmethod
+    def traced_validate_peak(capsys, samples: int) -> int:
         tracemalloc.start()
         try:
-            code, out, _ = run_cli(capsys, "validate", "--p", "10", "--samples", "200000")
+            code, out, _ = run_cli(capsys, "validate", "--p", "10", "--samples", str(samples))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0 and "overall: PASS" in out
-        assert peak < 10e6
+        return peak
+
+    def test_traced_memory_peak_below_5_6_mb(self, capsys):
+        # 16 bytes per sample for (sigma1, sum sigma^2), the ratios written over
+        # the sums, then one sorted sigma1 copy before the samples are dropped:
+        # about 24 bytes per sample, 5.1 MB at 2e5 samples.  A third column for
+        # the ratios or an unsorted sigma1 kept beside the sorted one reads 6.45 MB
+        run_cli(capsys, "validate", "--p", "10", "--samples", "20000")  # warm-up
+        assert self.traced_validate_peak(capsys, 200_000) < 5.6e6
+
+    def test_traced_memory_grows_at_most_25_bytes_per_sample(self, capsys):
+        # the slope over 2e5 more samples reads about 22.7 bytes per sample;
+        # keeping the (count, 2) samples until the KS line reads 32
+        run_cli(capsys, "validate", "--p", "10", "--samples", "20000")  # warm-up
+        small = self.traced_validate_peak(capsys, 200_000)
+        large = self.traced_validate_peak(capsys, 400_000)
+        assert (large - small) / 200_000 <= 25.0
 
 
 class TestAnalyze:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from skewtail import mc
-from skewtail.errors import DomainError, MultiplicityError, PairingError
+from skewtail.errors import DomainError, MultiplicityError, PairingError, whole
 from skewtail.mc import (
     SkewEigen,
     binomial_standard_error,
@@ -128,7 +128,8 @@ class TestDeterminism:
         )
 
     def test_seed_validation(self):
-        for seed in (-1, 1.5):
+        # True is an int, so it ran silently as seed 1
+        for seed in (-1, 1.5, True):
             with pytest.raises(DomainError, match="seed"):
                 sample_uppers(4, 1, seed=seed)
 
@@ -140,7 +141,15 @@ class TestDeterminism:
             sampler(4.0, 10, 1)
         with pytest.raises(DomainError, match="count must be an integer >= 1, got 10.0"):
             sampler(4, 10.0, 1)
+        with pytest.raises(DomainError, match="count must be an integer >= 1, got True"):
+            sampler(4, True, 1)  # was numpy's TypeError from np.empty((True, width))
         assert sampler(np.int64(4), np.int64(3), 1).shape[0] == 3
+
+    def test_whole_number_check(self):
+        assert whole("n", np.int64(7), 1) == 7 and type(whole("n", np.int64(7), 1)) is int
+        for value in (True, np.bool_(True), 2.0, "3", None, 0):
+            with pytest.raises(DomainError, match="n must be an integer >= 1"):
+                whole("n", value, 1)
 
 
 class TestSampleLayout:
@@ -196,6 +205,21 @@ class TestSampleLayout:
         finally:
             tracemalloc.stop()
         assert peak < whole_run / 2
+
+    def test_workspace_is_rows_stack_and_mtm(self):
+        # the Householder vectors live in the stack's dead triangles, so a
+        # block's buffers are the Philox rows, the (p, p, B) stack and M'M;
+        # a separate V and Z panel buffer doubled the peak (2.17x)
+        p, b = 40, mc._BLOCK
+        floor = 8 * b * (p * (p - 1) // 2 + p * p + (p // 2) ** 2)
+        sample_tops(p, b, 0)  # warm-up
+        tracemalloc.start()
+        try:
+            sample_tops(p, b, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * floor
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux page-fault counts")
     def test_fresh_process_reuses_block_buffers(self):

@@ -585,6 +585,14 @@ class TestContrastPair:
         with pytest.raises(DomainError):
             ContrastPair(c=np.array([1.0, 0.0]), d=np.array([0.0, 1.0]))  # sums nonzero
 
+    def test_float_order_is_a_domain_error(self):
+        # a float m passed the index checks and failed in np.zeros with a TypeError
+        from skewtail.paired import deadlock_contrast_pair
+
+        for m in (10.0, True):
+            with pytest.raises(DomainError, match=f"m must be a nonnegative integer, got {m!r}"):
+                deadlock_contrast_pair(m, 0, 1, 2)
+
     def test_any_pair_bounded_by_sigma1(self, league_fit):
         from skewtail.paired import ContrastPair, contrast_value, interaction_spectrum
 

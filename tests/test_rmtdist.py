@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,8 +173,9 @@ class TestVolumeU:
         assert volume_U(p) == pytest.approx(volume_U_recurrence(p), rel=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            volume_U(0)
+        for p in (0, True):  # True is an int, so volume_U(True) returned 1.0
+            with pytest.raises(DomainError, match=f"matrix order must be an integer >= 1, got {p}"):
+                volume_U(p)
 
     def test_last_normal_order(self):
         # Vol(U(61)) = 1.8e-319 is subnormal and Vol(U(62)) underflows to 0
@@ -240,6 +242,16 @@ class TestJointDensity:
         )
         assert err < 1e-7
         assert val == pytest.approx(1.0, abs=1e-6)
+
+    def test_underflowing_points_are_zero_without_warnings(self):
+        # sigma^2 overflowed at [1e308, 0.5] (a RuntimeWarning, then NaN), and
+        # squares that underflow to a tie made math.log(0) raise ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma, p in (([1e308, 0.5], 4), ([1e150, 0.0], 5), ([2e-170, 1e-170], 4)):
+                assert joint_density(sigma, p) == 0.0
+        # just below the cut the formula itself reads 0
+        assert joint_density([np.nextafter(1e150, 0.0), 1.0], 4) == 0.0
 
     def test_rejects_bad_shapes_and_order(self):
         with pytest.raises(DomainError):
@@ -1070,6 +1082,17 @@ class TestCriticalRadius:
 
     def test_reflection_diag(self):
         assert critical_radius_objective(np.diag([1.0, -1.0])) == pytest.approx(0.0, abs=1e-15)
+
+    def test_overflow_is_a_domain_error(self):
+        # [[1e308, 0], [0, 1]] squared into a RuntimeWarning and NaN; at the
+        # second point only the squared denominator overflows, which read 1.0
+        # where the objective is about 0.49
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in ([[1e308, 0.0], [0.0, 1.0]], [[1.4, 0.0], [0.0, -1e154]]):
+                with pytest.raises(DomainError, match="overflows double precision"):
+                    critical_radius_objective(r)
+            assert critical_radius_objective(np.diag([1e100, 0.0])) == 1.0 - 1e200
 
     @pytest.mark.parametrize("theta", [0.0, 0.4, 1.2, math.pi / 2, 2.8])
     def test_rotations_are_excluded(self, theta):
