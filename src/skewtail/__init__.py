@@ -47,11 +47,9 @@ from .paired import (
 )
 from .rmtdist import (
     CRITICAL_POINT,
-    HankelGram,
     SpectrumLaw,
     critical_radius_objective,
     euler_characteristic,
-    hankel_gram,
     joint_density,
     largest_sv_cdf,
     largest_sv_tail_asymptotic,
@@ -71,7 +69,6 @@ __all__ = [
     "DataError",
     "DomainError",
     "ExcludedPointError",
-    "HankelGram",
     "MultiplicityError",
     "PairingError",
     "ScheffeFit",
@@ -92,7 +89,6 @@ __all__ = [
     "deadlock_contrast_pair",
     "empirical_upper",
     "euler_characteristic",
-    "hankel_gram",
     "joint_density",
     "ks_distance",
     "largest_sv_cdf",

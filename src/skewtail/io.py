@@ -15,11 +15,11 @@ p-values to 4, as conventionally tabulated) or as JSON with the fixed
 schema ``{chi2: {stat, df, p}, largest_sv: {stat, p}, standardized:
 {stat, p}, spectrum: [...], deadlock: {triple, value}, embedding:
 [{name, x, y}]}``, where an out-of-validity standardized p-value is the
-string ``"outside_validity"``.  For perfectly subtractive data (an
-exactly zero interaction residual) the standardized stat and p, the
-deadlock area ratio and the embedding are ``null``; the area ratio and
-the embedding are ``null`` too when the top singular value is not a
-simple pair, so its plane is undefined.
+string ``"outside_validity"``, and ``"no_exact_law"`` at m < 5.  For
+perfectly subtractive data (an exactly zero interaction residual) the
+standardized stat and p, the deadlock area ratio and the embedding are
+``null``; the area ratio and the embedding are ``null`` too when the top
+singular value is not a simple pair, so its plane is undefined.
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ def deadlock_area_ratio(report: TestReport) -> float | None:
 def report_to_dict(report: TestReport) -> dict:
     """JSON-ready dict with the fixed report schema."""
     std_p = report.std_p
-    if std_p is None and report.std_stat is not None:
-        std_p = "outside_validity"
+    if std_p is None and report.std_stat is not None:  # the reasons render_text gives
+        std_p = "no_exact_law" if len(report.names) < 5 else "outside_validity"
     return {
         "chi2": {"stat": report.chi2_stat, "df": report.chi2_df, "p": report.chi2_p},
         "largest_sv": {"stat": report.sv_stat, "p": report.sv_p},

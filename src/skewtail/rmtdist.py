@@ -10,8 +10,6 @@ provides:
 * the exact distribution function and upper tail of the largest
   singular value and the expected count above a threshold, from one
   Laguerre kernel (the sigma^2 / 2 form a Laguerre unitary ensemble),
-* the Hankel gram matrix Gamma(p - i - j + 1/2), its inverse, and the
-  geometric weights built from the two, each rounded from exact rationals,
 * the exact tube-method upper tail of the standardized statistic
   sigma_1 / sqrt(sum sigma_i^2) on its validity range x >= 1/sqrt(2),
   a weighted sum of 2t - 1 beta tails whose first parameters step by 1:
@@ -19,12 +17,12 @@ provides:
   rungs by the recurrence in :mod:`skewtail.specfun`,
 * the 2x2 objective whose supremum (= 1) pins the critical angle pi/4
   that delimits that validity range,
-* the Euler characteristic implied by the weights, an exact identity.
+* the Euler characteristic 2t, twice the sum of the exact tube weights.
 
 The constants of both laws (the kernel's quadrature rules, switch points and
 recurrence coefficients, and the rounded tube weights) come from one cached
-reader of one shipped table, on the first query of either law; the gram
-matrices (read-only arrays) are cached too; all is pure and thread-safe.
+reader of one shipped table, on the first query of either law; no rational
+is built at run time; all is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -59,6 +57,8 @@ _LAW_TABLES = os.path.join(os.path.dirname(__file__), "data", "law_tables.txt")
 # digits (e.g. 0.70710678 from a table) are not rejected.
 _VALIDITY_SLACK = 1e-8
 
+_hankel_gram_cached = None  # unused; bench/tracer.py patches it by name; ROADMAP item 6 deletes it
+
 
 @dataclass(frozen=True)
 class SpectrumLaw:
@@ -90,27 +90,6 @@ def spectrum_law(p: int) -> SpectrumLaw:
 def _spectrum_law(p: int) -> SpectrumLaw:
     t = p // 2
     return SpectrumLaw(p=p, t=t, eps=p - 2 * t, n=p * (p - 1) // 2, d=2 * (p - 2))
-
-
-@dataclass(frozen=True)
-class HankelGram:
-    """Gram matrix g_ij = Gamma(p - i - j + 1/2), its inverse, and the
-    tail weights, rounded to doubles from g / sqrt(pi), sqrt(pi) * ginv
-    and the weights, which are rationals computed exactly.
-
-    ``weights[k]`` is the anti-diagonal sum ``sum_{i+j=k+2} ginv[i,j] *
-    g[i,j]`` for k = 0 .. 2t-2; the exact weights sum to t and weight k
-    multiplies the chi-square/beta tail with 2p - 3 - 2k degrees of
-    freedom in the tail expansions; the standardized law reads these
-    doubles from the shipped table (:func:`_law_tables`), not from here.
-    """
-
-    p: int
-    t: int
-    eps: int
-    g: np.ndarray
-    ginv: np.ndarray
-    weights: np.ndarray
 
 
 def log_volume_U(p: int) -> float:
@@ -196,7 +175,7 @@ def _law_tables() -> dict:
     backs, a = eps - 1/2, of which order p, t <= 86, takes the first t - 1.
     For the tube formula, entry p - 4 of ``tube weights`` is section ``tube
     weights p`` (or empty): order p's 2t - 1 doubles nearest
-    :func:`_exact_hankel`'s rationals."""
+    the exact rationals of ``hankel_closed_form`` in tests/oracles.py."""
     with open(_LAW_TABLES, encoding="ascii") as fh:
         sections = fh.read().split("\n[")[1:]
     tables = {name: tuple(map(float.fromhex, body.split()))
@@ -317,63 +296,9 @@ def largest_sv_upper(p: int, x: float) -> float:
     return probability(_sigma1(p, x)[1])
 
 
-def _exact_hankel(p: int) -> tuple[list, list, list]:
-    """g / sqrt(pi), sqrt(pi) * ginv and the weights of order p as exact
-    rationals.
-
-    h(n) = Gamma(n + 1/2) / sqrt(pi) = X(n) / 4^n with X(n) = (2n)!/n!, and
-    sqrt(pi) ginv_ij = (-1)^(i+j) 4^(e-i-j) s_ij / (d_i d_j) with e = t + eps
-    and s_ij = sum over k <= min(i, j) of a_k (i-1)!/(i-k)! (j-1)!/(j-k)!.
-    g_ij = sqrt(pi) h(p-i-j) is constant along each anti-diagonal, so
-    w_k is h(p-k-2) times the sum of sqrt(pi) * ginv along i + j = k + 2.
-    """
-    from fractions import Fraction
-
-    t, e = p // 2, p - p // 2
-    f = [math.factorial(n) for n in range(2 * p)]
-    x = [f[2 * n] // f[n] for n in range(p)]
-    h = [Fraction(x[n], 4**n) for n in range(p - 1)]
-    a = [f[t - k] * x[e - k] * 4**k for k in range(t + 1)]
-    falling = [[f[i - 1] // f[i - k] for k in range(i + 1)] for i in range(1, t + 1)]
-    d = [f[i - 1] * f[t - i] * x[e - i] for i in range(1, t + 1)]
-    inv = [[None] * t for _ in range(t)]
-    for i in range(1, t + 1):
-        for j in range(i, t + 1):
-            s = sum(a[k] * falling[i - 1][k] * falling[j - 1][k] for k in range(1, i + 1))
-            entry = Fraction((-1) ** (i + j) * s * 4 ** (2 * e - i - j), d[i - 1] * d[j - 1] * 4**e)
-            inv[i - 1][j - 1] = inv[j - 1][i - 1] = entry
-    g = [[h[p - i - j] for j in range(1, t + 1)] for i in range(1, t + 1)]
-    weights = [
-        h[p - k - 2] * sum(inv[i][k - i] for i in range(max(0, k - t + 1), min(k, t - 1) + 1))
-        for k in range(2 * t - 1)
-    ]
-    return g, inv, weights
-
-
-@lru_cache(maxsize=None)
-def _hankel_gram_cached(p: int) -> HankelGram:
-    law, root_pi = spectrum_law(p), math.sqrt(math.pi)
-    g, ginv, weights = _exact_hankel(law.p)
-    if sum(weights) != law.t:  # the Euler identity, on the exact weights
-        raise ArithmeticError(f"Euler characteristic check failed for p={p}: sum(w) != {law.t}")
-    pieces = []
-    for exact, scale in zip((g, ginv, weights), (root_pi, 1.0 / root_pi, 1.0)):
-        pieces.append(np.array(exact, dtype=float) * scale)
-        pieces[-1].flags.writeable = False
-    return HankelGram(law.p, law.t, law.eps, *pieces)
-
-
-def hankel_gram(p: int) -> HankelGram:
-    """Gram matrix, inverse and tail weights for p >= 4 (the tube formula's range)."""
-    law = spectrum_law(p)
-    if law.p < 4:
-        raise DomainError(f"hankel_gram requires p >= 4 (tube formula range), got {p}")
-    return _hankel_gram_cached(law.p)
-
-
 def largest_sv_tail_asymptotic(p: int, x: float) -> float:
     """The paper's tail expansion sum_k w_k P(chi2_{2p-3-2k} > x^2), with
-    the weights of :func:`hankel_gram`, for p >= 4.
+    the tube weights of :func:`standardized_sv_upper`, for p >= 4.
 
     It is E #{i : sigma_i > x}, the trace of :func:`largest_sv_cdf`'s
     kernel M: an upper bound on the tail (Markov) that tracks it to a
@@ -395,8 +320,10 @@ def standardized_sv_upper(p: int, x: float) -> float:
 
     The weighted beta-tail expansion is exact only at or above the
     critical point 1/sqrt(2); below it a :class:`ValidityError` is
-    raised rather than returning a silently wrong number.  The weights
-    are :func:`hankel_gram`'s doubles, read by :func:`_law_tables`.
+    raised rather than returning a silently wrong number.  Weight w_k is
+    the anti-diagonal sum of ginv * g over i + j = k + 2 for the Hankel gram
+    g_ij = Gamma(p - i - j + 1/2): the double nearest its exact rational,
+    read by :func:`_law_tables`.
 
     Accuracy for 4 <= p <= 173, against 600-digit references at
     p = 24 .. 173: 1e-10 relative where the value is above 1e-280, else
@@ -431,9 +358,11 @@ def standardized_sv_upper(p: int, x: float) -> float:
 
 def euler_characteristic(p: int) -> int:
     """Euler characteristic of the rank-2 frame manifold, 2 * floor(p/2),
-    checked against the exact rational sum of the tube weights when
-    :func:`hankel_gram` builds them."""
-    return 2 * hankel_gram(p).t
+    for p >= 4, where the exact tube weights sum to t."""
+    law = spectrum_law(p)
+    if law.p < 4:
+        raise DomainError(f"the Euler characteristic requires p >= 4 (tube formula range), got {p}")
+    return 2 * law.t
 
 
 def critical_radius_objective(R) -> float:

@@ -12,7 +12,7 @@ steps of tests/oracles.py (``gauss_laguerre_newton``,
 ``gauss_legendre_newton`` and ``switch_point_newton``).  Then one
 ``[tube weights p]`` section per order p = 4 .. 173: the 2t - 1 weights
 w_0 .. w_2t-2 of the standardized law, each the double nearest the exact
-rational that ``rmtdist._exact_hankel`` builds in closed form; the exact
+rational that ``hankel_closed_form`` in tests/oracles.py builds; the exact
 weights of every order are checked against the Euler identity sum(w) = t
 before they are rounded.
 
@@ -33,7 +33,7 @@ Run from the repository root (about 7 s, most of it the exact weights):
 import argparse
 import sys
 
-from oracles import gauss_laguerre_newton, gauss_legendre_newton, switch_point_newton
+from oracles import gauss_laguerre_newton, gauss_legendre_newton, hankel_closed_form, switch_point_newton
 from skewtail import rmtdist
 
 LAGUERRE_NODES = 120
@@ -65,7 +65,7 @@ def tube_weights() -> dict[str, list[float]]:
     exact rationals, each order's checked against the Euler identity sum(w) = t."""
     columns = {}
     for p in range(4, rmtdist._MAX_ORDER + 1):
-        exact = rmtdist._exact_hankel(p)[2]
+        exact = hankel_closed_form(p)[2]
         if sum(exact) != p // 2:
             raise ArithmeticError(f"Euler identity fails at p={p}: sum(w) != {p // 2}")
         columns[f"tube weights {p}"] = [float(w) for w in exact]

@@ -1,9 +1,15 @@
 """Test-only oracles: independent routes to quantities the library
 computes in closed form.
 
+* :func:`hankel_closed_form` builds the Hankel gram g_ij =
+  Gamma(p - i - j + 1/2) / sqrt(pi), sqrt(pi) times its inverse and the
+  tube weights as exact rationals in closed form; the weights the
+  standardized law ships in ``law_tables.txt`` are their nearest doubles
+  (``tests/make_law_tables.py`` writes them), and :func:`hankel_gram`
+  rounds all three pieces to doubles;
 * :func:`hankel_inverse_oracle` inverts the Hankel gram matrix by the
   paper's triangular band factorization, a second route to
-  :func:`skewtail.rmtdist.hankel_gram`'s inverse;
+  :func:`hankel_closed_form`'s inverse;
 * :func:`hankel_inverse_exact` inverts g / sqrt(pi) by Gauss-Jordan
   elimination in exact rationals, a third route that also gives the
   exact tube weights;
@@ -45,6 +51,7 @@ computes in closed form.
 import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -308,7 +315,7 @@ def hankel_inverse_oracle(delta: float, t: int) -> np.ndarray:
     Builds the band matrices B_k, the binomial lower-triangular T and
     the diagonals D, E with B_{t-1}...B_1 G = E T D, and returns
     G^{-1} = D^{-1} T^{-1} E^{-1} B.  With delta = eps - 1/2 this is an
-    independent route to :func:`hankel_gram`'s closed-form inverse.
+    independent route to :func:`hankel_closed_form`'s inverse.
 
     The factorization also implies det(G) = prod_i Gamma(delta+t-i+1) *
     (t-i)!, which is verified here against a pivoted-LU determinant of
@@ -332,6 +339,59 @@ def hankel_inverse_oracle(delta: float, t: int) -> np.ndarray:
         )
 
     return (Tinv / D_diag[:, None]) @ (B / E_diag[:, None])
+
+
+def hankel_closed_form(p: int) -> tuple[list, list, list]:
+    """g / sqrt(pi), sqrt(pi) * ginv and the weights of order p as exact
+    rationals, in closed form.
+
+    h(n) = Gamma(n + 1/2) / sqrt(pi) = X(n) / 4^n with X(n) = (2n)!/n!, and
+    sqrt(pi) ginv_ij = (-1)^(i+j) 4^(e-i-j) s_ij / (d_i d_j) with e = t + eps
+    and s_ij = sum over k <= min(i, j) of a_k (i-1)!/(i-k)! (j-1)!/(j-k)!.
+    g_ij = sqrt(pi) h(p-i-j) is constant along each anti-diagonal, so
+    w_k is h(p-k-2) times the sum of sqrt(pi) * ginv along i + j = k + 2.
+    """
+    t, e = p // 2, p - p // 2
+    f = [math.factorial(n) for n in range(2 * p)]
+    x = [f[2 * n] // f[n] for n in range(p)]
+    h = [Fraction(x[n], 4**n) for n in range(p - 1)]
+    a = [f[t - k] * x[e - k] * 4**k for k in range(t + 1)]
+    falling = [[f[i - 1] // f[i - k] for k in range(i + 1)] for i in range(1, t + 1)]
+    d = [f[i - 1] * f[t - i] * x[e - i] for i in range(1, t + 1)]
+    inv = [[None] * t for _ in range(t)]
+    for i in range(1, t + 1):
+        for j in range(i, t + 1):
+            s = sum(a[k] * falling[i - 1][k] * falling[j - 1][k] for k in range(1, i + 1))
+            entry = Fraction((-1) ** (i + j) * s * 4 ** (2 * e - i - j), d[i - 1] * d[j - 1] * 4**e)
+            inv[i - 1][j - 1] = inv[j - 1][i - 1] = entry
+    g = [[h[p - i - j] for j in range(1, t + 1)] for i in range(1, t + 1)]
+    weights = [
+        h[p - k - 2] * sum(inv[i][k - i] for i in range(max(0, k - t + 1), min(k, t - 1) + 1))
+        for k in range(2 * t - 1)
+    ]
+    return g, inv, weights
+
+
+class HankelGram(NamedTuple):
+    """Order p's gram g, its inverse ginv and the tube weights in doubles."""
+
+    t: int
+    eps: int
+    g: np.ndarray
+    ginv: np.ndarray
+    weights: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def hankel_gram(p: int) -> HankelGram:
+    """:func:`hankel_closed_form`'s pieces of order p rounded once to doubles,
+    from g / sqrt(pi), sqrt(pi) * ginv and the weights; the arrays are
+    read-only, as every caller shares them."""
+    root_pi, pieces = math.sqrt(math.pi), []
+    for exact, scale in zip(hankel_closed_form(p), (root_pi, 1.0 / root_pi, 1.0)):
+        pieces.append(np.array(exact, dtype=float) * scale)
+        pieces[-1].flags.writeable = False
+    return HankelGram(p // 2, p % 2, *pieces)
 
 
 def hankel_inverse_exact(p: int) -> tuple[list, list, list]:

@@ -37,7 +37,6 @@ from skewtail.paired import (
 from skewtail.rmtdist import (
     CRITICAL_POINT,
     euler_characteristic,
-    hankel_gram,
     joint_density,
     largest_sv_cdf,
     largest_sv_tail_asymptotic,
@@ -45,7 +44,7 @@ from skewtail.rmtdist import (
     standardized_sv_upper,
 )
 
-from oracles import critical_radius_search, hankel_inverse_oracle, simulate_null_largest_sv
+from oracles import critical_radius_search, hankel_gram, hankel_inverse_oracle, simulate_null_largest_sv
 
 TABLE1 = {
     4: 1.0000, 5: 1.0000, 6: 0.9989, 7: 0.9913, 8: 0.9614, 9: 0.8827,

@@ -435,7 +435,7 @@ class TestAnalyze:
         assert "1/sqrt(2)" not in out
         code, out, _ = run_cli(capsys, "analyze", str(raw), "--raw", "--format", "json")
         std = json.loads(out)["standardized"]
-        assert std["stat"] == pytest.approx(1.0, abs=1e-12) and std["p"] == "outside_validity"
+        assert std["stat"] == pytest.approx(1.0, abs=1e-12) and std["p"] == "no_exact_law"
 
     def test_non_skew_raw_matrix_exits_4(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -719,7 +719,6 @@ class TestEntryPoint:
         assert loaded_by_cli_import(("xml.sax", "email", "ssl", "concurrent.futures")) == "[]"
 
     def test_import_leaves_out_fractions_and_decimal(self):
-        # the exact Hankel builder imports fractions on first use only
         assert loaded_by_cli_import(("fractions", "decimal")) == "[]"
 
     def test_module_invocation(self):

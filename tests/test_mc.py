@@ -421,6 +421,9 @@ class TestEmpiricalHelpers:
         assert binomial_standard_error(0.0, 10) == 0.0
         with pytest.raises(DomainError):
             binomial_standard_error(1.5, 10)
+        for count in (True, 2.5, 0):  # a bool or float count read as 1 or 2.5 samples
+            with pytest.raises(DomainError, match="count must be an integer >= 1"):
+                binomial_standard_error(0.5, count)
 
     def test_small_scale_tail_agreement(self):
         from skewtail.rmtdist import largest_sv_cdf
@@ -497,6 +500,34 @@ class TestKsDistance:
         i = np.arange(1, n + 1)
         one_shot = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
         assert ks_distance(s[::-1], cdf) == one_shot
+
+    def test_order_of_the_input_changes_no_bit(self):
+        s = np.abs(np.random.default_rng(8).standard_normal(3 * mc._KS_CHUNK + 5))
+        cdf = lambda x: math.erf(x / math.sqrt(2.0))  # noqa: E731
+        ordered = np.sort(s)
+        gaps = [ks_distance(x, cdf) for x in (ordered, ordered[::-1], s, s.tolist())]
+        assert [g.hex() for g in gaps] == [gaps[0].hex()] * 4
+
+    def test_callers_array_is_left_as_it_was(self):
+        cdf = lambda x: math.erf(x / math.sqrt(2.0))  # noqa: E731
+        for s in (np.array([3.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])):
+            kept = s.copy()
+            ks_distance(s, cdf)
+            assert np.array_equal(s, kept)
+
+    def test_sorted_input_is_read_in_place(self):
+        # a sorted copy of 200000 samples alone is 8 bytes a sample; sorted
+        # input costs only the 1-byte comparison and the chunked CDF reads
+        n, cdf = 200_000, lambda x: math.erf(x / math.sqrt(2.0))  # noqa: E731
+        s = np.sort(np.abs(np.random.default_rng(9).standard_normal(n)))
+        ks_distance(s[:1000], cdf)  # warm-up: the deferred Chebyshev import
+        tracemalloc.start()
+        try:
+            ks_distance(s, cdf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
 
     def test_identical_samples_use_the_exact_cdf(self):
         assert ks_distance([0.5] * 4, lambda x: 0.25) == pytest.approx(0.75)

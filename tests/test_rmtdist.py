@@ -2,6 +2,7 @@
 reductions, Hankel inverse cross-checks, tail expansions, and the
 critical-radius objective."""
 
+import ast
 import functools
 import json
 import math
@@ -24,7 +25,6 @@ from skewtail.rmtdist import (
     CRITICAL_POINT,
     critical_radius_objective,
     euler_characteristic,
-    hankel_gram,
     joint_density,
     largest_sv_cdf,
     largest_sv_tail_asymptotic,
@@ -38,6 +38,8 @@ from skewtail.rmtdist import (
 from oracles import (
     _band_factorization,
     critical_radius_search,
+    hankel_closed_form,
+    hankel_gram,
     hankel_inverse_exact,
     hankel_inverse_oracle,
     laguerre_kernel_entrywise,
@@ -45,6 +47,7 @@ from oracles import (
     sigma1_kernels_recurrence,
     sigma1_trace_routed,
 )
+import make_law_tables
 from make_law_tables import LAGUERRE_NODES, LEGENDRE_NODES, render as render_law_tables, tables as law_tables
 
 SQRT_PI = math.sqrt(math.pi)
@@ -67,7 +70,6 @@ LAWS_AT_ORDER = {
     "largest_sv_upper": lambda p: largest_sv_upper(p, 26.0),
     "largest_sv_tail_asymptotic": lambda p: largest_sv_tail_asymptotic(p, 26.0),
     "standardized_sv_upper": lambda p: standardized_sv_upper(p, CRITICAL_POINT),
-    "hankel_gram": hankel_gram,
     "euler_characteristic": euler_characteristic,
     "joint_density": lambda p: joint_density(np.arange(p // 2, 0, -1.0), p),
 }
@@ -115,6 +117,16 @@ def record_kernels(monkeypatch) -> list:
 
     monkeypatch.setattr(rmtdist, "_kernel", recorded)
     return kernels
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    skewtail, and parse the JSON it prints."""
+    paths = [str(Path(rmtdist.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def chi3_cdf(x: float) -> float:
@@ -662,11 +674,7 @@ print(json.dumps({"at_import": at_import, "read": read, "cold": cold, "newton": 
 
 class TestColdStart:
     def test_fresh_process_reads_the_tables_and_builds_one_kernel_per_query(self):
-        paths = [str(Path(rmtdist.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        found = json.loads(proc.stdout)
+        found = run_fresh(COLD_START)
         assert found["at_import"] == [] and found["newton"] == []
         assert found["read"] == [rmtdist._LAW_TABLES]
         assert len(found["cold"]) == 8
@@ -678,22 +686,19 @@ class TestColdStart:
 
 #: Run in a fresh interpreter: the CLI's standardized paths (``table1``,
 #: ``dist --kind standardized`` and ``analyze`` on the bundled sheet), then
-#: which tables were opened and how often, whether any exact rational was
-#: built, and whether ``fractions`` was ever imported.
+#: which tables were opened and how often, and whether ``fractions`` was ever
+#: imported.
 COLD_TUBE = """
 import contextlib, io, json, sys
 opened = []
 sys.addaudithook(lambda event, args: opened.append(str(args[0])) if event == "open" else None)
 from skewtail import cli, rmtdist
 from skewtail.io import central_league_1997_path
-builds = []
-exact = rmtdist._exact_hankel
-rmtdist._exact_hankel = lambda p: builds.append(p) or exact(p)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["table1"]), cli.main(["dist", "--kind", "standardized", "--p", "173", "--x", "0.9"]),
              cli.main(["analyze", str(central_league_1997_path()), "--n-games", "27"])]
 read = [path for path in opened if path.endswith(".txt")]
-print(json.dumps({"codes": codes, "read": read, "builds": builds, "fractions": "fractions" in sys.modules}))
+print(json.dumps({"codes": codes, "read": read, "fractions": "fractions" in sys.modules}))
 """
 
 
@@ -711,13 +716,14 @@ class TestTubeWeights:
 
     @pytest.mark.parametrize("p", [100, 173])
     def test_match_the_closed_form_rounded(self, p):
-        exact = rmtdist._exact_hankel(p)[2]
+        exact = hankel_closed_form(p)[2]
         assert sum(exact) == p // 2
         assert shipped_weights(p) == tuple(float(w) for w in exact)
 
     @pytest.mark.parametrize("p", [*range(4, 41), *range(41, 173, 12), 173])
     def test_law_keeps_the_gram_weights_bits(self, p):
-        # the law before the table: the same ladder, weighted by hankel_gram
+        # the law before the table: the same ladder, weighted by the closed
+        # form's weights rounded once to doubles
         law, weights = spectrum_law(p), hankel_gram(p).weights
         a = p - 1.5 - (2 * law.t - 2)
         b = 0.5 * law.n - a
@@ -773,14 +779,10 @@ class TestTubeWeights:
                 standardized_sv_upper(p, 0.9)
 
     def test_fresh_process_reads_the_table_once_and_builds_no_rational(self):
-        paths = [str(Path(rmtdist.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        proc = subprocess.run([sys.executable, "-c", COLD_TUBE], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        found = json.loads(proc.stdout)
+        found = run_fresh(COLD_TUBE)
         assert found["codes"] == [0, 0, 0]
         assert found["read"] == [rmtdist._LAW_TABLES]
-        assert found["builds"] == [] and found["fractions"] is False
+        assert found["fractions"] is False
 
 
 class TestHankelGram:
@@ -849,8 +851,18 @@ class TestHankelGram:
             gram.ginv[0, 0] = 0.0
 
     def test_domain_error_below_p4(self):
-        with pytest.raises(DomainError):
-            hankel_gram(3)
+        # no gram below the tube range (the standardized law's own message is
+        # pinned in TestTubeWeights): each law that would read one says so
+        for p in (2, 3):
+            with pytest.raises(DomainError, match="Euler characteristic requires p >= 4"):
+                euler_characteristic(p)
+            with pytest.raises(DomainError, match="tail expansion requires p >= 4"):
+                largest_sv_tail_asymptotic(p, 2.0)
+
+    @pytest.mark.parametrize("p", range(4, 41))
+    def test_closed_form_is_the_gauss_jordan_inverse(self, p):
+        # the two exact routes agree as Fractions, entry for entry
+        assert hankel_closed_form(p) == hankel_inverse_exact(p)
 
 
 class TestHankelInverseOracle:
@@ -985,6 +997,17 @@ class TestStandardizedUpper:
         for p in (4, 7, 12):
             assert standardized_sv_upper(p, 1.0) == 0.0
 
+    def test_critical_point_slack_is_1e_8(self):
+        # thresholds given to 8 digits pass; below that the law is not exact
+        with pytest.raises(ValidityError):
+            standardized_sv_upper(10, CRITICAL_POINT - 2e-8)
+        assert 0.0 < standardized_sv_upper(10, CRITICAL_POINT - 0.5e-8) <= 1.0
+
+    def test_unit_slack_is_1e_12(self):
+        with pytest.raises(DomainError, match="cannot exceed 1"):
+            standardized_sv_upper(10, 1.0 + 2e-12)
+        assert standardized_sv_upper(10, 1.0 + 0.5e-12) == 0.0
+
     @pytest.mark.parametrize(
         "p", [*range(4, 19), 19, 24, 27, 32, 40, 45, 48, 59, 60, 64, 67, 70, 73, 76, 79, 80, 100,
               140, 173]
@@ -1117,8 +1140,9 @@ class TestEulerCharacteristic:
         assert euler_characteristic(p) == expected
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            euler_characteristic(3)
+        for p in (2, 3):
+            with pytest.raises(DomainError, match=f"Euler characteristic requires p >= 4 .*got {p}$"):
+                euler_characteristic(p)
 
 
 def fresh_law_tables(monkeypatch, path=None):
@@ -1129,37 +1153,38 @@ def fresh_law_tables(monkeypatch, path=None):
     monkeypatch.setattr(rmtdist, "_law_tables", functools.lru_cache(maxsize=None)(uncached))
 
 
-def fresh_gram_cache(monkeypatch, exact_hankel):
-    """Route rmtdist's gram builds through ``exact_hankel`` and an empty cache."""
-    monkeypatch.setattr(rmtdist, "_exact_hankel", exact_hankel)
-    uncached = rmtdist._hankel_gram_cached.__wrapped__
-    monkeypatch.setattr(rmtdist, "_hankel_gram_cached", functools.lru_cache(maxsize=None)(uncached))
+#: Run in a fresh interpreter: every law of the tube range, across
+#: the orders, then whether ``fractions`` was ever imported.
+COLD_LAWS = """
+import json, sys
+from skewtail import rmtdist
+for p in (4, 9, 24, 59, 100, 173):
+    rmtdist.standardized_sv_upper(p, 0.8)
+    rmtdist.largest_sv_tail_asymptotic(p, 26.0)
+    rmtdist.euler_characteristic(p)
+print(json.dumps("fractions" in sys.modules))
+"""
 
 
 class TestExactHankelBuilds:
-    def test_built_once_per_order(self, monkeypatch):
-        builds, exact = [], rmtdist._exact_hankel
-        fresh_gram_cache(monkeypatch, lambda p: builds.append(p) or exact(p))
-        assert euler_characteristic(41) == 40
-        hankel_gram(41)
-        standardized_sv_upper(41, 0.8)
-        assert builds == [41]
+    """The exact gram is built by tests/oracles.py and make_law_tables.py
+    alone: the library reads its rounded weights from the shipped table."""
 
-    def test_law_builds_none(self, monkeypatch):
-        builds, exact = [], rmtdist._exact_hankel
-        fresh_gram_cache(monkeypatch, lambda p: builds.append(p) or exact(p))
-        fresh_law_tables(monkeypatch)
-        for p in (4, 9, 24, 59, 100, 173):
-            standardized_sv_upper(p, 0.8)
-        assert builds == []
+    def test_no_src_module_imports_fractions(self):
+        for path in Path(rmtdist.__file__).parent.glob("*.py"):
+            nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+            imported = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+            imported += [node.module for node in nodes if isinstance(node, ast.ImportFrom)]
+            assert "fractions" not in imported, path.name
+
+    def test_law_builds_none(self):
+        assert run_fresh(COLD_LAWS) is False
 
     def test_euler_identity_checked_on_the_exact_weights(self, monkeypatch):
-        exact = rmtdist._exact_hankel
-
         def off_by_a_hair(p):
-            g, ginv, weights = exact(p)
+            g, ginv, weights = hankel_closed_form(p)
             return g, ginv, [*weights[:-1], weights[-1] + Fraction(1, 10**40)]
 
-        fresh_gram_cache(monkeypatch, off_by_a_hair)
-        with pytest.raises(ArithmeticError, match="Euler characteristic check failed for p=8"):
-            euler_characteristic(8)
+        monkeypatch.setattr(make_law_tables, "hankel_closed_form", off_by_a_hair)
+        with pytest.raises(ArithmeticError, match="Euler identity fails at p=4"):
+            make_law_tables.tube_weights()
