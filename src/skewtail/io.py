@@ -76,7 +76,7 @@ def read_score_sheet_csv(path, n_games: int) -> ScoreSheet:
         except (ValueError, OverflowError):
             raise _row_defect(path, i, cells) from None
     try:
-        return ScoreSheet(m=m, names=names, n_games=n_games, r=r)
+        return ScoreSheet(names=names, n_games=n_games, r=r)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -135,7 +135,7 @@ def read_skew_matrix(path) -> SkewObservations:
             f"(max |y_ij + y_ji| = {resid:.3e}, above 1e-9 max |y_ij|)"
         )
     y = 0.5 * y - 0.5 * y.T  # discard sub-tolerance asymmetry; halved first, so no sum overflows
-    return SkewObservations(m=y.shape[0], y=y)
+    return SkewObservations(y=y)
 
 
 def deadlock_area_ratio(report: TestReport) -> float | None:

@@ -8,13 +8,10 @@ closed-form distributions.
 Both spectral solves scale each matrix by a power of two, which is
 exact, to max |a_ij| in [1/2, 1), and check its spectrum against the
 energy identity sum(sigma^2) = ||A||_F^2 / 2 to relative 1e-8.  The
-batched solve (:func:`spectra_of_matrices`, :func:`spectra_from_uppers`)
-is a skew Householder tridiagonalization with delayed updates over a
-(p, p, B) stack with the batch last, which keeps each step's vectors v_k
-and z_k in the triangles it no longer reads, then one t x t eigen-solve per
-sample; :class:`SkewEigen`, the single solve that also keeps the top
-plane, checks that a (p, p) array is skew and is one Hermitian
-eigen-solve of iA.  Both are within 1e-13 * sigma_1 of LAPACK's SVD.
+batched solve, :func:`spectra_from_uppers`, takes upper triangles, so its
+input is skew by construction; :class:`SkewEigen`, the single solve that
+also keeps the top plane, checks that a (p, p) array is skew and is one
+Hermitian eigen-solve of iA.  Both are within 1e-13 * sigma_1 of LAPACK's SVD.
 
 The samplers draw and solve one block of samples at a time, serially, in
 buffers allocated once per call: fresh ones per block made a cold run fault
@@ -36,7 +33,7 @@ import numpy as np
 from .errors import DataError, DomainError, MultiplicityError, PairingError, whole
 
 _PAIR_RTOL = 1e-8
-#: Largest max |a_ij + a_ji| / max |a_ij| that both spectral solves accept as skew.
+#: Largest max |a_ij + a_ji| / max |a_ij| that :class:`SkewEigen` accepts as skew.
 _SKEW_RTOL = 1e-9
 #: Samples per Philox block; changing it changes every draw of every seed.
 _STREAM_BLOCK = 256
@@ -212,45 +209,18 @@ def _check_energy(sigma2: np.ndarray, energy: np.ndarray) -> None:
         )
 
 
-def _check_skew(stack: np.ndarray) -> None:
-    """Raise :class:`DomainError` for the first non-skew matrix of a (B, p, p) stack."""
-    with np.errstate(over="ignore"):
-        resid = np.abs(stack + np.swapaxes(stack, 1, 2)).max(axis=(1, 2))
-    bad = resid > _SKEW_RTOL * np.abs(stack).max(axis=(1, 2))
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise DomainError(f"sample {j}: matrix is not skew-symmetric: max |a_ij + a_ji| = {resid[j]:.3e}")
-
-
-def spectra_of_matrices(a: np.ndarray) -> np.ndarray:
-    """Batched singular spectra of a (B, p, p) stack of skew-symmetric
-    matrices, shape (B, p // 2), descending along axis 1.
-
-    Route: a batched skew Householder tridiagonalization with delayed
-    updates (Ward & Gray 1978; the panel form of LAPACK's dlatrd), then
-    one t x t eigen-solve of M'M for the bidiagonal M it leaves.  Every
-    sample is solved scaled by a power of two to max |a_ij| in [1/2, 1),
-    which is exact, so every singular value is within 1e-13 * sigma_1 of
-    LAPACK's SVD, also for samples whose squares would underflow or
-    overflow.  Raises :class:`DomainError` for a shape other than (B, p, p),
-    non-finite entries or a sample not skew by :class:`SkewEigen`'s rule, and
-    :class:`PairingError` when sum(sigma^2) misses ||A||_F^2 / 2 by relative 1e-8.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DomainError(f"expected a (B, p, p) stack, got shape {a.shape}")
-    work = _Workspace(a.shape[1], len(a))
-    _check_skew(a)
-    work.stack(len(a))[...] = np.moveaxis(a, 0, -1)
-    return _spectra(work.stack(len(a)), work)[:len(a)]
-
-
 def spectra_from_uppers(uppers: np.ndarray, p: int) -> np.ndarray:
     """Batched singular spectra of a (B, p(p-1)/2) array of upper
-    triangles, shape (B, p // 2), descending along axis 1; the route,
-    its accuracy and its checks are those of :func:`spectra_of_matrices`,
-    on a stack built batch last.  Raises :class:`DomainError` unless the
-    rows have width p(p-1)/2."""
+    triangles, shape (B, p // 2), descending along axis 1.
+
+    Route: a skew Householder tridiagonalization with delayed updates (Ward &
+    Gray 1978; the panel form of LAPACK's dlatrd) of their (p, p, B) stack, batch
+    last, then one t x t eigen-solve of M'M for the bidiagonal M it leaves.  Each
+    sample is scaled by a power of two to max |a_ij| in [1/2, 1), which is exact,
+    so every singular value is within 1e-13 * sigma_1 of LAPACK's SVD, also where
+    squares would underflow or overflow.  Raises :class:`DomainError` for rows not
+    of width p(p-1)/2 or with non-finite entries, and :class:`PairingError` when
+    sum(sigma^2) misses ||A||_F^2 / 2 by relative 1e-8; the input is never written."""
     u = np.atleast_2d(np.asarray(uppers, dtype=float))
     if u.ndim != 2 or u.shape[1] != _triangle(p):
         raise DomainError(f"order {p} needs rows of width {_triangle(p)}, got shape {u.shape}")
@@ -302,7 +272,10 @@ class SkewEigen:
             raise DomainError(f"expected a square matrix of order >= 2, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise DomainError("matrix entries must be finite")
-        _check_skew(a[None])
+        with np.errstate(over="ignore"):
+            resid = float(np.max(np.abs(a + a.T)))
+        if resid > _SKEW_RTOL * float(np.max(np.abs(a))):
+            raise DomainError(f"matrix is not skew-symmetric: max |a_ij + a_ji| = {resid:.3e}")
         upper = np.triu(a, 1)
         scaled = upper - upper.T
         shift = int(_unit_scaled(scaled, axis=None)[0])
@@ -368,9 +341,12 @@ def ks_distance(samples, cdf: Callable[[float], float]) -> float:
     input is read in place, never written, and other input sorted in a copy.
     For the sigma_1 law that matches the exact CDF to about 1e-12 for
     p <= 10; from p ~ 20 the error is that of the CDF's own evaluation.
-    Raises :class:`DomainError` for a non-finite sample or CDF value.
+    Raises :class:`DomainError` unless the samples are a non-empty 1-D
+    array, and for a non-finite sample or CDF value.
     """
     s = np.asarray(samples, dtype=float)
+    if s.ndim != 1:
+        raise DomainError(f"ks_distance requires a 1-D array of samples, got shape {s.shape}")
     if np.any(s[1:] < s[:-1]):  # False at a NaN, which the finiteness check meets
         s = np.sort(s)
     n = s.size

@@ -39,18 +39,20 @@ class ScoreSheet:
     """Round-robin win counts: r[i, j] = wins of object i over j.
 
     No ties: r[i, j] + r[j, i] must equal the number of games per pair.
+    The number of objects m is the number of names.
     """
 
-    m: int
     names: tuple[str, ...]
     n_games: int
     r: np.ndarray
 
+    @property
+    def m(self) -> int:
+        return len(self.names)
+
     def __post_init__(self):
         if self.m < 3:
             raise DataError(f"need at least 3 objects, got {self.m}")
-        if len(self.names) != self.m:
-            raise DataError(f"expected {self.m} names, got {len(self.names)}")
         if self.n_games < 1:
             raise DataError(f"games per pair must be >= 1, got {self.n_games}")
         if self.n_games >= 2**63:
@@ -86,16 +88,19 @@ class SkewObservations:
 
     y may miss skew-symmetry by relative 1e-12; its exact skew part
     (y - y') / 2 is stored, which leaves an already skew y of normal-range
-    entries unchanged.
+    entries unchanged.  m is the order of y.
     """
 
-    m: int
     y: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return len(self.y)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        if y.shape != (self.m, self.m):
-            raise DataError(f"observations must be {self.m}x{self.m}, got {y.shape}")
+        if y.ndim != 2 or y.shape[0] != y.shape[1] or y.size == 0:
+            raise DataError(f"observations must be a non-empty square matrix, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             i, j = np.unravel_index(int(np.argmin(np.isfinite(y))), y.shape)
             raise DataError(f"observation y[{i + 1},{j + 1}] = {float(y[i, j])} is not finite")
@@ -118,12 +123,20 @@ class ScheffeFit:
     reconstructs the observations up to rounding.  ``eigen``, the one
     eigen-solve of i gamma_hat, is made on first use and cached, so the
     arrays must not be modified after construction; scheffe_fit returns
-    them read-only.
+    them read-only.  m is the order of gamma_hat, which must be square.
     """
 
-    m: int
     alpha_hat: np.ndarray
     gamma_hat: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return len(self.gamma_hat)
+
+    def __post_init__(self):
+        shape = np.shape(self.gamma_hat)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DomainError(f"gamma_hat must be a square matrix, got shape {shape}")
 
     @cached_property
     def eigen(self) -> mc.SkewEigen:
@@ -240,7 +253,7 @@ def variance_stabilize(sheet: ScoreSheet) -> SkewObservations:
     y = np.zeros((sheet.m, sheet.m))
     y[iu] = values[where]
     y.T[iu] = -y[iu]
-    return SkewObservations(m=sheet.m, y=y)
+    return SkewObservations(y=y)
 
 
 def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
@@ -261,7 +274,7 @@ def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
     with np.errstate(over="ignore"):  # an overflowing gamma is chi_square_test's DataError
         alpha, gamma = np.ldexp(alpha, k), np.ldexp(gamma, k)
     alpha.flags.writeable = gamma.flags.writeable = False
-    return ScheffeFit(m=obs.m, alpha_hat=alpha, gamma_hat=gamma)
+    return ScheffeFit(alpha_hat=alpha, gamma_hat=gamma)
 
 
 def interaction_spectrum(fit: ScheffeFit, sigma2: float = 1.0) -> np.ndarray:

@@ -339,9 +339,9 @@ class TestCriterion9PropertySpotChecks:
         )
 
         b = np.arange(6, dtype=float)
-        shifted = scheffe_fit(SkewObservations(m=6, y=obs.y + (b[:, None] - b[None, :])))
+        shifted = scheffe_fit(SkewObservations(y=obs.y + (b[:, None] - b[None, :])))
         assert np.allclose(shifted.gamma_hat, fit.gamma_hat, atol=1e-10)
-        scaled = scheffe_fit(SkewObservations(m=6, y=3.0 * obs.y))
+        scaled = scheffe_fit(SkewObservations(y=3.0 * obs.y))
         assert lrt_standardized_test(scaled)[0] == pytest.approx(
             lrt_standardized_test(fit)[0], abs=1e-12
         )

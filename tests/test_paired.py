@@ -51,12 +51,12 @@ def league_fit(league_sheet) -> ScheffeFit:
 def observations_from_vector(m: int, values) -> SkewObservations:
     y = np.zeros((m, m))
     y[np.triu_indices(m, 1)] = values
-    return SkewObservations(m=m, y=y - y.T)
+    return SkewObservations(y=y - y.T)
 
 
 def subtractive_observations(scores) -> SkewObservations:
     a = np.asarray(scores, dtype=float)
-    return SkewObservations(m=a.size, y=a[:, None] - a[None, :])
+    return SkewObservations(y=a[:, None] - a[None, :])
 
 
 def variance_stabilize_loop(sheet: ScoreSheet) -> np.ndarray:
@@ -78,7 +78,7 @@ def random_sheet(m: int, n: int, rng) -> ScoreSheet:
     iu = np.triu_indices(m, 1)
     r[iu] = rng.integers(0, n + 1, size=iu[0].size)
     r[iu[1], iu[0]] = n - r[iu]
-    return ScoreSheet(m=m, names=tuple(f"o{i}" for i in range(m)), n_games=n, r=r)
+    return ScoreSheet(names=tuple(f"o{i}" for i in range(m)), n_games=n, r=r)
 
 
 def max_deadlock_loop(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
@@ -109,23 +109,23 @@ class TestScoreSheet:
         r[0, 2], r[2, 0] = 2, 3
         r[1, 2], r[2, 1] = 1, 4
         with pytest.raises(DataError):
-            ScoreSheet(m=3, names=("a", "b", "c"), n_games=5, r=r)
+            ScoreSheet(names=("a", "b", "c"), n_games=5, r=r)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_observations_rejected(self, bad):
         y = np.zeros((3, 3))
         y[1, 2], y[2, 1] = bad, -bad
         with pytest.raises(DataError, match=r"y\[2,3\]"):
-            SkewObservations(m=3, y=y)
+            SkewObservations(y=y)
 
     def test_skew_check_is_relative_to_the_largest_entry(self):
         # as read_skew_matrix's: a symmetric y of tiny entries is rejected,
         # rounding-level asymmetry of a 1e+6-scaled y is accepted
         with pytest.raises(DataError, match="skew"):
-            SkewObservations(m=3, y=np.full((3, 3), 1e-13))
+            SkewObservations(y=np.full((3, 3), 1e-13))
         y = 1e6 * np.array([[0.0, 3.0, -1.0], [-3.0, 0.0, 2.0], [1.0, -2.0, 0.0]])
         y[0, 1] *= 1.0 + 8 * np.finfo(float).eps
-        assert np.array_equal(SkewObservations(m=3, y=y).y, 0.5 * y - 0.5 * y.T)
+        assert np.array_equal(SkewObservations(y=y).y, 0.5 * y - 0.5 * y.T)
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_near_subtractive_asymmetry_gives_a_report(self, m):
@@ -137,7 +137,7 @@ class TestScoreSheet:
         y[1, 0] -= 1e-9
         y[2, 3] += 1e-13
         y[3, 2] += 1e-13
-        obs = SkewObservations(m=m, y=y)
+        obs = SkewObservations(y=y)
         assert np.array_equal(obs.y, -obs.y.T)
         fit = scheffe_fit(obs)
         report = build_report(obs)
@@ -152,7 +152,7 @@ class TestScoreSheet:
         r = np.full((3, 3), n, dtype=np.int64)
         np.fill_diagonal(r, 0)
         with pytest.raises(DataError) as excinfo:
-            ScoreSheet(m=3, names=("a", "b", "c"), n_games=n, r=r)
+            ScoreSheet(names=("a", "b", "c"), n_games=n, r=r)
         assert str(excinfo.value) == (
             "r[1,2] + r[2,1] = 9223372036854775808 != 4611686018427387904: "
             "ties or miscounts are not allowed"
@@ -163,12 +163,12 @@ class TestScoreSheet:
         # pair check n_games - r.T is exact in int64
         r = np.zeros((3, 3), dtype=np.int64)
         with pytest.raises(DataError, match=r"games per pair must be below 2\^63, got 9223372036854775808"):
-            ScoreSheet(m=3, names=("a", "b", "c"), n_games=2**63, r=r)
+            ScoreSheet(names=("a", "b", "c"), n_games=2**63, r=r)
 
     def test_uint64_counts_that_sum_correctly_accepted(self):
         n = 2**63 - 1
         r = np.array([[0, n, 5], [0, 0, n - 7], [n - 5, 7, 0]], dtype=np.uint64)
-        sheet = ScoreSheet(m=3, names=("a", "b", "c"), n_games=n, r=r)
+        sheet = ScoreSheet(names=("a", "b", "c"), n_games=n, r=r)
         assert sheet.r.dtype == np.uint64 and np.array_equal(sheet.r, r)
 
     def test_out_of_range_rejected(self):
@@ -177,7 +177,45 @@ class TestScoreSheet:
         r[0, 2], r[2, 0] = 2, 3
         r[1, 2], r[2, 1] = 1, 4
         with pytest.raises(DataError):
-            ScoreSheet(m=3, names=("a", "b", "c"), n_games=5, r=r)
+            ScoreSheet(names=("a", "b", "c"), n_games=5, r=r)
+
+
+class TestOrderFromArrays:
+    """m is read off each type's arrays, never passed beside them, so a
+    fit's order cannot disagree with its residual."""
+
+    def test_no_exported_type_takes_m(self, league_sheet, league_fit):
+        import dataclasses
+
+        import skewtail
+
+        exports = [getattr(skewtail, name) for name in skewtail.__all__]
+        types = [t for t in exports if isinstance(t, type) and dataclasses.is_dataclass(t)]
+        assert {ScoreSheet, SkewObservations, ScheffeFit} <= set(types)
+        for t in types:
+            assert "m" not in {f.name for f in dataclasses.fields(t)}, t
+        obs = variance_stabilize(league_sheet)
+        assert league_sheet.m == len(league_sheet.names) == 6
+        assert obs.m == len(obs.y) == 6
+        assert league_fit.m == len(league_fit.gamma_hat) == 6
+        with pytest.raises(TypeError):
+            ScheffeFit(m=5, alpha_hat=league_fit.alpha_hat, gamma_hat=league_fit.gamma_hat)
+
+    def test_rebuilt_fit_gives_the_same_bits(self, league_fit):
+        fit = ScheffeFit(alpha_hat=league_fit.alpha_hat, gamma_hat=league_fit.gamma_hat)
+        for test in (chi_square_test, largest_sv_test, lrt_standardized_test, max_deadlock):
+            assert repr(test(fit)) == repr(test(league_fit))
+
+    @pytest.mark.parametrize("shape", [(6, 7), (6,), (2, 3, 3)])
+    def test_residual_must_be_square(self, shape):
+        # a (6, 7) residual once gave a chi-square value and no error
+        with pytest.raises(DomainError, match="square"):
+            ScheffeFit(alpha_hat=np.zeros(6), gamma_hat=np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+    def test_observations_must_be_square(self, shape):
+        with pytest.raises(DataError, match="square"):
+            SkewObservations(y=np.zeros(shape))
 
 
 class TestArcsineScoreVariance:
@@ -221,7 +259,7 @@ class TestSizeAtNGamesPerPair:
             r = np.zeros((m, m), dtype=int)
             r[iu] = rng.binomial(n, 0.5, size=len(iu[0]))
             r.T[iu] = n - r[iu]
-            sheet = ScoreSheet(m=m, names=tuple("abcdef"), n_games=n, r=r)
+            sheet = ScoreSheet(names=tuple("abcdef"), n_games=n, r=r)
             fit = scheffe_fit(variance_stabilize(sheet))
             for sigma2, counts in rejections.items():
                 counts[0] += chi_square_test(fit, sigma2)[2] < 0.05
@@ -237,7 +275,7 @@ class TestVarianceStabilize:
         r = np.zeros((3, 3), dtype=int)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             r[i, j] = r[j, i] = 5
-        obs = variance_stabilize(ScoreSheet(m=3, names=("a", "b", "c"), n_games=10, r=r))
+        obs = variance_stabilize(ScoreSheet(names=("a", "b", "c"), n_games=10, r=r))
         assert np.array_equal(obs.y, np.zeros((3, 3)))
 
     def test_direct_formula_value(self):
@@ -245,7 +283,7 @@ class TestVarianceStabilize:
         r[0, 1], r[1, 0] = 16, 11
         r[0, 2], r[2, 0] = 14, 13
         r[1, 2], r[2, 1] = 13, 14
-        obs = variance_stabilize(ScoreSheet(m=3, names=("a", "b", "c"), n_games=27, r=r))
+        obs = variance_stabilize(ScoreSheet(names=("a", "b", "c"), n_games=27, r=r))
         expect = 2.0 * math.sqrt(27) * (math.asin(math.sqrt(16.0 / 27.0)) - math.pi / 4.0)
         assert obs.y[0, 1] == pytest.approx(expect, rel=1e-14)
         # f(16/27) + f(11/27) = 0
@@ -272,7 +310,7 @@ class TestVarianceStabilize:
     def test_even_split_keeps_negative_zero_below_diagonal(self):
         r = np.full((4, 4), 5)
         np.fill_diagonal(r, 0)
-        y = variance_stabilize(ScoreSheet(m=4, names=tuple("abcd"), n_games=10, r=r)).y
+        y = variance_stabilize(ScoreSheet(names=tuple("abcd"), n_games=10, r=r)).y
         below = y[np.tril_indices(4, -1)]
         assert np.all(below == 0.0) and np.all(np.signbit(below))
         assert not np.any(np.signbit(y[np.triu_indices(4)]))
@@ -282,7 +320,7 @@ class TestVarianceStabilize:
         r[0, 1], r[1, 0] = 5, 0  # a sweep
         r[0, 2], r[2, 0] = 2, 3
         r[1, 2], r[2, 1] = 1, 4
-        sheet = ScoreSheet(m=3, names=("a", "b", "c"), n_games=5, r=r)
+        sheet = ScoreSheet(names=("a", "b", "c"), n_games=5, r=r)
         with pytest.warns(UserWarning, match="boundary"):
             obs = variance_stabilize(sheet)
         assert np.all(np.isfinite(obs.y))
@@ -319,7 +357,7 @@ class TestScheffeFit:
 
     def test_too_few_objects(self):
         with pytest.raises(DomainError):
-            scheffe_fit(SkewObservations(m=2, y=np.zeros((2, 2))))
+            scheffe_fit(SkewObservations(y=np.zeros((2, 2))))
 
 
 class TestChiSquareTest:
@@ -346,8 +384,7 @@ class TestChiSquareTest:
             chi_square_test(league_fit, sigma2=0.0)
 
     def test_overflowing_statistic_is_a_data_error(self, league_fit):
-        fit = ScheffeFit(m=league_fit.m, alpha_hat=league_fit.alpha_hat,
-                         gamma_hat=1e170 * league_fit.gamma_hat)
+        fit = ScheffeFit(alpha_hat=league_fit.alpha_hat, gamma_hat=1e170 * league_fit.gamma_hat)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="chi-square statistic"):
@@ -375,7 +412,7 @@ class TestLargestSvTest:
         rng = np.random.default_rng(m)
         for _ in range(3):
             obs = observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2))
-            ps = [largest_sv_test(scheffe_fit(SkewObservations(m=m, y=c * obs.y)))[1]
+            ps = [largest_sv_test(scheffe_fit(SkewObservations(y=c * obs.y)))[1]
                   for c in (1.0, 1.1, 1.25, 1.5)]
             assert 0.0 < ps[0] < 1.0 - 1e-9
             assert all(b < a for a, b in zip(ps, ps[1:]))
@@ -422,7 +459,7 @@ class TestStandardizedTest:
         )
         u, v = frame[:, 1], frame[:, 2]  # orthonormal, both sum to zero
         y = 2.0 * (np.outer(u, v) - np.outer(v, u))
-        fit = scheffe_fit(SkewObservations(m=6, y=y))
+        fit = scheffe_fit(SkewObservations(y=y))
         stat, p = lrt_standardized_test(fit)
         assert stat == pytest.approx(1.0, abs=1e-10)
         assert p == pytest.approx(0.0, abs=1e-12)
@@ -435,7 +472,7 @@ class TestStandardizedTest:
         y = np.zeros((6, 6))
         for a, b in ((1, 2), (3, 4)):
             y += np.outer(frame[:, a], frame[:, b]) - np.outer(frame[:, b], frame[:, a])
-        stat, p = lrt_standardized_test(scheffe_fit(SkewObservations(m=6, y=y)))
+        stat, p = lrt_standardized_test(scheffe_fit(SkewObservations(y=y)))
         assert stat == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
         # order-5 upper probability saturates at the critical point
         assert p == pytest.approx(1.0, abs=5e-5)
@@ -450,7 +487,7 @@ class TestStandardizedTest:
         y = np.zeros((7, 7))
         for a, b in ((1, 2), (3, 4), (5, 6)):
             y += np.outer(frame[:, a], frame[:, b]) - np.outer(frame[:, b], frame[:, a])
-        stat, p = lrt_standardized_test(scheffe_fit(SkewObservations(m=7, y=y)))
+        stat, p = lrt_standardized_test(scheffe_fit(SkewObservations(y=y)))
         assert stat == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-10)
         assert p is None
 
@@ -470,8 +507,8 @@ class TestStandardizedTest:
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170])
     def test_statistic_is_scale_free(self, league_sheet, scale):
         y = variance_stabilize(league_sheet).y
-        expect = lrt_standardized_test(scheffe_fit(SkewObservations(m=6, y=y)))
-        stat, p = lrt_standardized_test(scheffe_fit(SkewObservations(m=6, y=scale * y)))
+        expect = lrt_standardized_test(scheffe_fit(SkewObservations(y=y)))
+        stat, p = lrt_standardized_test(scheffe_fit(SkewObservations(y=scale * y)))
         assert stat == pytest.approx(expect[0], rel=1e-13)
         assert p == pytest.approx(expect[1], rel=1e-10)
 
@@ -506,7 +543,7 @@ class TestMaxDeadlock:
         rng = np.random.default_rng(m)
         for _ in range(20):
             g = np.triu(rng.integers(-2, 3, size=(m, m)), 1).astype(float)
-            fit = ScheffeFit(m=m, alpha_hat=np.zeros(m), gamma_hat=g - g.T)
+            fit = ScheffeFit(alpha_hat=np.zeros(m), gamma_hat=g - g.T)
             assert max_deadlock(fit) == max_deadlock_loop(fit)
 
     def test_matches_loop_on_central_league(self, league_fit):
@@ -517,14 +554,14 @@ class TestMaxDeadlock:
         rng = np.random.default_rng(m)
         r = np.triu(rng.binomial(27, 0.5, size=(m, m)), 1)
         r += np.triu(27 - r, 1).T
-        sheet = ScoreSheet(m=m, names=tuple(map(str, range(m))), n_games=27, r=r)
+        sheet = ScoreSheet(names=tuple(map(str, range(m))), n_games=27, r=r)
         fit = scheffe_fit(variance_stabilize(sheet))
         assert max_deadlock(fit) == max_deadlock_loop(fit)
 
     # == cannot tell -0.0 from 0.0, so repr pins the sign of a zero value:
     # taking the winner's magnitude with abs() would flip a -0.0
     def test_sign_of_zero_on_subtractive_data(self):
-        even = ScoreSheet(m=6, names=tuple("abcdef"), n_games=26, r=13 * (1 - np.eye(6, dtype=int)))
+        even = ScoreSheet(names=tuple("abcdef"), n_games=26, r=13 * (1 - np.eye(6, dtype=int)))
         for obs in (variance_stabilize(even), subtractive_observations([2.0, 1.0, 0.0, -1.0, -2.0])):
             fit = scheffe_fit(obs)
             assert repr(max_deadlock(fit)) == repr(max_deadlock_loop(fit)) == "((1, 2, 3), 0.0)"
@@ -532,7 +569,7 @@ class TestMaxDeadlock:
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus", "minus"])
     @pytest.mark.parametrize("m", [6, 60])
     def test_sign_of_zero_on_all_zero_residual(self, m, zero):
-        fit = ScheffeFit(m=m, alpha_hat=np.zeros(m), gamma_hat=np.full((m, m), zero))
+        fit = ScheffeFit(alpha_hat=np.zeros(m), gamma_hat=np.full((m, m), zero))
         triple, value = max_deadlock(fit)
         assert repr(value) == repr(zero) and triple == (1, 2, 3)
         assert repr((triple, value)) == repr(max_deadlock_loop(fit))
@@ -542,7 +579,7 @@ class TestMaxDeadlock:
         # entries: a search over them would answer an infinite value whose
         # triple depends on the visiting order
         u = np.triu(np.random.default_rng(2).choice([-1.7e308, 1.7e308], size=(6, 6)), 1)
-        fit = scheffe_fit(SkewObservations(m=6, y=u - u.T))
+        fit = scheffe_fit(SkewObservations(y=u - u.T))
         assert np.isinf(fit.gamma_hat).sum() == 6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -551,7 +588,7 @@ class TestMaxDeadlock:
             # a finite residual whose cycle sums overflow
             g = np.triu(np.full((6, 6), 1e308), 1)
             with pytest.raises(DataError, match="deadlock contrast overflows"):
-                max_deadlock(ScheffeFit(m=6, alpha_hat=np.zeros(6), gamma_hat=g - g.T))
+                max_deadlock(ScheffeFit(alpha_hat=np.zeros(6), gamma_hat=g - g.T))
 
     def test_value_bounded_by_sigma1(self):
         from skewtail.paired import interaction_spectrum
@@ -641,7 +678,7 @@ class TestResidualEmbedding:
         )
         u, v = frame[:, 1], frame[:, 2]
         gamma = 1.8 * (np.outer(u, v) - np.outer(v, u))
-        fit = scheffe_fit(SkewObservations(m=6, y=gamma))
+        fit = scheffe_fit(SkewObservations(y=gamma))
         pts = residual_embedding(fit)
         for i in range(6):
             for j in range(i + 1, 6):
@@ -688,7 +725,7 @@ class TestInvariances:
         rng = np.random.default_rng(20)
         obs = observations_from_vector(6, rng.standard_normal(15))
         b = np.asarray(shift)
-        shifted = SkewObservations(m=6, y=obs.y + (b[:, None] - b[None, :]))
+        shifted = SkewObservations(y=obs.y + (b[:, None] - b[None, :]))
         fit0, fit1 = scheffe_fit(obs), scheffe_fit(shifted)
         assert np.allclose(fit1.alpha_hat, fit0.alpha_hat + (b - b.mean()), atol=1e-10)
         assert np.allclose(fit1.gamma_hat, fit0.gamma_hat, atol=1e-10)
@@ -703,7 +740,7 @@ class TestInvariances:
     def test_scale_behavior(self, c):
         rng = np.random.default_rng(21)
         obs = observations_from_vector(6, rng.standard_normal(15))
-        scaled = SkewObservations(m=6, y=c * obs.y)
+        scaled = SkewObservations(y=c * obs.y)
         fit0, fit1 = scheffe_fit(obs), scheffe_fit(scaled)
         assert lrt_standardized_test(fit1)[0] == pytest.approx(
             lrt_standardized_test(fit0)[0], abs=1e-12
@@ -743,7 +780,7 @@ class TestOverflowingSpectrum:
         # or an error about the infinite spectrum downstream
         g = np.triu(np.full((6, 6), 1e308), 1)
         for test in (interaction_spectrum, largest_sv_test, lrt_standardized_test, residual_embedding):
-            fit = ScheffeFit(m=6, alpha_hat=np.zeros(6), gamma_hat=g - g.T)
+            fit = ScheffeFit(alpha_hat=np.zeros(6), gamma_hat=g - g.T)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DataError, match="sigma_1 = .* overflows double precision"):
@@ -754,7 +791,7 @@ class TestOverflowingSpectrum:
         # maximum: a DomainError names sigma2, as chi_square_test's does, not a
         # RuntimeWarning or an error about an infinite x downstream
         g = np.triu(np.full((6, 6), 1e200), 1)
-        fit = ScheffeFit(m=6, alpha_hat=np.zeros(6), gamma_hat=g - g.T)
+        fit = ScheffeFit(alpha_hat=np.zeros(6), gamma_hat=g - g.T)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for test in (interaction_spectrum, largest_sv_test):
@@ -819,13 +856,14 @@ class TestBuildReport:
     @pytest.mark.parametrize("m", [5, 6, 20])
     def test_every_spectrum_is_a_row_of_the_batched_solve(self, m):
         # one representation of a singular spectrum: a descending 1-D float
-        # array of length t = m // 2, as one row of spectra_of_matrices is
+        # array of length t = m // 2, as one row of spectra_from_uppers is
         from skewtail.paired import interaction_spectrum
 
         rng = np.random.default_rng(m)
         obs = observations_from_vector(m, rng.standard_normal(m * (m - 1) // 2))
         fit = scheffe_fit(obs)
-        row = mc.spectra_of_matrices(fit.gamma_hat[None])[0]
+        iu = np.triu_indices(m, 1)
+        row = mc.spectra_from_uppers(fit.gamma_hat[None][:, iu[0], iu[1]], m)[0]
         eigen = mc.SkewEigen(fit.gamma_hat)
         for spectrum in (eigen.spectrum, interaction_spectrum(fit), build_report(obs).spectrum):
             assert type(spectrum) is type(row) is np.ndarray
@@ -858,7 +896,7 @@ class TestBuildReport:
         y = obs.y.copy()
         y[0, 1] += 1e-12
         y[1, 0] -= 1e-12
-        fit = scheffe_fit(SkewObservations(m=6, y=y))
+        fit = scheffe_fit(SkewObservations(y=y))
         assert 0.0 < float(np.max(np.abs(fit.gamma_hat))) < 1e-12
 
     def test_league_report_fields(self, league_sheet):
