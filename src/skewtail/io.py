@@ -53,8 +53,6 @@ def read_score_sheet_csv(path, n_games: int) -> ScoreSheet:
     header = [cell.strip() for cell in rows[0]]
     names = tuple(header[1:])
     m = len(names)
-    if m < 3:
-        raise DataError(f"{path}: header row 1 must list at least 3 object names")
     if len(rows) != m + 1:
         raise DataError(f"{path}: expected {m} data rows for {m} objects, found {len(rows) - 1}")
     r = np.zeros((m, m), dtype=int)

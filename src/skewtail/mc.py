@@ -10,8 +10,8 @@ exact, to max |a_ij| in [1/2, 1), and check its spectrum against the
 energy identity sum(sigma^2) = ||A||_F^2 / 2 to relative 1e-8.  The
 batched solve, :func:`spectra_from_uppers`, takes upper triangles, so its
 input is skew by construction; :class:`SkewEigen`, the single solve that
-also keeps the top plane, checks that a (p, p) array is skew and is one
-Hermitian eigen-solve of iA.  Both are within 1e-13 * sigma_1 of LAPACK's SVD.
+also keeps the top plane, is one Hermitian eigen-solve of iA for a residual
+that its ScheffeFit has checked.  Both are within 1e-13 sigma_1 of LAPACK's SVD.
 
 The samplers draw and solve one block of samples at a time, serially, in
 buffers allocated once per call: fresh ones per block made a cold run fault
@@ -33,8 +33,6 @@ import numpy as np
 from .errors import DataError, DomainError, MultiplicityError, PairingError, whole
 
 _PAIR_RTOL = 1e-8
-#: Largest max |a_ij + a_ji| / max |a_ij| that :class:`SkewEigen` accepts as skew.
-_SKEW_RTOL = 1e-9
 #: Samples per Philox block; changing it changes every draw of every seed.
 _STREAM_BLOCK = 256
 #: Samples per solve batch; a multiple of _STREAM_BLOCK, so no Philox block is drawn twice.
@@ -257,25 +255,15 @@ def sample_tops(p: int, count: int, seed: int) -> np.ndarray:
 
 
 class SkewEigen:
-    """One Hermitian eigen-solve of iA for a (p, p) array A: the t largest of
-    its eigenvalues +-sigma_k (and 0 for odd order), descending, are
-    ``spectrum``, and the eigenvector of sigma_1 spans the top plane.  Raises
-    :class:`DomainError` unless A is square, p >= 2, finite and skew to relative
-    ``_SKEW_RTOL``; the solve is of the skew completion of A's strict upper
-    triangle, scaled by a power of two to max |a_ij| in [1/2, 1), which is exact.
-    Raises :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2 and :class:`DataError`
-    if sigma_1 overflows.  Both arrays are read-only, so a cached solve cannot be altered in place."""
+    """One Hermitian eigen-solve of iA for a float (p, p) array A, p >= 2, finite and
+    skew, as a ScheffeFit's checked residual is: the t largest of its eigenvalues +-sigma_k
+    (and 0 for odd order), descending, are ``spectrum``, and the eigenvector of sigma_1
+    spans the top plane.  The solve is of the skew completion of A's strict upper triangle,
+    scaled by a power of two to max |a_ij| in [1/2, 1), which is exact.  Guards of the solve
+    itself: :class:`PairingError` if sum(sigma^2) misses ||A||_F^2 / 2, :class:`DataError` if
+    sigma_1 overflows.  Both arrays are read-only, so a cached solve cannot be altered in place."""
 
     def __init__(self, a: np.ndarray):
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or len(a) < 2:
-            raise DomainError(f"expected a square matrix of order >= 2, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("matrix entries must be finite")
-        with np.errstate(over="ignore"):
-            resid = float(np.max(np.abs(a + a.T)))
-        if resid > _SKEW_RTOL * float(np.max(np.abs(a))):
-            raise DomainError(f"matrix is not skew-symmetric: max |a_ij + a_ji| = {resid:.3e}")
         upper = np.triu(a, 1)
         scaled = upper - upper.T
         shift = int(_unit_scaled(scaled, axis=None)[0])

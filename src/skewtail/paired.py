@@ -7,9 +7,9 @@ squares splits it into main-effect scores alpha_i and an interaction
 residual Gamma-hat; the residual's size is then judged three ways
 (chi-square norm, largest singular value, standardized largest singular
 value), its most deadlocked triple is located, and the rank-2 structure
-is embedded in the plane for plotting.  The spectral tests and the
-embedding share the fit's one cached eigen-solve, so a fit's arrays must
-not be modified (scheffe_fit's are read-only).
+is embedded in the plane for plotting.  Each test takes a ScheffeFit, checked once
+when built; the spectral tests and the embedding share its one cached eigen-solve,
+so a fit's arrays must not be modified (scheffe_fit's are read-only).
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ _SQRT3 = math.sqrt(3.0)
 # A residual no larger than this many times m * eps * max|y| is rounding
 # noise of the fit itself: subtractive data leave up to about 0.3 times it.
 _ROUNDING_RESIDUAL = 4.0
+#: Largest max |g_ij + g_ji| / max |g_ij| that :class:`ScheffeFit` accepts as skew.
+_SKEW_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ class ScoreSheet:
     def __post_init__(self):
         if self.m < 3:
             raise DataError(f"need at least 3 objects, got {self.m}")
-        if self.n_games < 1:
-            raise DataError(f"games per pair must be >= 1, got {self.n_games}")
+        if not (type(self.n_games) is int or isinstance(self.n_games, np.integer)) or self.n_games < 1:
+            raise DataError(f"games per pair must be an integer >= 1, got {self.n_games!r}")
         if self.n_games >= 2**63:
             raise DataError(f"games per pair must be below 2^63, got {self.n_games}")
         r = np.asarray(self.r)
@@ -118,12 +120,12 @@ class SkewObservations:
 class ScheffeFit:
     """Least-squares split y_ij = (alpha_i - alpha_j) + gamma_ij.
 
-    alpha_hat sums to zero and every row of the skew-symmetric residual
-    gamma_hat sums to zero (the model's side conditions); the split
-    reconstructs the observations up to rounding.  ``eigen``, the one
-    eigen-solve of i gamma_hat, is made on first use and cached, so the
-    arrays must not be modified after construction; scheffe_fit returns
-    them read-only.  m is the order of gamma_hat, which must be square.
+    alpha_hat sums to zero and every row of the skew-symmetric residual gamma_hat sums to
+    zero (the model's side conditions); the split reconstructs the observations up to
+    rounding.  Construction is the one check of a residual, stored as floats: DomainError
+    unless gamma_hat is m x m, m >= 3, alpha_hat is (m,) and max |g_ij + g_ji| <= _SKEW_RTOL
+    max |g_ij|; DataError for a non-finite entry.  ``eigen``, the one solve of i gamma_hat,
+    is cached on first use, so the arrays must not be modified; scheffe_fit's are read-only.
     """
 
     alpha_hat: np.ndarray
@@ -134,9 +136,19 @@ class ScheffeFit:
         return len(self.gamma_hat)
 
     def __post_init__(self):
-        shape = np.shape(self.gamma_hat)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise DomainError(f"gamma_hat must be a square matrix, got shape {shape}")
+        for name in ("alpha_hat", "gamma_hat"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.gamma_hat.ndim != 2 or self.m != self.gamma_hat.shape[1] or self.m < 3:
+            raise DomainError("need m >= 3 objects for an interaction space: gamma_hat must be "
+                              f"a square m x m matrix, got shape {self.gamma_hat.shape}")
+        if self.alpha_hat.shape != (self.m,):
+            raise DomainError(f"alpha_hat must have shape ({self.m},), got {self.alpha_hat.shape}")
+        if not (np.isfinite(self.alpha_hat).all() and np.isfinite(self.gamma_hat).all()):
+            raise DataError("the interaction residual is too large for double precision (inf or NaN)")
+        with np.errstate(over="ignore"):
+            resid = float(np.max(np.abs(self.gamma_hat + self.gamma_hat.T)))
+        if resid > _SKEW_RTOL * float(np.max(np.abs(self.gamma_hat))):
+            raise DomainError(f"gamma_hat is not skew-symmetric: max |g_ij + g_ji| = {resid:.3e}")
 
     @cached_property
     def eigen(self) -> mc.SkewEigen:
@@ -161,12 +173,13 @@ class ContrastPair:
         d = np.asarray(self.d, dtype=float)
         if c.shape != d.shape or c.ndim != 1:
             raise DomainError(f"c and d must be vectors of equal length, got {c.shape}, {d.shape}")
-        for name, v in (("c", c), ("d", d)):
-            if abs(float(v @ v) - 1.0) > 1e-10:
-                raise DomainError(f"{name} must have unit length")
-            if abs(float(v.sum())) > 1e-10:
-                raise DomainError(f"{name} must sum to zero")
-        if abs(float(c @ d)) > 1e-10:
+        with np.errstate(over="ignore"):  # a NaN, or an overflowing v @ v, fails each test
+            for name, v in (("c", c), ("d", d)):
+                if not abs(float(v @ v) - 1.0) <= 1e-10:
+                    raise DomainError(f"{name} must have unit length")
+                if not abs(float(v.sum())) <= 1e-10:
+                    raise DomainError(f"{name} must sum to zero")
+        if not abs(float(c @ d)) <= 1e-10:
             raise DomainError("c and d must be orthogonal")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
@@ -179,6 +192,7 @@ def deadlock_contrast_pair(m: int, i: int, j: int, k: int) -> ContrastPair:
     m = whole("m", m, 0)
     if len({i, j, k}) != 3 or not all(0 <= idx < m for idx in (i, j, k)):
         raise DomainError(f"need three distinct indices below {m}, got ({i}, {j}, {k})")
+    i, j, k = (whole("index", idx, 0) for idx in (i, j, k))
     c = np.zeros(m)
     d = np.zeros(m)
     c[i], c[j] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
@@ -262,8 +276,6 @@ def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
     A gamma at rounding level (max |gamma| <= 4 m eps max |y|) is set to
     exactly zero, so subtractive data take the exact-zero path.
     """
-    if obs.m < 3:
-        raise DomainError(f"need m >= 3 objects for an interaction space, got {obs.m}")
     _, k = np.frexp(np.max(np.abs(obs.y)))  # fit y / 2^k, exactly: its row sums cannot overflow
     y = np.ldexp(obs.y, -k)
     alpha = y.sum(axis=1) / obs.m
@@ -271,7 +283,7 @@ def scheffe_fit(obs: SkewObservations) -> ScheffeFit:
     noise = _ROUNDING_RESIDUAL * obs.m * np.finfo(float).eps * float(np.max(np.abs(y)))
     if float(np.max(np.abs(gamma))) <= noise:
         gamma = np.zeros_like(gamma)
-    with np.errstate(over="ignore"):  # an overflowing gamma is chi_square_test's DataError
+    with np.errstate(over="ignore"):  # an overflowing gamma is ScheffeFit's DataError
         alpha, gamma = np.ldexp(alpha, k), np.ldexp(gamma, k)
     alpha.flags.writeable = gamma.flags.writeable = False
     return ScheffeFit(alpha_hat=alpha, gamma_hat=gamma)
@@ -326,8 +338,6 @@ def largest_sv_test(fit: ScheffeFit, sigma2: float = 1.0) -> tuple[float, float]
     exactly like those of an (m-1) x (m-1) standard skew-symmetric
     Gaussian matrix, which supplies the null distribution.
     """
-    if fit.m < 3:
-        raise DomainError(f"need m >= 3, got {fit.m}")
     stat = float(interaction_spectrum(fit, sigma2)[0])
     return stat, largest_sv_upper(fit.m - 1, stat)
 
@@ -360,13 +370,9 @@ def max_deadlock(fit: ScheffeFit) -> tuple[tuple[int, int, int], float]:
     both cyclic orientations, one (a, c) block per middle index b, and returns
     the 1-based triple (as labeled on the score sheet) whose cycle sum is most
     positive.  Ties go to the first triple a < b < c in lexicographic order.
-    Raises :class:`DataError` when a residual entry or a cycle sum is not finite.
+    Raises :class:`DataError` when a cycle sum overflows.
     """
-    if fit.m < 3:
-        raise DomainError(f"need m >= 3 for a triple, got {fit.m}")
     g = fit.gamma_hat
-    if not np.isfinite(g).all():
-        raise DataError("the interaction residual is not finite")
     best_value, best_key, best_triple = -math.inf, None, None
     with np.errstate(over="ignore"):  # an infinite winner is raised below as a DataError
         for b in range(1, fit.m - 1):
@@ -401,11 +407,14 @@ def residual_embedding(fit: ScheffeFit) -> np.ndarray:
 def signed_area(points: np.ndarray, i: int, j: int, k: int) -> float:
     """Signed (counterclockwise-positive) area of triangle (i, j, k).
 
-    Indices are 0-based rows of the embedding array.
+    Indices are 0-based rows of the (n, 2) embedding array.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DomainError(f"points must be an (n, 2) array, got shape {pts.shape}")
     if len({i, j, k}) != 3 or not all(0 <= idx < len(pts) for idx in (i, j, k)):
         raise DomainError(f"need three distinct indices below {len(pts)}, got ({i}, {j}, {k})")
+    i, j, k = (whole("index", idx, 0) for idx in (i, j, k))
     (xi, yi), (xj, yj), (xk, yk) = corners = pts[[i, j, k]]
     if not np.isfinite(corners).all():
         raise DomainError(f"triangle ({i}, {j}, {k}) has a non-finite point")

@@ -421,6 +421,14 @@ class TestAnalyze:
         assert code == 4
         assert str(small) in err and "at least 3 objects" in err
 
+    def test_score_sheet_below_three_objects_exits_4(self, capsys, tmp_path):
+        # ScoreSheet decides m >= 3 and the reader names the path
+        small = tmp_path / "small.csv"
+        small.write_text(csv_text(sheet_rows([[0, 13], [14, 0]])))
+        code, _, err = run_cli(capsys, "analyze", str(small), "--n-games", "27")
+        assert code == 4
+        assert f"{small}: need at least 3 objects, got 2" in err
+
     @pytest.mark.parametrize("m", [3, 4], ids=["3x3", "4x4"])
     def test_raw_matrix_below_five_objects_has_no_standardized_law(self, capsys, tmp_path, m):
         # order m - 1 <= 3 has one singular pair, so the statistic is exactly 1,
@@ -486,6 +494,18 @@ class TestAnalyze:
                 code, out, err = run_cli(capsys, "analyze", str(raw), "--raw")
             assert code == 4 and out == ""
             assert "chi-square statistic" in err and "overflows" in err
+
+    def test_infinite_residual_raw_matrix_exits_4(self, capsys, tmp_path):
+        # a skew matrix of +-1.7e308 entries is finite, but its fit leaves
+        # infinite gamma entries, which the fit itself refuses
+        u = np.triu(np.random.default_rng(2).choice([-1.7e308, 1.7e308], size=(6, 6)), 1)
+        raw = tmp_path / "infinite_residual.txt"
+        raw.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in u - u.T) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "analyze", str(raw), "--raw")
+        assert code == 4 and out == ""
+        assert "the interaction residual is too large for double precision" in err
 
     def test_sigma2_whose_division_overflows_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "analyze", FIXTURE, "--n-games", "27",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from skewtail import mc
-from skewtail.errors import DomainError, MultiplicityError, PairingError, whole
+from skewtail.errors import DataError, DomainError, MultiplicityError, PairingError, whole
 from skewtail.mc import (
     SkewEigen,
     binomial_standard_error,
@@ -21,6 +21,7 @@ from skewtail.mc import (
     sample_tops,
     sample_uppers,
 )
+from skewtail.paired import ScheffeFit
 
 from oracles import uppers_to_full
 
@@ -57,15 +58,21 @@ def ks_at_every_sample(samples, cdf) -> float:
     return float(max(np.max(i / s.size - f), np.max(f - (i - 1) / s.size)))
 
 
+def fit_of(a) -> ScheffeFit:
+    """A fit whose residual is ``a``: ScheffeFit's construction is the one
+    check of the single solve's input."""
+    return ScheffeFit(alpha_hat=np.zeros(len(a)), gamma_hat=a)
+
+
 def rank2_matrix(p: int, s: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """s (a b' - b a') for orthonormal a, b, completed from its upper triangle."""
     return uppers_to_full((s * (np.outer(a, b) - np.outer(b, a)))[np.triu_indices(p, 1)], p)[0]
 
 
 class TestSkewMatrix:
-    """SkewEigen's input contract: a full (p, p) array, checked once for
-    shape, finiteness and skewness, and solved as the skew completion of
-    its strict upper triangle."""
+    """The single solve's input contract: a full (p, p) residual, checked once,
+    when its ScheffeFit is built, for shape, finiteness and skewness, and solved
+    by SkewEigen as the skew completion of its strict upper triangle."""
 
     def test_full_matrix_is_exactly_skew(self):
         m = sample_matrix(5, 1)
@@ -80,36 +87,53 @@ class TestSkewMatrix:
 
     def test_from_full_rejects_non_skew(self):
         with pytest.raises(DomainError, match="skew"):
-            SkewEigen(np.eye(3))
+            fit_of(np.eye(3))
 
     def test_from_full_tolerance_is_relative(self):
         # max |a + a'| is bounded relative to max |a|: a symmetric matrix of
         # tiny entries is rejected, rounding-level asymmetry of a 1e+6-scaled
         # matrix is accepted and solved as its upper triangle's completion
         with pytest.raises(DomainError, match="skew"):
-            SkewEigen(np.full((3, 3), 1e-10))
+            fit_of(np.full((3, 3), 1e-10))
         full = 1e6 * np.array([[0.0, 3.0, -1.0], [-3.0, 0.0, 2.0], [1.0, -2.0, 0.0]])
         full[0, 1] *= 1.0 + 8 * np.finfo(float).eps
         assert full[0, 1] != -full[1, 0]
         completion = uppers_to_full(full[np.triu_indices(3, 1)], 3)[0]
-        assert np.array_equal(SkewEigen(full).spectrum, SkewEigen(completion).spectrum)
+        assert np.array_equal(fit_of(full).eigen.spectrum, SkewEigen(completion).spectrum)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_from_full_rejects_non_finite(self, bad):
         full = np.zeros((3, 3))
         full[0, 1], full[1, 0] = bad, -bad
-        with pytest.raises(DomainError, match="finite"):
-            SkewEigen(full)
+        with pytest.raises(DataError, match="too large for double precision"):
+            fit_of(full)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_is_a_data_error(self, bad):
+        upper = np.ones(6)
+        upper[2] = bad
+        with pytest.raises(DataError, match="too large for double precision"):
+            fit_of(uppers_to_full(upper, 4)[0])
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3])
+    def test_slightly_non_skew_residual_is_rejected(self, scale):
+        # a sample plus a symmetric matrix scale * max |a_ij| * ones breaks
+        # the rule max |a_ij + a_ji| <= 1e-9 max |a_ij| at each scale; the
+        # batched solve takes upper triangles, so its input cannot break it
+        a = uppers_to_full(sample_uppers(6, 3, seed=5), 6)[1]
+        a += scale * np.abs(a).max() * np.ones((6, 6))
+        with pytest.raises(DomainError, match="^gamma_hat is not skew-symmetric"):
+            fit_of(a)
 
     def test_rejects_wrong_length(self):
-        # the samplers' packed upper triangle is not a SkewEigen input
+        # the samplers' packed upper triangle is not a residual
         with pytest.raises(DomainError, match="square"):
-            SkewEigen(sample_uppers(4, 1, seed=3)[0])
+            fit_of(sample_uppers(4, 1, seed=3)[0])
 
     @pytest.mark.parametrize("shape", [(4, 5), (4,), (1, 1)], ids=["4x5", "4", "1x1"])
     def test_rejects_wrong_shape(self, shape):
-        with pytest.raises(DomainError, match="order >= 2"):
-            SkewEigen(np.zeros(shape))
+        with pytest.raises(DomainError, match="need m >= 3 objects"):
+            fit_of(np.zeros(shape))
 
 
 class TestDeterminism:
@@ -322,13 +346,6 @@ class TestSingularValues:
         plane, ref = eigen.top_plane(), SkewEigen(m).top_plane()
         assert plane.sigma1 / scale == pytest.approx(ref.sigma1, rel=1e-13)
         assert np.allclose(plane.u, ref.u, atol=1e-12) and np.allclose(plane.v, ref.v, atol=1e-12)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_entry_raises_domain_error(self, bad):
-        upper = np.ones(6)
-        upper[2] = bad
-        with pytest.raises(DomainError, match="finite"):
-            SkewEigen(uppers_to_full(upper, 4)[0])
 
 
 class TestTopPlane:
@@ -577,16 +594,6 @@ class TestBatchedSpectra:
         uppers[3, 4] = bad
         with pytest.raises(DomainError, match="sample 3"):
             mc.spectra_from_uppers(uppers, 6)
-
-    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3])
-    def test_slightly_non_skew_sample_is_rejected_as_by_skew_eigen(self, scale):
-        # a sample plus a symmetric matrix scale * max |a_ij| * ones breaks
-        # SkewEigen's rule max |a_ij + a_ji| <= 1e-9 max |a_ij| at each scale;
-        # the batched solve takes upper triangles, so its input cannot break it
-        a = uppers_to_full(sample_uppers(6, 3, seed=5), 6)[1]
-        a += scale * np.abs(a).max() * np.ones((6, 6))
-        with pytest.raises(DomainError, match="^matrix is not skew-symmetric"):
-            SkewEigen(a)
 
     @pytest.mark.parametrize("width", [5, 7])
     def test_row_width_must_match_order(self, width):

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewtail import mc
-from skewtail.errors import DataError, DomainError
+from skewtail.errors import DataError, DomainError, SkewtailError
 from skewtail.io import central_league_1997_path, deadlock_area_ratio, read_score_sheet_csv
 from skewtail.paired import (
+    ContrastPair,
     ScheffeFit,
     ScoreSheet,
     SkewObservations,
@@ -216,6 +217,131 @@ class TestOrderFromArrays:
     def test_observations_must_be_square(self, shape):
         with pytest.raises(DataError, match="square"):
             SkewObservations(y=np.zeros(shape))
+
+
+class TestResidualGate:
+    """ScheffeFit's construction is the one check of a residual, so every test
+    that takes a fit, not only the spectral ones, sees it."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_too_few_objects(self, m):
+        # a (0, 0) fit once gave chi-square (0.0, 1, 1.0)
+        with pytest.raises(DomainError, match="need m >= 3 objects for an interaction space"):
+            ScheffeFit(alpha_hat=np.zeros(m), gamma_hat=np.zeros((m, m)))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (6, 1), (7,), (1, 6)])
+    def test_alpha_hat_must_have_one_score_per_object(self, shape, league_fit):
+        with pytest.raises(DomainError, match=re.escape(f"alpha_hat must have shape (6,), got {shape}")):
+            ScheffeFit(alpha_hat=np.zeros(shape), gamma_hat=league_fit.gamma_hat)
+
+    def test_non_skew_residual_is_refused_before_any_test(self):
+        # once chi-square 4.89 on 10 df (p = 0.898) and deadlock triple (3, 2, 1),
+        # while only largest_sv_test's lazy solve rejected it
+        g = np.random.default_rng(0).standard_normal((6, 6))
+        with pytest.raises(DomainError, match="alpha_hat must have shape"):
+            ScheffeFit(alpha_hat=np.zeros(3), gamma_hat=g)
+        with pytest.raises(DomainError, match="not skew-symmetric"):
+            ScheffeFit(alpha_hat=np.zeros(6), gamma_hat=g)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_or_scores_are_a_data_error(self, bad, league_fit):
+        # contrast_value once returned nan or inf here
+        g = np.array(league_fit.gamma_hat)
+        g[0, 1], g[1, 0] = bad, -bad
+        alpha = np.array(league_fit.alpha_hat)
+        alpha[2] = bad
+        for fields in ({"alpha_hat": league_fit.alpha_hat, "gamma_hat": g},
+                       {"alpha_hat": alpha, "gamma_hat": league_fit.gamma_hat}):
+            with pytest.raises(DataError, match="too large for double precision"):
+                ScheffeFit(**fields)
+
+    def test_arrays_are_stored_as_floats(self, league_fit):
+        g = np.array([[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
+        fit = ScheffeFit(alpha_hat=[0, 0, 0], gamma_hat=g)
+        assert fit.gamma_hat.dtype == fit.alpha_hat.dtype == np.float64
+        assert max_deadlock(fit) == max_deadlock_loop(fit)
+        assert largest_sv_test(fit)[0] == pytest.approx(math.sqrt(14.0), rel=1e-14)
+        # a read-only float residual is kept as it is, not copied
+        kept = ScheffeFit(alpha_hat=league_fit.alpha_hat, gamma_hat=league_fit.gamma_hat)
+        assert kept.gamma_hat is league_fit.gamma_hat and kept.alpha_hat is league_fit.alpha_hat
+
+
+def hostile_constructions():
+    """Thunks, one per pytest param, that build each input type from hostile arguments:
+    NaN, +-inf, -0.0 and 1.7e308 entries, empty, 1-D and 3-D arrays, a wrong-shape
+    alpha_hat, and bool or float games per pair."""
+    names = ("a", "b", "c")
+    r = np.array([[0, 3, 2], [2, 0, 4], [3, 1, 0]])
+    y = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 3.0], [2.0, -3.0, 0.0]])
+    c, d = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0), np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
+
+    def skew_with(x):
+        out = y.copy()
+        out[0, 1], out[1, 0] = x, -x
+        return out
+
+    def with_entry(v, x):
+        out = np.array(v, dtype=float)
+        out.flat[0] = x
+        return out
+
+    cases = []
+    for x in (math.nan, math.inf, -math.inf, -0.0, 1.7e308):
+        cases += [
+            (f"sheet-n_games-{x}", lambda x=x: ScoreSheet(names=names, n_games=x, r=r)),
+            (f"sheet-r-{x}", lambda x=x: ScoreSheet(names=names, n_games=5, r=with_entry(r, x))),
+            (f"obs-{x}", lambda x=x: SkewObservations(y=skew_with(x))),
+            (f"fit-gamma-{x}", lambda x=x: ScheffeFit(alpha_hat=np.zeros(3), gamma_hat=skew_with(x))),
+            (f"fit-alpha-{x}", lambda x=x: ScheffeFit(alpha_hat=with_entry(np.zeros(3), x), gamma_hat=y)),
+            (f"pair-{x}", lambda x=x: ContrastPair(c=with_entry(c, x), d=d)),
+            (f"pair-all-{x}", lambda x=x: ContrastPair(c=np.full(3, x), d=np.full(3, x))),
+        ]
+    for a in (np.zeros(0), np.zeros((0, 0)), np.zeros(3), np.zeros((2, 3, 3))):
+        cases += [
+            (f"sheet-{a.shape}", lambda a=a: ScoreSheet(names=names, n_games=5, r=a.astype(int))),
+            (f"obs-{a.shape}", lambda a=a: SkewObservations(y=a)),
+            (f"fit-{a.shape}", lambda a=a: ScheffeFit(alpha_hat=np.zeros(3), gamma_hat=a)),
+            (f"pair-{a.shape}", lambda a=a: ContrastPair(c=a, d=a)),
+        ]
+    for shape in ((), (2,), (4,), (3, 1)):
+        cases.append((f"fit-alpha-{shape}", lambda s=shape: ScheffeFit(alpha_hat=np.zeros(s), gamma_hat=y)))
+    one_game = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for n in (True, False, 1.0, 1.5, np.float64(1.0)):
+        cases.append((f"sheet-n_games-{n!r}", lambda n=n: ScoreSheet(names=names, n_games=n, r=one_game)))
+    cases.append(("sheet-r-bool", lambda: ScoreSheet(names=names, n_games=1, r=np.eye(3, k=1, dtype=bool))))
+    cases.append(("sheet-no-names", lambda: ScoreSheet(names=(), n_games=5, r=np.zeros((0, 0), int))))
+    return [pytest.param(build, id=label) for label, build in cases]
+
+
+@pytest.mark.parametrize("build", hostile_constructions())
+def test_hostile_input_builds_a_valid_object_or_raises_a_typed_error(build):
+    from skewtail.paired import contrast_value, deadlock_contrast_pair
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            built = build()
+        except SkewtailError:
+            return
+        if isinstance(built, ScoreSheet):
+            n = built.n_games
+            assert isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 and built.m >= 3
+            assert np.issubdtype(built.r.dtype, np.integer)
+        elif isinstance(built, SkewObservations):
+            assert np.isfinite(built.y).all() and np.array_equal(built.y, -built.y.T)
+        elif isinstance(built, ContrastPair):
+            assert np.isfinite(built.c).all() and np.isfinite(built.d).all()
+        else:
+            g = built.gamma_hat
+            assert built.m >= 3 and built.alpha_hat.shape == (built.m,)
+            assert np.isfinite(g).all() and np.array_equal(g, -g.T)
+            pair = deadlock_contrast_pair(built.m, 0, 1, 2)
+            for test in (chi_square_test, largest_sv_test, lrt_standardized_test, max_deadlock,
+                         interaction_spectrum, residual_embedding, lambda f: contrast_value(f, pair)):
+                try:
+                    test(built)
+                except SkewtailError:
+                    pass
 
 
 class TestArcsineScoreVariance:
@@ -577,14 +703,16 @@ class TestMaxDeadlock:
     def test_non_finite_residual_is_a_data_error(self):
         # entries of +-1.7e308 overflow the fit, which leaves infinite gamma
         # entries: a search over them would answer an infinite value whose
-        # triple depends on the visiting order
+        # triple depends on the visiting order, so the fit is refused when built
         u = np.triu(np.random.default_rng(2).choice([-1.7e308, 1.7e308], size=(6, 6)), 1)
-        fit = scheffe_fit(SkewObservations(y=u - u.T))
-        assert np.isinf(fit.gamma_hat).sum() == 6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match="residual is not finite"):
-                max_deadlock(fit)
+            with pytest.raises(DataError, match="residual is too large for double precision"):
+                scheffe_fit(SkewObservations(y=u - u.T))
+            g = np.ldexp(u - u.T, -1)
+            g[0, 1], g[1, 0] = math.inf, -math.inf
+            with pytest.raises(DataError, match="residual is too large for double precision"):
+                ScheffeFit(alpha_hat=np.zeros(6), gamma_hat=g)
             # a finite residual whose cycle sums overflow
             g = np.triu(np.full((6, 6), 1e308), 1)
             with pytest.raises(DataError, match="deadlock contrast overflows"):
@@ -621,6 +749,22 @@ class TestContrastPair:
         assert float(pair.c @ pair.d) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(DomainError):
             ContrastPair(c=np.array([1.0, 0.0]), d=np.array([0.0, 1.0]))  # sums nonzero
+
+    def test_nan_vectors_rejected(self):
+        # NaN fails every "> 1e-10" test, so a NaN pair once built and
+        # contrast_value returned nan
+        from skewtail.paired import ContrastPair
+
+        with pytest.raises(DomainError, match="c must have unit length"):
+            ContrastPair(c=np.full(3, np.nan), d=np.full(3, np.nan))
+
+    @pytest.mark.parametrize("index", [0.5, True, 1.0, np.float64(2.0)])
+    def test_float_or_bool_index_is_a_domain_error(self, index):
+        # 0.5 once escaped as an IndexError from c[0.5]
+        from skewtail.paired import deadlock_contrast_pair
+
+        with pytest.raises(DomainError, match=re.escape(f"index must be a nonnegative integer, got {index!r}")):
+            deadlock_contrast_pair(5, index, 3, 4)
 
     def test_float_order_is_a_domain_error(self):
         # a float m passed the index checks and failed in np.zeros with a TypeError
@@ -708,6 +852,18 @@ class TestSignedArea:
         pts = np.arange(8.0).reshape(4, 2)
         with pytest.raises(DomainError, match="below 4"):
             signed_area(pts, index, 0, 1)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 1), (2, 5, 2), ()])
+    def test_points_must_be_an_n_by_2_array(self, shape):
+        # (5,) once raised a TypeError and (5, 3) a ValueError while unpacking
+        with pytest.raises(DomainError, match=re.escape(f"(n, 2) array, got shape {shape}")):
+            signed_area(np.zeros(shape), 0, 1, 2)
+
+    @pytest.mark.parametrize("index", [0.5, True, 2.0])
+    def test_float_or_bool_index_rejected(self, index):
+        pts = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(DomainError, match=re.escape(f"index must be a nonnegative integer, got {index!r}")):
+            signed_area(pts, index, 3, 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, bad):
