@@ -6,9 +6,9 @@ Two input formats are supported:
   names), followed by one row per object holding its name and m cells;
   the diagonal cell is ``-`` and every other cell is a nonnegative
   integer win count;
-* raw matrix: whitespace-separated m x m reals, already skew-symmetric
-  to within 1e-9 max |y_ij|, for observations that were stabilized (or
-  generated) elsewhere.
+* raw matrix: whitespace-separated m x m reals, skew-symmetric to
+  within 1e-9 max |y_ij| (SkewObservations' rule), for observations that
+  were stabilized (or generated) elsewhere.
 
 Reports render either as aligned text (statistics to 3 decimals,
 p-values to 4, as conventionally tabulated) or as JSON with the fixed
@@ -55,50 +55,37 @@ def read_score_sheet_csv(path, n_games: int) -> ScoreSheet:
     m = len(names)
     if len(rows) != m + 1:
         raise DataError(f"{path}: expected {m} data rows for {m} objects, found {len(rows) - 1}")
-    r = np.zeros((m, m), dtype=int)
-    for i, row in enumerate(rows[1:], start=1):
+    r = np.zeros((m, m), dtype=np.int64)
+    for i, row in enumerate(rows[1:]):
         cells = [cell.strip() for cell in row]
+        at = f"{path}: row {i + 2}"
         if len(cells) != m + 1:
-            raise DataError(f"{path}: row {i + 1} has {len(cells)} cells, expected {m + 1}")
-        if cells[0] != names[i - 1]:
-            raise DataError(
-                f"{path}: row {i + 1} is labeled {cells[0]!r} but the header "
-                f"says object {i} is {names[i - 1]!r}"
-            )
-        counts = cells[1:]
-        diagonal, counts[i - 1] = counts[i - 1], "0"
-        try:
-            if diagonal != "-":
-                raise ValueError(diagonal)
-            r[i - 1] = list(map(int, counts))  # OverflowError outside int64
-        except (ValueError, OverflowError):
-            raise _row_defect(path, i, cells) from None
+            raise DataError(f"{at} has {len(cells)} cells, expected {m + 1}")
+        if cells[0] != names[i]:
+            raise DataError(f"{at} is labeled {cells[0]!r} but the header says object {i + 1} is {names[i]!r}")
+        counts = [0] * m
+        for j, cell in enumerate(cells[1:]):  # left to right, so the first defect is the one raised
+            if j == i:
+                if cell != "-":
+                    raise DataError(f"{at}, column {j + 2}: diagonal cell must be '-'")
+                continue
+            try:
+                counts[j] = int(cell)
+                if not -(2**63) <= counts[j] < 2**63:
+                    raise ValueError(cell)
+            except ValueError:
+                raise DataError(
+                    f"{at}, column {j + 2}: {cell!r} is not an integer win count below 2^63") from None
+        r[i] = counts
     try:
         return ScoreSheet(names=names, n_games=n_games, r=r)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _row_defect(path, i: int, cells: list[str]) -> DataError:
-    """The first defect of row i + 1 read left to right: a diagonal cell
-    that is not '-', or a count that int() rejects or int64 cannot hold."""
-    for j, cell in enumerate(cells[1:], start=1):
-        where = f"{path}: row {i + 1}, column {j + 1}"
-        if j == i:
-            if cell != "-":
-                return DataError(f"{where}: diagonal cell must be '-'")
-            continue
-        try:
-            if -(2**63) <= int(cell) < 2**63:
-                continue
-        except ValueError:
-            pass
-        return DataError(f"{where}: {cell!r} is not an integer win count below 2^63")
-    raise AssertionError(f"row {i + 1} failed to parse but has no defect")
-
-
 def read_skew_matrix(path) -> SkewObservations:
-    """Parse a whitespace-separated square matrix of pre-stabilized scores, m >= 3."""
+    """Parse a whitespace-separated matrix of pre-stabilized scores; '#' and
+    blank lines are skipped.  SkewObservations decides its shape and values."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -111,29 +98,13 @@ def read_skew_matrix(path) -> SkewObservations:
             rows.append([float(tok) for tok in line.split()])
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no numeric rows found")
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise DataError(f"{path}: row {lineno} has {len(row)} entries, expected {width}")
-    y = np.array(rows)
-    if y.shape[0] != y.shape[1]:
-        raise DataError(f"{path}: matrix is {y.shape[0]}x{y.shape[1]}, expected square")
-    if y.shape[0] < 3:
-        raise DataError(f"{path}: need at least 3 objects, got a {y.shape[0]}x{y.shape[0]} matrix")
-    if not np.all(np.isfinite(y)):
-        i, j = np.unravel_index(int(np.argmin(np.isfinite(y))), y.shape)
-        raise DataError(f"{path}: row {i + 1}, column {j + 1}: {float(y[i, j])} is not finite")
-    with np.errstate(over="ignore"):
-        resid = float(np.max(np.abs(y + y.T)))
-    if resid > 1e-9 * float(np.max(np.abs(y))):
-        raise DataError(
-            f"{path}: matrix is not skew-symmetric "
-            f"(max |y_ij + y_ji| = {resid:.3e}, above 1e-9 max |y_ij|)"
-        )
-    y = 0.5 * y - 0.5 * y.T  # discard sub-tolerance asymmetry; halved first, so no sum overflows
-    return SkewObservations(y=y)
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(rows[0]):
+            raise DataError(f"{path}: row {number} has {len(row)} entries, expected {len(rows[0])}")
+    try:
+        return SkewObservations(y=np.array(rows))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def deadlock_area_ratio(report: TestReport) -> float | None:

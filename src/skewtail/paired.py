@@ -32,7 +32,8 @@ _SQRT3 = math.sqrt(3.0)
 # A residual no larger than this many times m * eps * max|y| is rounding
 # noise of the fit itself: subtractive data leave up to about 0.3 times it.
 _ROUNDING_RESIDUAL = 4.0
-#: Largest max |g_ij + g_ji| / max |g_ij| that :class:`ScheffeFit` accepts as skew.
+#: Largest max |y_ij + y_ji| / max |y_ij| that :class:`SkewObservations` and
+#: :class:`ScheffeFit` accept as skew: the one skew tolerance.
 _SKEW_RTOL = 1e-9
 
 
@@ -88,9 +89,11 @@ class ScoreSheet:
 class SkewObservations:
     """Skew-symmetric preference observations y[i, j] = -y[j, i].
 
-    y may miss skew-symmetry by relative 1e-12; its exact skew part
-    (y - y') / 2 is stored, which leaves an already skew y of normal-range
-    entries unchanged.  m is the order of y.
+    Construction is the one check of observations, from the library and from
+    ``--raw`` files alike: DataError unless y is a square matrix of order
+    m >= 3, finite, and skew to max |y_ij + y_ji| <= _SKEW_RTOL (1e-9)
+    max |y_ij|.  Its exact skew part (y - y') / 2 is stored, which leaves an
+    already skew y of normal-range entries unchanged.  m is the order of y.
     """
 
     y: np.ndarray
@@ -101,19 +104,21 @@ class SkewObservations:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        if y.ndim != 2 or y.shape[0] != y.shape[1] or y.size == 0:
-            raise DataError(f"observations must be a non-empty square matrix, got shape {y.shape}")
+        if y.ndim != 2 or y.shape[0] != y.shape[1] or len(y) < 3:
+            raise DataError(f"need at least 3 objects: observations must be a square m x m matrix, "
+                            f"got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             i, j = np.unravel_index(int(np.argmin(np.isfinite(y))), y.shape)
-            raise DataError(f"observation y[{i + 1},{j + 1}] = {float(y[i, j])} is not finite")
+            raise DataError(f"observation y[{i + 1},{j + 1}] (row {i + 1}, column {j + 1}) = "
+                            f"{float(y[i, j])} is not finite")
         with np.errstate(over="ignore"):
             resid = float(np.max(np.abs(y + y.T)))
-        if resid > 1e-12 * float(np.max(np.abs(y))):
+        if resid > _SKEW_RTOL * float(np.max(np.abs(y))):
             raise DataError(
-                f"observations are not skew-symmetric (max residual {resid:.3e}, "
-                "above 1e-12 max |y_ij|)"
+                f"observations are not skew-symmetric (max |y_ij + y_ji| = {resid:.3e}, "
+                f"above {_SKEW_RTOL:g} max |y_ij|)"
             )
-        object.__setattr__(self, "y", 0.5 * y - 0.5 * y.T)
+        object.__setattr__(self, "y", 0.5 * y - 0.5 * y.T)  # halved first, so no sum overflows
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,30 @@ class TestValidate:
         assert (large - small) / 200_000 <= 25.0
 
 
+NOT_SQUARE = "need at least 3 objects: observations must be a square m x m matrix, got shape"
+
+#: One row per reader defect: file name, its text (None: no such file), and
+#: the message after "data error: ", where {path} stands for the file's path.
+#: The readers decide what needs the text; SkewObservations decides the rest.
+READER_DEFECTS = [
+    ("header_only.csv", "team,a,b,c\n", "{path}: need a header row and at least one data row"),
+    ("two_rows.csv", "team,a,b,c\na,-,13,15\nb,14,-,16\n",
+     "{path}: expected 3 data rows for 3 objects, found 2"),
+    ("ragged.csv", "team,a,b,c\na,-,13,15\nb,14,-\nc,12,11,-\n", "{path}: row 3 has 3 cells, expected 4"),
+    ("mislabelled.csv", "team,a,b,c\na,-,13,15\nx,14,-,16\nc,12,11,-\n",
+     "{path}: row 3 is labeled 'x' but the header says object 2 is 'b'"),
+    ("missing.csv", None, "cannot read score sheet {path}: "),
+    ("missing.txt", None, "cannot read matrix {path}: "),
+    # '#' and blank lines are skipped but counted, so the bad token is on line 5
+    ("token.txt", "# stabilized scores\n\n0 1 2\n  # row 2\n-1 0 x\n-2 -3 0\n",
+     "{path}: line 5: could not convert string to float: 'x'"),
+    ("empty.txt", "", f"{{path}}: {NOT_SQUARE} (0,)"),
+    ("comments_only.txt", "# nothing\n\n   \n", f"{{path}}: {NOT_SQUARE} (0,)"),
+    ("ragged.txt", "0 1 2\n-1 0\n-2 0 0\n", "{path}: row 2 has 2 entries, expected 3"),
+    ("not_square.txt", "0 1 2\n-1 0 3\n", f"{{path}}: {NOT_SQUARE} (2, 3)"),
+]
+
+
 class TestAnalyze:
     def test_text_report_contains_league_numbers(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", FIXTURE, "--n-games", "27")
@@ -412,6 +436,26 @@ class TestAnalyze:
         with pytest.raises(DataError) as exc:
             read_score_sheet_csv(bad, 27)
         assert str(exc.value) == f"{bad}: {message}"
+
+    @pytest.mark.parametrize(("name", "text", "message"), READER_DEFECTS,
+                             ids=[row[0] for row in READER_DEFECTS])
+    def test_reader_defect_exits_4_naming_the_file(self, capsys, tmp_path, name, text, message):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        flags = ("--raw",) if name.endswith(".txt") else ("--n-games", "27")
+        code, out, err = run_cli(capsys, "analyze", str(path), *flags)
+        assert code == 4 and out == ""
+        assert str(path) in err
+        assert err.startswith("data error: " + message.format(path=path)), err
+
+    def test_raw_matrix_comment_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+        plain.write_text("0 1 -2\n-1 0 3\n2 -3 0\n")
+        commented.write_text("# scores\n\n0 1 -2\n   \n  # row 2\n-1 0 3\n2 -3 0\n\n")
+        reports = [run_cli(capsys, "analyze", str(raw), "--raw", "--format", "json")
+                   for raw in (plain, commented)]
+        assert reports[0][0] == 0 and reports[0] == reports[1]
 
     @pytest.mark.parametrize("matrix", ["0\n", "0 1\n-1 0\n"], ids=["1x1", "2x2"])
     def test_raw_matrix_below_three_objects_exits_4(self, capsys, tmp_path, matrix):

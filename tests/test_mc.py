@@ -333,6 +333,16 @@ class TestSingularValues:
         with pytest.raises(PairingError, match="misses"):
             SkewEigen(sample_matrix(p, 11))
 
+    @pytest.mark.parametrize("miss", [1e-7, -1e-7])
+    def test_energy_missed_by_1e_7_is_a_pairing_error(self, miss):
+        # _PAIR_RTOL = 1e-8 relative: a solve that misses by 1e-7 is broken
+        sigma2 = np.array([[3.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(PairingError, match="^sample 1: "):
+            mc._check_energy(sigma2, np.array([4.0, 4.0 * (1.0 + miss)]))
+
+    def test_energy_missed_by_1e_9_is_rounding(self):
+        mc._check_energy(np.array([[3.0, 1.0], [2.0, 2.0]]), np.array([4.0, 4.0 * (1.0 - 1e-9)]))
+
     def test_zero_matrix(self):
         spec = SkewEigen(np.zeros((4, 4))).spectrum
         assert np.array_equal(spec, np.zeros(2))

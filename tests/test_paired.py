@@ -120,7 +120,7 @@ class TestScoreSheet:
             SkewObservations(y=y)
 
     def test_skew_check_is_relative_to_the_largest_entry(self):
-        # as read_skew_matrix's: a symmetric y of tiny entries is rejected,
+        # the rule read_skew_matrix applies too: a symmetric y of tiny entries is rejected,
         # rounding-level asymmetry of a 1e+6-scaled y is accepted
         with pytest.raises(DataError, match="skew"):
             SkewObservations(y=np.full((3, 3), 1e-13))
@@ -146,6 +146,12 @@ class TestScoreSheet:
         assert report.sv_stat == pytest.approx(1e-9 * math.sqrt((m - 2) / m), rel=1e-6)
         assert np.array_equal(residual_embedding(fit), report.embedding)
         assert lrt_standardized_test(fit) == (report.std_stat, report.std_p)
+
+    def test_nonzero_diagonal_rejected(self):
+        # the pair check skips the diagonal, so only this check sees it
+        r = np.array([[1, 3, 2], [2, 0, 4], [3, 1, 0]])
+        with pytest.raises(DataError, match="^diagonal of a score sheet must be zero$"):
+            ScoreSheet(names=("a", "b", "c"), n_games=5, r=r)
 
     def test_totals_past_int64_are_reported_exactly(self):
         # r + r.T in int64 once wrapped to -9223372036854775808
@@ -482,8 +488,10 @@ class TestScheffeFit:
         assert sigma[1] == pytest.approx(0.553, abs=5e-4)
 
     def test_too_few_objects(self):
-        with pytest.raises(DomainError):
-            scheffe_fit(SkewObservations(y=np.zeros((2, 2))))
+        # SkewObservations decides m >= 3 for observations; TestResidualGate
+        # pins ScheffeFit's own DomainError for a residual
+        with pytest.raises(DataError, match="need at least 3 objects"):
+            SkewObservations(y=np.zeros((2, 2)))
 
 
 class TestChiSquareTest:
@@ -617,6 +625,18 @@ class TestStandardizedTest:
         assert stat == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-10)
         assert p is None
 
+    def test_just_below_critical_point_returns_none(self):
+        # singular pairs (1, 1, c) give sigma_1 / sqrt(2 + c^2) = 1/sqrt(2) - 1e-7:
+        # below the 1e-12 slack, so no p-value, where the tube law raises
+        # ValidityError.  m = 6 is the least order with a third pair: at m = 5,
+        # sigma_1 >= sigma_2 keeps the statistic at or above 1/sqrt(2)
+        target = 1.0 / math.sqrt(2.0) - 1e-7
+        g = np.zeros((6, 6))
+        for a, s in ((0, 1.0), (2, 1.0), (4, math.sqrt(1.0 / target**2 - 2.0))):
+            g[a, a + 1], g[a + 1, a] = s, -s
+        stat, p = lrt_standardized_test(ScheffeFit(alpha_hat=np.zeros(6), gamma_hat=g))
+        assert stat == pytest.approx(target, abs=1e-13) and p is None
+
     @pytest.mark.parametrize("m", [3, 4])
     def test_below_five_objects_has_no_law(self, m):
         # one singular pair: the statistic is exactly 1 and no exact law applies
@@ -749,6 +769,28 @@ class TestContrastPair:
         assert float(pair.c @ pair.d) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(DomainError):
             ContrastPair(c=np.array([1.0, 0.0]), d=np.array([0.0, 1.0]))  # sums nonzero
+
+    def test_pair_must_be_orthogonal(self):
+        from skewtail.paired import ContrastPair
+
+        c = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        with pytest.raises(DomainError, match="^c and d must be orthogonal$"):
+            ContrastPair(c=c, d=c)
+
+    @pytest.mark.parametrize("ijk", [(0, 0, 1), (0, 1, 1), (2, 0, 2), (0, 1, 5), (7, 1, 2)])
+    def test_deadlock_pair_needs_three_distinct_indices_below_m(self, ijk):
+        # without this check a repeated index gives a pair that is not unit
+        # length, and an index of m or more an IndexError
+        from skewtail.paired import deadlock_contrast_pair
+
+        with pytest.raises(DomainError, match=re.escape(f"need three distinct indices below 5, got {ijk}")):
+            deadlock_contrast_pair(5, *ijk)
+
+    def test_contrast_length_must_match_the_fit(self, league_fit):
+        from skewtail.paired import contrast_value, deadlock_contrast_pair
+
+        with pytest.raises(DomainError, match="^contrast length 5 does not match m=6$"):
+            contrast_value(league_fit, deadlock_contrast_pair(5, 0, 1, 2))
 
     def test_nan_vectors_rejected(self):
         # NaN fails every "> 1e-10" test, so a NaN pair once built and
@@ -979,6 +1021,12 @@ class TestBuildReport:
         for array in (fit.gamma_hat, fit.alpha_hat, fit.eigen.spectrum, fit.eigen.top_vector):
             with pytest.raises(ValueError):
                 array[0, ...] = 1.0
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_one_name_per_object(self, league_sheet, count):
+        names = tuple(f"T{i}" for i in range(count))
+        with pytest.raises(DomainError, match=f"^expected 6 names, got {count}$"):
+            build_report(variance_stabilize(league_sheet), names=names)
 
     def test_report_goes_through_the_public_tests(self, monkeypatch, league_sheet):
         # the boundary a profiler wraps by name: build_report looks each test
